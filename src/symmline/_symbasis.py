@@ -43,6 +43,8 @@ from __future__ import annotations
 import heapq
 from itertools import combinations
 
+from .errors import InvariantViolationError
+
 Partition = tuple  # descending ints, fixed length = number of variables
 
 _ELEM_CACHE: dict[tuple[int, tuple[int, ...]], dict[Partition, int]] = {}
@@ -115,14 +117,16 @@ def decompose_rep(rep: dict[Partition, object], n: int, ring) -> dict[tuple, obj
         if c is None:
             continue
         # the well-ordering argument: each round strictly lowers the lead
-        assert prev is None or lam < prev
+        if prev is not None and not lam < prev:
+            raise InvariantViolationError(f"lead {lam} did not drop below {prev}")
         prev = lam
         mu = tuple(
             lam[i] - (lam[i + 1] if i + 1 < n else 0) for i in range(n)
         )
         out[mu] = c
         expansion = elem_monomial(n, mu)
-        assert expansion.get(lam) == 1
+        if expansion.get(lam) != 1:
+            raise InvariantViolationError(f"e-monomial {mu} does not lead with {lam}")
         for part, k in expansion.items():
             if part == lam:
                 continue

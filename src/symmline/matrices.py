@@ -4,13 +4,38 @@ char_poly uses the Samuelson-Berkowitz iteration (O(n^4) ring
 operations, no divisions), so it is correct over rings with zero
 divisors such as Zmod(12) where fraction-free elimination breaks.
 det is read off the characteristic polynomial's constant term.
+
+char_poly and mult_matrix unwrap their inputs to payloads once, loop on
+the payloads, and wrap the result once.  The Berkowitz kernel needs
+payloads with native + - *; each ring reaches it by its own lift:
+
+    ZZ        the int entries themselves.
+    Zmod, GF  the int residues, reduced mod m after every dot product
+              and coefficient update.  Each Berkowitz coefficient is an
+              integer polynomial in the entries with no division, and
+              reduction mod m is a ring map, so reducing along the way
+              gives the coefficients mod m.
+    QQ        the int matrix d*M, d the lcm of the entries'
+              denominators.  From chi_M(X) = d^-n * chi_dM(d*X), the
+              coefficient c_i of X^(n-i) in chi_dM gives c_i / d^i in
+              chi_M, and no fraction is formed inside the loop.
+    Poly:     the Poly payloads, whose + - * are exact tower arithmetic;
+              sums start at the tower's zero.
+
+mult_matrix reduces f mod F once and gets each next column from the
+monic recurrence col_(j+1) = X*col_j - top(col_j)*F, since multiplying
+by X and reducing mod a monic F needs one multiple of F per column.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+from fractions import Fraction
+
 from .errors import RingMismatchError
 from .poly import MonicPoly, Poly, poly_divmod
-from .rings import Ring, RingValue
+from .rings import RationalRing, Ring, RingValue, ZmodRing
 
 
 class SquareMatrix:
@@ -26,6 +51,15 @@ class SquareMatrix:
         self.rows = rows
 
     @classmethod
+    def _from_payloads(cls, ring: Ring, rows) -> SquareMatrix:
+        """A matrix from rows of canonical payloads of ring, unchecked."""
+        m = object.__new__(cls)
+        m.ring = ring
+        m.rows = tuple(tuple(RingValue(ring, p) for p in row) for row in rows)
+        m.n = len(m.rows)
+        return m
+
+    @classmethod
     def identity(cls, ring: Ring, n: int) -> SquareMatrix:
         return cls(
             ring,
@@ -35,10 +69,6 @@ class SquareMatrix:
     @classmethod
     def zero(cls, ring: Ring, n: int) -> SquareMatrix:
         return cls(ring, [[ring.zero] * n for _ in range(n)])
-
-    @classmethod
-    def from_columns(cls, ring: Ring, cols) -> SquareMatrix:
-        return cls(ring, list(zip(*cols)))
 
     def entry(self, i: int, j: int) -> RingValue:
         return self.rows[i][j]
@@ -111,29 +141,49 @@ def _dot(u, v, ring: Ring) -> RingValue:
 def char_poly(m: SquareMatrix) -> MonicPoly:
     """det(X*I - M) by the Berkowitz iteration, monic of degree n."""
     ring = m.ring
-    n = m.n
-    # descending coefficient vector of the k x k leading principal block
-    coeffs = [ring.one]
-    for k in range(1, n + 1):
-        diag = m.rows[k - 1][k - 1]
-        toeplitz = [ring.one, -diag]
+    a = [[x.payload for x in row] for row in m.rows]
+    if isinstance(ring, ZmodRing):
+        coeffs = _berkowitz(a, 1, modulus=ring.modulus)
+    elif isinstance(ring, RationalRing):
+        d = math.lcm(*(x.denominator for row in a for x in row))
+        lifted = [[x.numerator * (d // x.denominator) for x in row] for row in a]
+        coeffs = [
+            Fraction(c, d**i) for i, c in enumerate(_berkowitz(lifted, 1))
+        ]
+    else:  # ZZ and Poly towers: payloads with native + - *
+        coeffs = _berkowitz(a, ring._from_int(1), ring._from_int(0))
+    return MonicPoly(Poly(ring, [RingValue(ring, c) for c in reversed(coeffs)]))
+
+
+def _berkowitz(a, one, zero=0, modulus=0):
+    """Descending coefficients of det(X*I - A) for a payload matrix a.
+
+    The payloads need native + - *; sums start at zero, and a nonzero
+    modulus reduces every dot product, so coefficients land in [0, m).
+    """
+
+    def dot(u, v):
+        s = sum(map(operator.mul, u, v), zero)
+        return s % modulus if modulus else s
+
+    coeffs = [one]
+    for k in range(1, len(a) + 1):
+        # Toeplitz column of the k-th step: 1, -a_kk, -R*C, -R*A*C, ...,
+        # with A the leading (k-1)-block, R the row and C the column
+        # beside it; dot() stops at the shorter operand, so a full row
+        # of a stands in for its first k-1 entries.
+        top = a[: k - 1]
+        row = a[k - 1]
+        toeplitz = [one, -row[k - 1]]
         if k > 1:
-            row = m.rows[k - 1][: k - 1]
-            vec = [m.rows[i][k - 1] for i in range(k - 1)]
-            toeplitz.append(-_dot(row, vec, ring))
+            vec = [r[k - 1] for r in top]
+            toeplitz.append(-dot(row, vec))
             for _ in range(k - 2):
-                vec = [
-                    _dot(m.rows[i][: k - 1], vec, ring) for i in range(k - 1)
-                ]
-                toeplitz.append(-_dot(row, vec, ring))
-        new = []
-        for i in range(k + 1):
-            acc = ring.zero
-            for j in range(max(0, i - k), min(i, k - 1) + 1):
-                acc = acc + toeplitz[i - j] * coeffs[j]
-            new.append(acc)
-        coeffs = new
-    return MonicPoly(Poly(ring, list(reversed(coeffs))))
+                vec = [dot(r, vec) for r in top]
+                toeplitz.append(-dot(row, vec))
+        rev = toeplitz[::-1]
+        coeffs = [dot(rev[k - i :], coeffs) for i in range(k + 1)]
+    return coeffs
 
 
 def det(m: SquareMatrix) -> RingValue:
@@ -153,13 +203,22 @@ def mult_matrix(f: Poly, modulus: MonicPoly) -> SquareMatrix:
         raise RingMismatchError(
             f"mixed rings {f.ring.name} and {modulus.ring.name}"
         )
+    ring = f.ring
     n = modulus.degree
-    cols = []
+    add, mul, neg = ring._add, ring._mul, ring._neg
+    zero = ring._from_int(0)
+    # x^n = sum_i low[i] x^i mod F
+    low = [neg(c.payload) for c in modulus.poly.coeffs[:n]]
     rem = poly_divmod(f, modulus)[1]
-    for _ in range(n):
-        cols.append([rem.coeff(i) for i in range(n)])
-        rem = poly_divmod(rem.shift(1), modulus)[1]
-    return SquareMatrix.from_columns(f.ring, cols)
+    col = [rem.coeff(i).payload for i in range(n)]
+    cols = [col]
+    for _ in range(n - 1):
+        top = col[-1]
+        col = [zero] + col[:-1]
+        if top != zero:
+            col = [add(c, mul(top, b)) for c, b in zip(col, low)]
+        cols.append(col)
+    return SquareMatrix._from_payloads(ring, zip(*cols))
 
 
 def poly_at_matrix(f: Poly, m: SquareMatrix) -> SquareMatrix:

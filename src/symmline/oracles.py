@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
+from .errors import InvariantViolationError
 from .matrices import SquareMatrix, char_poly
 from .poly import MonicPoly, Poly
 from .rings import Ring, RingValue
@@ -98,7 +99,10 @@ def bareiss_det(m: SquareMatrix) -> RingValue | None:
                     ring._neg(ring._mul(a[i][k], a[k][j])),
                 )
                 q = ring._exact_div(num, prev)
-                assert q is not None  # Bareiss guarantees divisibility
+                if q is None:
+                    raise InvariantViolationError(
+                        f"Bareiss step not divisible in {ring.name}"
+                    )
                 a[i][j] = q
         prev = a[k][k]
     result = RingValue(ring, a[n - 1][n - 1])

@@ -23,7 +23,7 @@ from .errors import (
     RingMismatchError,
     UnsupportedRingError,
 )
-from .rings import Ring, RingValue
+from .rings import Ring, RingValue, _intern
 
 
 class Poly:
@@ -384,14 +384,15 @@ def invert_mod(f: Poly, F: MonicPoly) -> QuotientElem:
 class PolyRing(Ring):
     """Polynomials over a base ring, used as coefficients (ring towers)."""
 
-    def __init__(self, base: Ring, var: str = "T"):
+    def __new__(cls, base: Ring, var: str = "T"):
         if not var.isidentifier():
             raise ValueError(f"bad variable name {var!r}")
         if var == "X" or _looks_reserved(var):
             raise ValueError(f"variable name {var!r} is reserved")
-        self.base = base
-        self.var = var
-        self.is_domain = base.is_domain
+        return _intern(cls, (base, var), base=base, var=var, is_domain=base.is_domain)
+
+    def __getnewargs__(self):
+        return (self.base, self.var)
 
     def _add(self, a, b):
         return a + b

@@ -13,13 +13,24 @@ pair a ring with a canonical payload:
 Equality of values is payload equality, which the canonical forms make
 decidable.  All values are immutable; every operation returns a fresh
 value, so sharing across threads is safe.
+
+Zmod, GF and Poly ring specifications are interned: building one twice
+returns the same object while the first is alive, so the matching-ring
+checks on every operation are usually an identity test.  Ring equality
+is still structural, and a check falls back to it when identity fails.
 """
 
 from __future__ import annotations
 
+import math
+import threading
+import weakref
 from fractions import Fraction
 
 from .errors import RingMismatchError, UnsupportedRingError
+
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_INTERN_LOCK = threading.Lock()
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -94,7 +105,7 @@ class Ring:
     # value layer ---------------------------------------------------
     def value(self, x) -> RingValue:
         if isinstance(x, RingValue):
-            if x.ring != self:
+            if x.ring is not self and x.ring != self:
                 raise RingMismatchError(f"value of {x.ring.name} used in {self.name}")
             return x
         if isinstance(x, int):
@@ -127,6 +138,21 @@ class Ring:
         return not self.__eq__(other)
 
 
+def _intern(cls, key, **attrs):
+    """The live instance of cls for key, or a new one carrying attrs.
+
+    Callers validate their arguments first, so a rejected specification
+    is never cached.
+    """
+    with _INTERN_LOCK:
+        ring = _INTERNED.get((cls, key))
+        if ring is None:
+            ring = object.__new__(cls)
+            vars(ring).update(attrs)
+            _INTERNED[(cls, key)] = ring
+        return ring
+
+
 class RingValue:
     """An element of a ring, kept in canonical form."""
 
@@ -138,7 +164,7 @@ class RingValue:
 
     def _coerce(self, other) -> RingValue:
         if isinstance(other, RingValue):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise RingMismatchError(
                     f"mixed rings {self.ring.name} and {other.ring.name}"
                 )
@@ -305,12 +331,15 @@ class ZmodRing(Ring):
 
     is_finite = True
 
-    def __init__(self, modulus: int):
+    def __new__(cls, modulus: int):
         if not isinstance(modulus, int) or modulus < 2:
             raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
-        self.modulus = modulus
-        self.is_domain = is_prime(modulus)
-        self.size = modulus
+        return _intern(
+            cls, modulus, modulus=modulus, size=modulus, is_domain=is_prime(modulus)
+        )
+
+    def __getnewargs__(self):
+        return (self.modulus,)
 
     def _add(self, a, b):
         return (a + b) % self.modulus
@@ -325,7 +354,7 @@ class ZmodRing(Ring):
         return k % self.modulus
 
     def _is_unit(self, a):
-        return _gcd(a, self.modulus) == 1
+        return math.gcd(a, self.modulus) == 1
 
     def _inv(self, a):
         try:
@@ -359,10 +388,10 @@ class PrimeField(ZmodRing):
     is_field = True
     is_domain = True
 
-    def __init__(self, p: int):
+    def __new__(cls, p: int):
         if not isinstance(p, int) or not is_prime(p):
             raise ValueError(f"GF parameter must be prime, got {p!r}")
-        super().__init__(p)
+        return super().__new__(cls, p)
 
     def _is_unit(self, a):
         return a != 0
@@ -370,12 +399,6 @@ class PrimeField(ZmodRing):
     @property
     def name(self):
         return f"GF:{self.modulus}"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 ZZ = IntegerRing()

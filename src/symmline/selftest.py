@@ -1,7 +1,9 @@
 """Named invariant checks behind the `selftest` CLI verb.
 
-Each check raises AssertionError on failure; run_selftest collects the
-outcomes.  Sizes here are chosen for a fast smoke run; the pytest
+Each check raises AssertionError on failure, through _check rather than
+assert so that the checks still run under python -O; run_selftest
+collects the outcomes, counting an InvariantViolationError raised inside
+the library as a failure too.  Sizes here are chosen for a fast smoke run; the pytest
 acceptance suite runs the same properties at their full sample counts.
 """
 
@@ -21,6 +23,7 @@ from .quotients import (
     recover_monic,
     section_map,
 )
+from .errors import InvariantViolationError
 from .homs import RingHom
 from .matrices import char_poly, companion_matrix, mult_matrix, poly_at_matrix
 from .norms import (
@@ -46,6 +49,11 @@ from .symmetric import SymElem, SymPoly1, decompose, sym_char_poly, sym_ops_of
 DEFAULT_SEED = 20260811
 
 
+def _check(ok: bool) -> None:
+    if not ok:
+        raise AssertionError
+
+
 def _all_monic(ring, deg):
     from itertools import product
 
@@ -67,14 +75,14 @@ def check_ring_axioms(rng: Random) -> str:
     for ring in rings:
         for _ in range(20):
             a, b, c = (random_value(ring, rng) for _ in range(3))
-            assert (a + b) + c == a + (b + c)
-            assert a + b == b + a
-            assert a * b == b * a
-            assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
-            assert a + ring.zero == a
-            assert a * ring.one == a
-            assert a + (-a) == ring.zero
+            _check((a + b) + c == a + (b + c))
+            _check(a + b == b + a)
+            _check(a * b == b * a)
+            _check((a * b) * c == a * (b * c))
+            _check(a * (b + c) == a * b + a * c)
+            _check(a + ring.zero == a)
+            _check(a * ring.one == a)
+            _check(a + (-a) == ring.zero)
     return f"{len(rings)} rings, 20 triples each"
 
 
@@ -84,7 +92,9 @@ def check_thm24_equivalence(rng: Random) -> str:
         for _ in range(samples):
             modulus = random_monic(ring, rng, rng.randint(1, 4))
             f = random_poly(ring, rng, 4)
-            assert mult_char_poly(f, modulus) == char_poly(mult_matrix(f, modulus))
+            _check(
+                mult_char_poly(f, modulus) == char_poly(mult_matrix(f, modulus))
+            )
             total += 1
     return f"{total} (F, f) pairs over ZZ and Zmod:12"
 
@@ -95,7 +105,7 @@ def check_norm_multiplicativity(rng: Random) -> str:
             modulus = random_monic(ring, rng, rng.randint(1, 4))
             f = random_poly(ring, rng, 3)
             g = random_poly(ring, rng, 3)
-            assert norm(f * g, modulus) == norm(f, modulus) * norm(g, modulus)
+            _check(norm(f * g, modulus) == norm(f, modulus) * norm(g, modulus))
     return "50 products over ZZ and Zmod:9"
 
 
@@ -114,7 +124,7 @@ def check_sylvester_oracle(rng: Random) -> str:
         f = random_nonzero_poly(ZZ, rng, 4)
         if f.degree < 1:
             continue
-        assert norm(f, modulus) == sylvester_resultant(modulus, f)
+        _check(norm(f, modulus) == sylvester_resultant(modulus, f))
     return "40 resultants over ZZ"
 
 
@@ -128,9 +138,11 @@ def check_split_root_oracle(rng: Random) -> str:
             expected = ring.one
             for a in roots:
                 expected = expected * f(a)
-            assert norm(f, modulus) == expected
+            _check(norm(f, modulus) == expected)
             spectrum = MonicPoly.from_roots(ring, [f(a) for a in roots])
-            assert char_poly(poly_at_matrix(f, companion_matrix(modulus))) == spectrum
+            _check(
+                char_poly(poly_at_matrix(f, companion_matrix(modulus))) == spectrum
+            )
     return "30 split moduli, norms and spectra"
 
 
@@ -141,7 +153,7 @@ def check_constant_term(rng: Random) -> str:
             expected = modulus.poly(ring.zero)
             if modulus.degree % 2:
                 expected = -expected
-            assert norm(Poly.gen(ring), modulus) == expected
+            _check(norm(Poly.gen(ring), modulus) == expected)
     return "30 moduli: N_F(X) = (-1)^n F(0)"
 
 
@@ -149,9 +161,9 @@ def check_resultant_symmetry(rng: Random) -> str:
     for _ in range(40):
         p = random_monic(ZZ, rng, rng.randint(1, 4), -5, 5)
         q = random_monic(ZZ, rng, rng.randint(1, 4), -5, 5)
-        assert resultant_symmetry_check(p, q)
+        _check(resultant_symmetry_check(p, q))
         lhs = norm(q.poly, p)
-        assert lhs == sylvester_resultant(p, q.poly)
+        _check(lhs == sylvester_resultant(p, q.poly))
     return "40 monic pairs, sign law and Sylvester agree"
 
 
@@ -167,14 +179,14 @@ def check_push_norm(rng: Random) -> str:
             modulus = random_monic(ZZ, rng, rng.randint(1, 4))
             f = random_poly(ZZ, rng, 3)
             a, b = push_norm(hom, f, modulus)
-            assert a == b
+            _check(a == b)
     src = Zmod(12)
     hom = RingHom.mod_reduce(src, Zmod(4))
     for _ in range(10):
         a, b = push_norm(
             hom, random_poly(src, rng, 3), random_monic(src, rng, rng.randint(1, 3))
         )
-        assert a == b
+        _check(a == b)
     tower = PolyRing(ZZ, "T")
     hom = RingHom.eval_tower(tower, ZZ.value(rng.randint(-3, 3)))
     for _ in range(5):
@@ -183,7 +195,7 @@ def check_push_norm(rng: Random) -> str:
             random_poly(tower, rng, 2, -3, 3),
             random_monic(tower, rng, 2, -3, 3),
         )
-        assert a == b
+        _check(a == b)
     return "identity, integer/mod reduction, and tower evaluation"
 
 
@@ -193,8 +205,9 @@ def check_criterion_oracle_agreement(rng: Random) -> str:
         for modulus in _all_monic(ring, 2):
             for g in _all_polys(ring, 1):
                 mult_set = MultSet.generated(g)
-                assert is_free_quotient(modulus, mult_set) == free_quotient_oracle(
-                    modulus, mult_set
+                _check(
+                    is_free_quotient(modulus, mult_set)
+                    == free_quotient_oracle(modulus, mult_set)
                 )
                 pairs += 1
     return f"{pairs} exhaustive (F, g) pairs over Zmod:4 and GF:3"
@@ -207,7 +220,7 @@ def check_recover_similarity(rng: Random) -> str:
             modulus = random_monic(ring, rng, n)
             s, s_inv = random_unimodular(ring, n, rng)
             theta = s * companion_matrix(modulus) * s_inv
-            assert recover_monic(theta) == modulus
+            _check(recover_monic(theta) == modulus)
     return "20 conjugated companion matrices over ZZ and GF:5"
 
 
@@ -215,7 +228,7 @@ def check_companion_roundtrip(rng: Random) -> str:
     for ring in (ZZ, Zmod(12), GF(5)):
         for _ in range(10):
             modulus = random_monic(ring, rng, rng.randint(1, 5))
-            assert recover_monic(companion_matrix(modulus)) == modulus
+            _check(recover_monic(companion_matrix(modulus)) == modulus)
     return "30 companion round-trips"
 
 
@@ -224,8 +237,8 @@ def check_addition_homomorphism(rng: Random) -> str:
         n = rng.randint(1, 4)
         s = random_symelem(ZZ, n, rng, max_weight=4, lo=-4, hi=4)
         t = random_symelem(ZZ, n, rng, max_weight=4, lo=-4, hi=4)
-        assert addition_map(s + t) == addition_map(s) + addition_map(t)
-        assert addition_map(s * t) == addition_map(s) * addition_map(t)
+        _check(addition_map(s + t) == addition_map(s) + addition_map(t))
+        _check(addition_map(s * t) == addition_map(s) * addition_map(t))
     return "20 random pairs, additive and multiplicative"
 
 
@@ -236,18 +249,18 @@ def check_section_identity(rng: Random) -> str:
         generic = sym_char_poly(Poly.gen(ZZ), n)
         for i in range(1, n):
             e = SymPoly1.from_symelem(SymElem.e(i, n, ZZ))
-            assert section_map(apply_addition(e)) == e
+            _check(section_map(apply_addition(e)) == e)
         top = SymPoly1.from_symelem(SymElem.e(n, n, ZZ))
         roundtrip = section_map(apply_addition(top))
-        assert roundtrip.mod_monic(generic) == top.mod_monic(generic)
-        assert (roundtrip - top).mod_monic(generic).is_zero
+        _check(roundtrip.mod_monic(generic) == top.mod_monic(generic))
+        _check((roundtrip - top).mod_monic(generic).is_zero)
     for _ in range(15):
         n = rng.randint(1, 4)
         generic = sym_char_poly(Poly.gen(ZZ), n)
         s = random_symelem(ZZ, n, rng, max_weight=4, lo=-4, hi=4)
         t = SymPoly1.from_symelem(s)
         back = section_map(apply_addition(t))
-        assert back.mod_monic(generic) == t.mod_monic(generic)
+        _check(back.mod_monic(generic) == t.mod_monic(generic))
     return "generators for n=1..4 plus 15 random elements, mod the kernel"
 
 
@@ -255,13 +268,13 @@ def check_section_partial(rng: Random) -> str:
     for n in range(1, 5):
         for i in range(1, n):
             e = SymPoly1.from_symelem(SymElem.e(i, n - 1, ZZ))
-            assert apply_addition(section_map(e)) == e
+            _check(apply_addition(section_map(e)) == e)
     return "e_i fixed by addition after section, n=1..4"
 
 
 def check_addition_kernel(rng: Random) -> str:
     for n in range(1, 5):
-        assert addition_kernel_check(n)
+        _check(addition_kernel_check(n))
     return "generic monic polynomial killed for n=1..4"
 
 
@@ -269,7 +282,7 @@ def check_addition_diagonal(rng: Random) -> str:
     for _ in range(20):
         n = rng.choice((2, 3))
         f = random_poly(ZZ, rng, 3, -5, 5)
-        assert addition_diagonal_check(f, n)
+        _check(addition_diagonal_check(f, n))
     return "20 random f, n in {2, 3}"
 
 
@@ -281,7 +294,7 @@ def check_coprimality(rng: Random) -> str:
             for g in _all_polys(ring, 1):
                 unit = norm(g, modulus).is_unit()
                 coprime = poly_gcd(modulus.poly, g).degree == 0
-                assert unit == coprime
+                _check(unit == coprime)
                 pairs += 1
     return f"{pairs} pairs: nonzero norm iff coprime"
 
@@ -292,7 +305,7 @@ def check_closure_insensitivity(rng: Random) -> str:
     for g in (x, x + Poly.constant(ring, 1), x * x + Poly.constant(ring, 1)):
         a = count_points(3, 2, MultSet.generated(g))
         b = count_points(3, 2, MultSet.generated(g, g * g))
-        assert a == b
+        _check(a == b)
     return "adding g^2 to the generators never changes the census"
 
 
@@ -300,9 +313,9 @@ def check_census_counts(rng: Random) -> str:
     for q in (2, 3):
         ring = GF(q)
         for n in (1, 2):
-            assert count_points(q, n, MultSet.trivial(ring)) == q**n
-            assert count_points(q, n, MultSet.local_at(ring.zero)) == 1
-            assert count_points(q, n, MultSet.all_nonzero(ring)) == 0
+            _check(count_points(q, n, MultSet.trivial(ring)) == q**n)
+            _check(count_points(q, n, MultSet.local_at(ring.zero)) == 1)
+            _check(count_points(q, n, MultSet.all_nonzero(ring)) == 0)
     return "trivial = q^n, local-at = 1, all-nonzero = 0"
 
 
@@ -310,7 +323,7 @@ def check_symmetric_roundtrip(rng: Random) -> str:
     for _ in range(30):
         n = rng.randint(1, 3)
         s = random_symelem(ZZ, n, rng, max_weight=5, lo=-5, hi=5)
-        assert decompose(s.expand()) == s
+        _check(decompose(s.expand()) == s)
     return "30 decompose(expand(s)) round-trips"
 
 
@@ -327,7 +340,7 @@ def check_sym_ops_specialize(rng: Random) -> str:
         ]
         for i, s in enumerate(sym_ops_of(f, n), start=1):
             expected = elementary(i, n, ZZ).evaluate(values)
-            assert s.substitute(elems) == expected
+            _check(s.substitute(elems) == expected)
     return "15 specializations at concrete points"
 
 
@@ -365,6 +378,6 @@ def run_selftest(seed: int = DEFAULT_SEED):
         try:
             detail = fn(rng)
             results.append((name, True, detail))
-        except AssertionError as exc:
+        except (AssertionError, InvariantViolationError) as exc:
             results.append((name, False, str(exc) or "assertion failed"))
     return results

@@ -52,10 +52,18 @@ def test_charpoly_2x2_formula():
         assert cp.poly == Poly(ZZ, [a * d - b * c, -(a + d), 1])
 
 
+# one ring per lift of the Berkowitz kernel, plus zero-divisor moduli
+ORACLE_RINGS = [ZZ, Zmod(6), Zmod(12), QQ, GF(10007), PolyRing(ZZ, "T")]
+
+
+def _sizes(ring):
+    return range(1, 4) if isinstance(ring, PolyRing) else range(1, 5)
+
+
 def test_charpoly_matches_cofactor_expansion():
     rng = Random(13)
-    for ring in (ZZ, Zmod(6), Zmod(12)):
-        for n in range(1, 5):
+    for ring in ORACLE_RINGS:
+        for n in _sizes(ring):
             for _ in range(8):
                 m = mat(
                     ring,
@@ -114,14 +122,31 @@ def test_mult_matrix_x_is_companion():
         assert mult_matrix(Poly.gen(ZZ), f) == companion_matrix(f)
 
 
+def _assert_columns(g, f):
+    m = mult_matrix(g, f)
+    x = Poly.gen(f.ring)
+    n = f.degree
+    for j in range(n):
+        col = poly_divmod(g * x**j, f)[1]
+        assert list(m.column(j)) == [col.coeff(i) for i in range(n)]
+
+
 def test_mult_matrix_columns_definition():
     f = MonicPoly(Poly(ZZ, [2, -3, 1]))
     g = Poly(ZZ, [1, 1])  # X + 1
-    m = mult_matrix(g, f)
-    x = Poly.gen(ZZ)
-    for j in range(2):
-        col = poly_divmod(g * x**j, f)[1]
-        assert list(m.column(j)) == [col.coeff(i) for i in range(2)]
+    _assert_columns(g, f)
+    rng = Random(21)
+    for ring in ORACLE_RINGS:
+        for n in _sizes(ring):
+            for deg in (0, n - 1, n, n + 1, 2 * n + 1):
+                for _ in range(2):
+                    f = random_monic(ring, rng, n)
+                    cs = [random_value(ring, rng) for _ in range(deg + 1)]
+                    if cs[-1].is_zero:
+                        cs[-1] = ring.one
+                    g = Poly(ring, cs)
+                    assert g.degree == deg
+                    _assert_columns(g, f)
 
 
 def test_mult_matrix_is_ring_homomorphism():

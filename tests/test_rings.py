@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from random import Random
 
@@ -5,7 +7,17 @@ import pytest
 
 from symmline.errors import RingMismatchError, UnsupportedRingError
 from symmline.poly import Poly, PolyRing
-from symmline.rings import GF, QQ, Zmod, ZZ, is_prime
+from symmline import rings
+from symmline.rings import (
+    GF,
+    QQ,
+    IntegerRing,
+    PrimeField,
+    Zmod,
+    ZmodRing,
+    ZZ,
+    is_prime,
+)
 from symmline.sampling import random_value
 
 ALL_RINGS = [ZZ, QQ, Zmod(12), GF(7), PolyRing(ZZ, "T"), PolyRing(GF(5), "T")]
@@ -134,3 +146,45 @@ def test_value_powers_and_hash():
     assert v**2 == Zmod(12).value(1)
     assert hash(Zmod(12).value(17)) == hash(v)
     assert str(GF(5).value(7)) == "2"
+
+
+def test_ring_specs_are_interned():
+    assert Zmod(12) is Zmod(12)
+    assert Zmod(12) is ZmodRing(12)
+    assert GF(7) is PrimeField(7)
+    assert PolyRing(ZZ, "T") is PolyRing(ZZ, "T")
+    assert PolyRing(GF(5), "T") is PolyRing(PrimeField(5), "T")
+    assert GF(7) != Zmod(7)
+    assert GF(7) is not Zmod(7)
+    assert PolyRing(ZZ, "T") is not PolyRing(ZZ, "S")
+    for ring in (Zmod(12), GF(7), PolyRing(GF(5), "T")):
+        assert pickle.loads(pickle.dumps(ring)) is ring
+        assert copy.deepcopy(ring) is ring
+
+
+def test_interned_ring_checks_still_compare():
+    with pytest.raises(RingMismatchError):
+        Zmod(12).value(Zmod(6).one)
+    with pytest.raises(RingMismatchError):
+        Zmod(12).one + Zmod(6).one
+    with pytest.raises(RingMismatchError):
+        GF(7).value(Zmod(7).one)
+    # an equal ring that is a different object passes by equality
+    other_zz = IntegerRing()
+    assert other_zz is not ZZ
+    assert ZZ.value(other_zz.value(3)) == ZZ.value(3)
+    assert ZZ.value(2) + other_zz.value(3) == ZZ.value(5)
+
+
+def test_rejected_ring_specs_are_not_cached():
+    cached = set(rings._INTERNED.keys())
+    with pytest.raises(ValueError):
+        ZmodRing(1)
+    with pytest.raises(ValueError):
+        PrimeField(4)
+    with pytest.raises(ValueError):
+        PolyRing(ZZ, "X")
+    assert (ZmodRing, 1) not in rings._INTERNED
+    assert (PrimeField, 4) not in rings._INTERNED
+    assert (PolyRing, (ZZ, "X")) not in rings._INTERNED
+    assert set(rings._INTERNED.keys()) <= cached
