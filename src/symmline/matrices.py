@@ -152,7 +152,7 @@ def char_poly(m: SquareMatrix) -> MonicPoly:
         ]
     else:  # ZZ and Poly towers: payloads with native + - *
         coeffs = _berkowitz(a, ring._from_int(1), ring._from_int(0))
-    return MonicPoly(Poly(ring, [RingValue(ring, c) for c in reversed(coeffs)]))
+    return MonicPoly(Poly._from_payloads(ring, reversed(coeffs)))
 
 
 def _berkowitz(a, one, zero=0, modulus=0):

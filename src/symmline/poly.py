@@ -14,6 +14,15 @@ which is the form consumed by the evaluation maps in norms.py.
 
 PolyRing(base, var) turns polynomials into ring elements, giving towers
 such as Poly:ZZ:T whose values print as polynomials in T.
+
+Poly multiplication and poly_divmod run on payloads: they unwrap the
+coefficients once, loop on the ring's _add/_mul/_neg, and wrap the
+result once.  The constructor takes a coefficient that is already a
+value of the same ring object as is and sends anything else through
+ring.value, so foreign-ring values are still rejected.
+Poly._from_payloads is the trusted constructor behind those kernels: it
+takes canonical payloads of the ring unchecked and is for internal use
+only.
 """
 
 from __future__ import annotations
@@ -30,11 +39,28 @@ class Poly:
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring: Ring, coeffs):
-        cs = [ring.value(c) for c in coeffs]
-        while cs and cs[-1].is_zero:
+        cs = [
+            c if isinstance(c, RingValue) and c.ring is ring else ring.value(c)
+            for c in coeffs
+        ]
+        zero = ring._from_int(0)
+        while cs and cs[-1].payload == zero:
             cs.pop()
         self.ring = ring
         self.coeffs = tuple(cs)
+
+    @classmethod
+    def _from_payloads(cls, ring: Ring, payloads) -> Poly:
+        """A polynomial from ascending canonical payloads of ring,
+        unchecked apart from stripping trailing zeros."""
+        cs = list(payloads)
+        zero = ring._from_int(0)
+        while cs and cs[-1] == zero:
+            cs.pop()
+        p = object.__new__(cls)
+        p.ring = ring
+        p.coeffs = tuple(RingValue(ring, c) for c in cs)
+        return p
 
     # constructors ---------------------------------------------------
     @classmethod
@@ -77,10 +103,13 @@ class Poly:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.ring.zero
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.ring.one
+        return (
+            bool(self.coeffs)
+            and self.coeffs[-1].payload == self.ring._from_int(1)
+        )
 
     def _check(self, other: Poly):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatchError(
                 f"mixed rings {self.ring.name} and {other.ring.name}"
             )
@@ -104,15 +133,20 @@ class Poly:
 
     def __mul__(self, other: Poly) -> Poly:
         self._check(other)
+        ring = self.ring
         if self.is_zero or other.is_zero:
-            return Poly.zero(self.ring)
-        out = [self.ring.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return Poly.zero(ring)
+        add, mul = ring._add, ring._mul
+        zero = ring._from_int(0)
+        bs = [b.payload for b in other.coeffs]
+        out = [zero] * (len(self.coeffs) + len(bs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a.is_zero:
+            a = a.payload
+            if a == zero:
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.ring, out)
+            for j, b in enumerate(bs):
+                out[i + j] = add(out[i + j], mul(a, b))
+        return Poly._from_payloads(ring, out)
 
     def scale(self, c) -> Poly:
         c = self.ring.value(c)
@@ -149,7 +183,9 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.ring == other.ring and self.coeffs == other.coeffs
+        return (
+            self.ring is other.ring or self.ring == other.ring
+        ) and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.ring, self.coeffs))
@@ -274,23 +310,26 @@ class MonicPoly:
 def poly_divmod(f: Poly, g: MonicPoly | Poly) -> tuple[Poly, Poly]:
     """Quotient and remainder of f by a monic g; needs no base division."""
     gp = g.poly if isinstance(g, MonicPoly) else g
-    if f.ring != gp.ring:
-        raise RingMismatchError(f"mixed rings {f.ring.name} and {gp.ring.name}")
+    f._check(gp)
     if not gp.is_monic():
         raise ValueError("divisor must be monic")
+    ring = f.ring
     n = gp.degree
-    rem = list(f.coeffs)
-    if len(rem) <= n:
-        return Poly.zero(f.ring), f
-    quo = [f.ring.zero] * (len(rem) - n)
+    if len(f.coeffs) <= n:
+        return Poly.zero(ring), f
+    add, mul, neg = ring._add, ring._mul, ring._neg
+    zero = ring._from_int(0)
+    neg_g = [neg(c.payload) for c in gp.coeffs]
+    rem = [c.payload for c in f.coeffs]
+    quo = [zero] * (len(rem) - n)
     for k in range(len(rem) - 1, n - 1, -1):
         c = rem[k]
-        if c.is_zero:
+        if c == zero:
             continue
         quo[k - n] = c
         for i in range(n + 1):
-            rem[k - n + i] = rem[k - n + i] - c * gp.coeffs[i]
-    return Poly(f.ring, quo), Poly(f.ring, rem[:n])
+            rem[k - n + i] = add(rem[k - n + i], mul(c, neg_g[i]))
+    return Poly._from_payloads(ring, quo), Poly._from_payloads(ring, rem[:n])
 
 
 def poly_mod(f: Poly, g: MonicPoly) -> Poly:

@@ -22,8 +22,10 @@ the generic monic polynomial of sym_char_poly(X, n).
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
-from itertools import product
+from itertools import islice, product
+from math import comb
 
 from .errors import (
     InvariantViolationError,
@@ -112,11 +114,11 @@ class MultSet:
 def is_free_quotient(modulus: MonicPoly, mult_set: MultSet) -> bool:
     """Whether A[X]/(F) maps isomorphically onto A[X]_U/(F): the norm
     of every element of U is a unit, decided on generators."""
-    if modulus.ring != mult_set.ring:
-        raise RingMismatchError(
-            f"F over {modulus.ring.name}, set over {mult_set.ring.name}"
-        )
     ring = modulus.ring
+    if ring is not mult_set.ring and ring != mult_set.ring:
+        raise RingMismatchError(
+            f"F over {ring.name}, set over {mult_set.ring.name}"
+        )
     if mult_set.kind == "trivial":
         return True
     if mult_set.kind == "generated":
@@ -126,12 +128,26 @@ def is_free_quotient(modulus: MonicPoly, mult_set: MultSet) -> bool:
             raise UnsupportedRingError(
                 "local-at membership is only decidable over a field base"
             )
-        target = MonicPoly.from_roots(ring, [mult_set.point] * modulus.degree)
-        return modulus == target
+        return _is_power_of_linear(modulus, mult_set.point.payload)
     if mult_set.kind == "all-nonzero":
         # F itself lies in U and has norm zero
         return False
     raise ValueError(f"unknown kind {mult_set.kind!r}")
+
+
+def _is_power_of_linear(modulus: MonicPoly, a) -> bool:
+    """Whether F = (X - a)^n, for a payload a: the X^k coefficient of
+    (X - a)^n is C(n, k) * (-a)^(n-k), checked on payloads from the top."""
+    ring = modulus.ring
+    n = modulus.degree
+    mul = ring._mul
+    neg_a = ring._neg(a)
+    power = ring._from_int(1)  # (-a)^(n-k)
+    for k, c in zip(range(n, -1, -1), reversed(modulus.poly.coeffs)):
+        if c.payload != mul(ring._from_int(comb(n, k)), power):
+            return False
+        power = mul(power, neg_a)
+    return True
 
 
 def free_quotient_oracle(
@@ -317,7 +333,16 @@ def count_points(
     bound: int = CENSUS_BOUND,
 ) -> int:
     """Number of monic degree-n polynomials over GF(q) that generate a
-    free rank-n quotient of the localization at the given set."""
+    free rank-n quotient of the localization at the given set.
+
+    Candidates are X^n + c_(n-1) X^(n-1) + ... + c_0 with (c_0..c_(n-1))
+    running over itertools.product of GF(q)'s residues 0..q-1, so c_0
+    varies slowest and c_(n-1) fastest.  Each passes MonicPoly's checks
+    and is_free_quotient.  workers is clamped to min(workers, CPU count,
+    q^n); above one, the candidates split into at most that many
+    consecutive ranges of that order, summed in range order, so the
+    count does not depend on workers.
+    """
     ring = PrimeField(q)
     if mult_set.ring != ring:
         raise RingMismatchError(
@@ -330,26 +355,22 @@ def count_points(
         raise OracleInfeasibleError(
             f"{q}^{n} polynomials exceed the census bound {bound}"
         )
+    elems = tuple(ring.elements())
+    one = ring.one
 
-    def count_range(start: int, stop: int) -> int:
+    def count_range(span) -> int:
         count = 0
-        for idx in range(start, stop):
-            coeffs = []
-            v = idx
-            for _ in range(n):
-                v, r = divmod(v, q)
-                coeffs.append(r)
-            coeffs.append(1)
-            modulus = MonicPoly(Poly(ring, coeffs))
+        for low in islice(product(elems, repeat=n), *span):
+            modulus = MonicPoly(Poly(ring, low + (one,)))
             if is_free_quotient(modulus, mult_set):
                 count += 1
         return count
 
+    workers = min(workers, os.cpu_count() or 1, total)
     if workers <= 1:
-        return count_range(0, total)
+        return count_range((0, total))
     # deterministic: fixed chunking, summed in chunk order
     step = (total + workers - 1) // workers
     spans = [(s, min(s + step, total)) for s in range(0, total, step)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda span: count_range(*span), spans))
-    return sum(results)
+        return sum(pool.map(count_range, spans))

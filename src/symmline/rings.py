@@ -220,7 +220,9 @@ class RingValue:
             other = self.ring.value(other)
         if not isinstance(other, RingValue):
             return NotImplemented
-        return self.ring == other.ring and self.payload == other.payload
+        return (
+            self.ring is other.ring or self.ring == other.ring
+        ) and self.payload == other.payload
 
     def __hash__(self):
         return hash((self.ring, self.payload))

@@ -2,7 +2,11 @@ from random import Random
 
 import pytest
 
-from symmline.errors import NotInvertibleError, UnsupportedRingError
+from symmline.errors import (
+    NotInvertibleError,
+    RingMismatchError,
+    UnsupportedRingError,
+)
 from symmline.poly import (
     MonicPoly,
     Poly,
@@ -13,7 +17,9 @@ from symmline.poly import (
     poly_gcd,
 )
 from symmline.rings import GF, QQ, Zmod, ZZ
-from symmline.sampling import random_monic, random_poly
+from symmline.sampling import random_monic, random_poly, random_value
+
+FIVE_RINGS = (ZZ, QQ, Zmod(12), GF(5), PolyRing(ZZ, "T"))
 
 
 def p(ring, *coeffs):
@@ -54,13 +60,42 @@ def test_divmod_low_degree():
 
 def test_divmod_roundtrip_random():
     rng = Random(3)
-    for ring in (ZZ, Zmod(12), GF(5), QQ):
+    for ring in (ZZ, Zmod(12), GF(5), QQ, PolyRing(ZZ, "T")):
         for _ in range(40):
             f = random_poly(ring, rng, 7)
             g = random_monic(ring, rng, rng.randint(1, 4))
             q, r = poly_divmod(f, g)
             assert q * g.poly + r == f
             assert r.is_zero or r.degree < g.degree
+
+
+def test_mul_agrees_with_evaluation():
+    # Poly.__call__ is a Horner loop on ring values, a separate route
+    # from the payload product
+    rng = Random(6)
+    for ring in FIVE_RINGS:
+        for _ in range(30):
+            f = random_poly(ring, rng, 5)
+            g = random_poly(ring, rng, 5)
+            x = random_value(ring, rng)
+            assert (f * g)(x) == f(x) * g(x)
+
+
+def test_from_payloads_strips_trailing_zeros():
+    for ring in FIVE_RINGS:
+        zero = ring._from_int(0)
+        one = ring._from_int(1)
+        f = Poly._from_payloads(ring, [one, zero, one, zero, zero])
+        assert f == Poly(ring, [1, 0, 1])
+        assert f.degree == 2
+        assert Poly._from_payloads(ring, [zero, zero]).is_zero
+
+
+def test_foreign_ring_coefficient_rejected():
+    with pytest.raises(RingMismatchError):
+        Poly(Zmod(12), [Zmod(6).one])
+    with pytest.raises(RingMismatchError):
+        Poly(PolyRing(ZZ, "T"), [PolyRing(ZZ, "S").one])
 
 
 def test_divmod_requires_monic():

@@ -1,3 +1,5 @@
+import os
+from fractions import Fraction
 from itertools import product
 from random import Random
 
@@ -8,6 +10,7 @@ from symmline.errors import (
     RingMismatchError,
     UnsupportedRingError,
 )
+from symmline import quotients
 from symmline.quotients import (
     MultSet,
     addition_diagonal_check,
@@ -23,7 +26,7 @@ from symmline.quotients import (
 from symmline.matrices import companion_matrix, poly_at_matrix, SquareMatrix
 from symmline.norms import norm
 from symmline.poly import MonicPoly, Poly, poly_gcd
-from symmline.rings import GF, Zmod, ZZ
+from symmline.rings import GF, QQ, Zmod, ZZ
 from symmline.sampling import (
     random_monic,
     random_poly,
@@ -120,6 +123,28 @@ def test_membership_local_at_shifted_point():
     assert is_free_quotient(only, u)
     count = sum(is_free_quotient(f, u) for f in all_monic(ring, 2))
     assert count == 1
+
+
+def test_membership_local_at_exhaustive():
+    # the coefficient test against the from_roots reference
+    for q in (2, 3, 5, 7):
+        ring = GF(q)
+        for a in ring.elements():
+            u = MultSet.local_at(a)
+            for deg in (1, 2, 3):
+                target = MonicPoly.from_roots(ring, [a] * deg)
+                for f in all_monic(ring, deg):
+                    assert is_free_quotient(f, u) == (f == target)
+
+
+def test_membership_local_at_rational_point():
+    u = MultSet.local_at(QQ.value(Fraction(1, 2)))
+    assert is_free_quotient(
+        MonicPoly.from_roots(QQ, [QQ.value(Fraction(1, 2))] * 3), u
+    )
+    assert not is_free_quotient(
+        MonicPoly.from_roots(QQ, [QQ.value(Fraction(1, 3))] * 3), u
+    )
 
 
 def test_membership_local_at_needs_field():
@@ -393,6 +418,45 @@ def test_count_workers_deterministic():
     sequential = count_points(5, 3, u, workers=1)
     chunked = count_points(5, 3, u, workers=4)
     assert sequential == chunked
+
+
+class _SerialPool:
+    """Stands in for ThreadPoolExecutor: records max_workers, starts no
+    thread, and maps in order."""
+
+    def __init__(self, seen, max_workers):
+        seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_count_workers_clamped(monkeypatch):
+    seen = []
+    monkeypatch.setattr(
+        quotients,
+        "ThreadPoolExecutor",
+        lambda max_workers: _SerialPool(seen, max_workers),
+    )
+    ring = GF(5)
+    u = MultSet.generated(Poly.gen(ring) + Poly(ring, [1]))
+    sequential = count_points(5, 3, u, workers=1)
+    assert sequential == 100  # monic cubics with F(-1) != 0
+    assert seen == []
+    assert count_points(5, 3, u, workers=10**6) == sequential
+    assert all(w <= (os.cpu_count() or 1) for w in seen)
+    # a fixed CPU count takes the chunked path on any machine
+    monkeypatch.setattr(quotients.os, "cpu_count", lambda: 3)
+    assert count_points(5, 3, u, workers=10**6) == sequential
+    assert seen[-1] == 3
+    assert count_points(2, 1, MultSet.trivial(GF(2)), workers=10**6) == 2
+    assert seen[-1] == 2
 
 
 def test_count_bound():
