@@ -35,15 +35,40 @@ symmetric in the first k-1 variables times a polynomial in X_k alone is
 stored as a map (partition, X_k-degree) -> coefficient; once the sum is
 known to be fully symmetric, the compressed coefficient of a sorted
 tuple pi is read off the single key (pi[:-1], pi[-1]), and keys whose
-X_k-degree exceeds the smallest prefix exponent are redundant.
+X_k-degree exceeds the smallest prefix exponent are redundant, so they
+are never formed.  diagonal_rep runs the same step for f(X_1)...f(X_n).
+
+All three kernels run on raw payloads with their native + - *
+operators (ZZ ints, QQ Fractions, the Poly payloads of a tower), with no
+RingValue and no ring-method call per operation; this is the contract
+matrices._berkowitz states too:
+
+  * Zmod and GF residues are reduced mod m lazily.  In decompose_rep a
+    remainder coefficient is an integer combination of the input
+    payloads (the scalars are the expansions' int coefficients, and each
+    lead it scales is congruent to such a combination); in sym_ops_reps
+    and diagonal_rep a coefficient is an integer polynomial in f's
+    payloads.  Reduction mod m is a ring map, so reducing late gives the
+    residues that reducing after every operation would.
+  * decompose_rep keeps unreduced ints in its remainder dict and reduces
+    a lead when it pops it; a lead that is zero mod m is skipped, which
+    covers terms that cancel only mod m.  Each key enters the heap once,
+    since every later expansion lies strictly below the lead just popped.
+  * The int scalar k of an expansion multiplies a payload directly; only
+    Poly payloads take ring._from_int(k), a choice made once per call.
+  * sym_ops_reps and diagonal_rep reduce each coefficient of a step
+    before dropping the zeros.  All outputs are canonical and nonzero.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 from itertools import combinations
 
 from .errors import InvariantViolationError
+from .poly import PolyRing
+from .rings import ZmodRing
 
 Partition = tuple  # descending ints, fixed length = number of variables
 
@@ -99,84 +124,103 @@ def elem_monomial(n: int, mu: tuple[int, ...]) -> dict[Partition, int]:
     return res
 
 
+def _modulus(ring) -> int:
+    """The modulus of a residue ring, whose payloads are reduced lazily;
+    0 for every other ring."""
+    return ring.modulus if isinstance(ring, ZmodRing) else 0
+
+
 def decompose_rep(rep: dict[Partition, object], n: int, ring) -> dict[tuple, object]:
     """e-basis coefficients of a compressed symmetric polynomial.
 
-    Returns a map from e-exponent tuples (length n) to payloads.
+    Returns a map from e-exponent tuples (length n) to nonzero canonical
+    payloads.
     """
+    m = _modulus(ring)
+    embed = ring._from_int if isinstance(ring, PolyRing) else None
     zero = ring._from_int(0)
-    add, mul, neg, embed = ring._add, ring._mul, ring._neg, ring._from_int
-    rem = {k: v for k, v in rep.items() if v != zero}
-    heap = [tuple(-e for e in k) for k in rem]
+    rem = dict(rep)
+    heap = [tuple(map(operator.neg, k)) for k in rem]
     heapq.heapify(heap)
     out = {}
     prev = None
     while heap:
-        lam = tuple(-e for e in heapq.heappop(heap))
-        c = rem.pop(lam, None)
-        if c is None:
+        lam = tuple(map(operator.neg, heapq.heappop(heap)))
+        c = rem.pop(lam)
+        if m:
+            c %= m
+        if c == zero:
             continue
         # the well-ordering argument: each round strictly lowers the lead
         if prev is not None and not lam < prev:
             raise InvariantViolationError(f"lead {lam} did not drop below {prev}")
         prev = lam
-        mu = tuple(
-            lam[i] - (lam[i + 1] if i + 1 < n else 0) for i in range(n)
-        )
+        mu = tuple(map(operator.sub, lam, lam[1:] + (0,)))
         out[mu] = c
         expansion = elem_monomial(n, mu)
         if expansion.get(lam) != 1:
             raise InvariantViolationError(f"e-monomial {mu} does not lead with {lam}")
-        for part, k in expansion.items():
+        terms = expansion.items()
+        if embed is not None:
+            terms = [(part, embed(k)) for part, k in terms]
+        neg_c = -c
+        for part, k in terms:
             if part == lam:
                 continue
-            delta = mul(c, embed(k))
             cur = rem.get(part)
             if cur is None:
-                nd = neg(delta)
-                if nd != zero:
-                    rem[part] = nd
-                    heapq.heappush(heap, tuple(-e for e in part))
+                rem[part] = neg_c * k
+                heapq.heappush(heap, tuple(map(operator.neg, part)))
             else:
-                nv = add(cur, neg(delta))
-                if nv == zero:
-                    del rem[part]
-                else:
-                    rem[part] = nv
+                rem[part] = cur + neg_c * k
     return out
+
+
+def _times_f(partial: dict, rep: dict, fterms) -> None:
+    """Add rep * f(X_k) into partial, keyed (partition, X_k-degree),
+    skipping the keys whose X_k-degree exceeds the partition's last part."""
+    for lam, c in rep.items():
+        top = lam[-1] if lam else fterms[-1][0]
+        for j, a in fterms:
+            if j > top:
+                break
+            key = (lam, j)
+            got = partial.get(key)
+            partial[key] = c * a if got is None else got + c * a
+
+
+def _fold(partial: dict, m: int, zero) -> dict[Partition, object]:
+    """The compressed rep read off partial, reduced mod m when m > 0."""
+    rep = {}
+    for (lam, e), c in partial.items():
+        if m:
+            c %= m
+        if c != zero:
+            rep[lam + (e,)] = c
+    return rep
+
+
+def _nonzero_terms(fpayloads, ring) -> list[tuple[int, object]]:
+    zero = ring._from_int(0)
+    return [(j, a) for j, a in enumerate(fpayloads) if a != zero]
 
 
 def _extend(prev_reps: dict[int, dict], k: int, fterms, ring) -> dict[int, dict]:
     """One variable-adjoining step of the signed-coefficient recursion."""
+    m = _modulus(ring)
     zero = ring._from_int(0)
-    add, mul = ring._add, ring._mul
     cur: dict[int, dict] = {0: {(0,) * k: ring._from_int(1)}}
     for i in range(1, k + 1):
-        partial: dict[tuple, object] = {}
-        for lam, c in prev_reps.get(i, {}).items():
-            key = (lam, 0)
-            got = partial.get(key)
-            partial[key] = c if got is None else add(got, c)
-        for lam, c in prev_reps.get(i - 1, {}).items():
-            for j, a in fterms:
-                key = (lam, j)
-                ca = mul(c, a)
-                got = partial.get(key)
-                partial[key] = ca if got is None else add(got, ca)
-        rep = {}
-        for (lam, e), c in partial.items():
-            if c == zero:
-                continue
-            if k == 1 or e <= lam[-1]:
-                rep[lam + (e,)] = c
-        cur[i] = rep
+        partial = {(lam, 0): c for lam, c in prev_reps.get(i, {}).items()}
+        if fterms:
+            _times_f(partial, prev_reps.get(i - 1, {}), fterms)
+        cur[i] = _fold(partial, m, zero)
     return cur
 
 
 def sym_ops_reps(fpayloads, n: int, ring) -> list[dict[Partition, object]]:
     """Compressed reps of the signed coefficients of prod_i (Y - f(X_i))."""
-    zero = ring._from_int(0)
-    fterms = [(j, a) for j, a in enumerate(fpayloads) if a != zero]
+    fterms = _nonzero_terms(fpayloads, ring)
     reps: dict[int, dict] = {0: {(): ring._from_int(1)}}
     for k in range(1, n + 1):
         reps = _extend(reps, k, fterms, ring)
@@ -185,22 +229,13 @@ def sym_ops_reps(fpayloads, n: int, ring) -> list[dict[Partition, object]]:
 
 def diagonal_rep(fpayloads, n: int, ring) -> dict[Partition, object]:
     """Compressed rep of f(X_1) * ... * f(X_n)."""
+    m = _modulus(ring)
     zero = ring._from_int(0)
-    add, mul = ring._add, ring._mul
-    fterms = [(j, a) for j, a in enumerate(fpayloads) if a != zero]
+    fterms = _nonzero_terms(fpayloads, ring)
     rep: dict[tuple, object] = {(): ring._from_int(1)}
-    for k in range(1, n + 1):
+    for _ in range(n):
         partial: dict[tuple, object] = {}
-        for lam, c in rep.items():
-            for j, a in fterms:
-                key = (lam, j)
-                ca = mul(c, a)
-                got = partial.get(key)
-                partial[key] = ca if got is None else add(got, ca)
-        rep = {}
-        for (lam, e), c in partial.items():
-            if c == zero:
-                continue
-            if k == 1 or e <= lam[-1]:
-                rep[lam + (e,)] = c
+        if fterms:
+            _times_f(partial, rep, fterms)
+        rep = _fold(partial, m, zero)
     return rep

@@ -25,6 +25,9 @@ payloads with native + - *; each ring reaches it by its own lift:
 mult_matrix reduces f mod F once and gets each next column from the
 monic recurrence col_(j+1) = X*col_j - top(col_j)*F, since multiplying
 by X and reducing mod a monic F needs one multiple of F per column.
+A SquareMatrix keeps the payload rows it was built from, and one built
+by mult_matrix wraps them in ring values only when its rows are read,
+so norm = det(mult_matrix(f, F)) hands payloads straight to char_poly.
 """
 
 from __future__ import annotations
@@ -39,7 +42,10 @@ from .rings import RationalRing, Ring, RingValue, ZmodRing
 
 
 class SquareMatrix:
-    __slots__ = ("ring", "n", "rows")
+    """An n x n matrix; rows holds the entries as ring values, and a
+    matrix built from payloads wraps them only when rows is first read."""
+
+    __slots__ = ("ring", "n", "_rows", "_payload_rows")
 
     def __init__(self, ring: Ring, rows):
         rows = tuple(tuple(ring.value(x) for x in row) for row in rows)
@@ -48,16 +54,27 @@ class SquareMatrix:
             raise ValueError("matrix must be square with n >= 1")
         self.ring = ring
         self.n = n
-        self.rows = rows
+        self._rows = rows
+        self._payload_rows = tuple(tuple(x.payload for x in row) for row in rows)
 
     @classmethod
     def _from_payloads(cls, ring: Ring, rows) -> SquareMatrix:
         """A matrix from rows of canonical payloads of ring, unchecked."""
         m = object.__new__(cls)
         m.ring = ring
-        m.rows = tuple(tuple(RingValue(ring, p) for p in row) for row in rows)
-        m.n = len(m.rows)
+        m._payload_rows = tuple(map(tuple, rows))
+        m.n = len(m._payload_rows)
+        m._rows = None
         return m
+
+    @property
+    def rows(self) -> tuple[tuple[RingValue, ...], ...]:
+        if self._rows is None:
+            ring = self.ring
+            self._rows = tuple(
+                tuple(RingValue(ring, p) for p in row) for row in self._payload_rows
+            )
+        return self._rows
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> SquareMatrix:
@@ -141,7 +158,7 @@ def _dot(u, v, ring: Ring) -> RingValue:
 def char_poly(m: SquareMatrix) -> MonicPoly:
     """det(X*I - M) by the Berkowitz iteration, monic of degree n."""
     ring = m.ring
-    a = [[x.payload for x in row] for row in m.rows]
+    a = m._payload_rows
     if isinstance(ring, ZmodRing):
         coeffs = _berkowitz(a, 1, modulus=ring.modulus)
     elif isinstance(ring, RationalRing):

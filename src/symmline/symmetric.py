@@ -17,9 +17,20 @@ X_1..X_n, never an (n+1)-th MultiPoly variable.
 
 Arity 0 is allowed for SymElem (a bare ring constant), matching the
 convention that the zeroth symmetric tensor ring is the base ring.
+
+SymElem arithmetic and substitute run on payloads: they unwrap the
+coefficients once, loop on the ring's _add/_mul/_neg, and wrap the
+result once; substitute builds one power table per value, up to the
+largest exponent present.  SymElem._from_payloads is the trusted
+constructor behind them and behind decompose, sym_ops_of and
+diagonal_tensor: it takes canonical payloads of the ring unchecked,
+apart from dropping zeros, and is for internal use only.  The public
+SymElem(...) constructor validates every exponent and coefficient.
 """
 
 from __future__ import annotations
+
+import operator
 
 from . import _symbasis
 from .errors import NotSymmetricError, RingMismatchError
@@ -45,6 +56,19 @@ class SymElem:
         self.ring = ring
         self.arity = arity
         self.terms = clean
+
+    @classmethod
+    def _from_payloads(cls, ring: Ring, arity: int, payloads) -> SymElem:
+        """An element from a map e-exponent tuple -> canonical payload of
+        ring, unchecked apart from dropping zero payloads."""
+        zero = ring._from_int(0)
+        s = object.__new__(cls)
+        s.ring = ring
+        s.arity = arity
+        s.terms = {
+            expo: RingValue(ring, c) for expo, c in payloads.items() if c != zero
+        }
+        return s
 
     # constructors ---------------------------------------------------
     @classmethod
@@ -79,7 +103,7 @@ class SymElem:
         return self.terms.get((0,) * self.arity, self.ring.zero)
 
     def _check(self, other: SymElem):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatchError(
                 f"mixed rings {self.ring.name} and {other.ring.name}"
             )
@@ -89,19 +113,17 @@ class SymElem:
     # arithmetic -----------------------------------------------------
     def __add__(self, other: SymElem) -> SymElem:
         self._check(other)
-        out = dict(self.terms)
+        add = self.ring._add
+        out = {e: c.payload for e, c in self.terms.items()}
         for expo, c in other.terms.items():
             cur = out.get(expo)
-            s = c if cur is None else cur + c
-            if s.is_zero:
-                out.pop(expo, None)
-            else:
-                out[expo] = s
-        return SymElem(self.ring, self.arity, out)
+            out[expo] = c.payload if cur is None else add(cur, c.payload)
+        return SymElem._from_payloads(self.ring, self.arity, out)
 
     def __neg__(self) -> SymElem:
-        return SymElem(
-            self.ring, self.arity, {e: -c for e, c in self.terms.items()}
+        neg = self.ring._neg
+        return SymElem._from_payloads(
+            self.ring, self.arity, {e: neg(c.payload) for e, c in self.terms.items()}
         )
 
     def __sub__(self, other: SymElem) -> SymElem:
@@ -109,23 +131,23 @@ class SymElem:
 
     def __mul__(self, other: SymElem) -> SymElem:
         self._check(other)
-        out: dict[tuple, RingValue] = {}
+        add, mul = self.ring._add, self.ring._mul
+        right = [(e, c.payload) for e, c in other.terms.items()]
+        out: dict[tuple, object] = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                p = c1 * c2
+            c1 = c1.payload
+            for e2, c2 in right:
+                expo = tuple(map(operator.add, e1, e2))
+                p = mul(c1, c2)
                 cur = out.get(expo)
-                s = p if cur is None else cur + p
-                if s.is_zero:
-                    out.pop(expo, None)
-                else:
-                    out[expo] = s
-        return SymElem(self.ring, self.arity, out)
+                out[expo] = p if cur is None else add(cur, p)
+        return SymElem._from_payloads(self.ring, self.arity, out)
 
     def scale(self, c) -> SymElem:
-        c = self.ring.value(c)
-        return SymElem(
-            self.ring, self.arity, {e: c * v for e, v in self.terms.items()}
+        c = self.ring.value(c).payload
+        mul = self.ring._mul
+        return SymElem._from_payloads(
+            self.ring, self.arity, {e: mul(c, v.payload) for e, v in self.terms.items()}
         )
 
     def __pow__(self, k: int) -> SymElem:
@@ -142,19 +164,29 @@ class SymElem:
 
     def substitute(self, values) -> RingValue:
         """Evaluate with e_i replaced by values[i-1]."""
-        values = [self.ring.value(v) for v in values]
+        ring = self.ring
+        values = [ring.value(v).payload for v in values]
         if len(values) != self.arity:
             raise ValueError(
                 f"need {self.arity} values, got {len(values)}"
             )
-        acc = self.ring.zero
+        add, mul = ring._add, ring._mul
+        # powers[i][k] = values[i]^k, up to the largest exponent present
+        tops = [max(col) for col in zip(*self.terms)]
+        powers = []
+        for v, top in zip(values, tops):
+            row = [ring._from_int(1)]
+            for _ in range(top):
+                row.append(mul(row[-1], v))
+            powers.append(row)
+        acc = ring._from_int(0)
         for expo, c in self.terms.items():
-            t = c
-            for v, k in zip(values, expo):
+            t = c.payload
+            for row, k in zip(powers, expo):
                 if k:
-                    t = t * v**k
-            acc = acc + t
-        return acc
+                    t = mul(t, row[k])
+            acc = add(acc, t)
+        return RingValue(ring, acc)
 
     def expand(self) -> MultiPoly:
         """The symmetric MultiPoly this element denotes, multiplied out."""
@@ -204,10 +236,7 @@ def decompose(m: MultiPoly) -> SymElem:
     for expo, c in m.terms.items():
         if tuple(sorted(expo, reverse=True)) == expo:
             rep[expo] = c.payload
-    edict = _symbasis.decompose_rep(rep, n, m.ring)
-    return SymElem(
-        m.ring, n, {mu: RingValue(m.ring, pay) for mu, pay in edict.items()}
-    )
+    return SymElem._from_payloads(m.ring, n, _symbasis.decompose_rep(rep, n, m.ring))
 
 
 def sym_ops_of(f: Poly, n: int) -> list[SymElem]:
@@ -217,13 +246,10 @@ def sym_ops_of(f: Poly, n: int) -> list[SymElem]:
         raise ValueError("arity must be >= 1")
     ring = f.ring
     fpays = [c.payload for c in f.coeffs]
-    out = []
-    for rep in _symbasis.sym_ops_reps(fpays, n, ring):
-        edict = _symbasis.decompose_rep(rep, n, ring)
-        out.append(
-            SymElem(ring, n, {mu: RingValue(ring, p) for mu, p in edict.items()})
-        )
-    return out
+    return [
+        SymElem._from_payloads(ring, n, _symbasis.decompose_rep(rep, n, ring))
+        for rep in _symbasis.sym_ops_reps(fpays, n, ring)
+    ]
 
 
 def diagonal_tensor(f: Poly, n: int) -> SymElem:
@@ -233,10 +259,7 @@ def diagonal_tensor(f: Poly, n: int) -> SymElem:
         raise ValueError("arity must be >= 1")
     ring = f.ring
     rep = _symbasis.diagonal_rep([c.payload for c in f.coeffs], n, ring)
-    edict = _symbasis.decompose_rep(rep, n, ring)
-    return SymElem(
-        ring, n, {mu: RingValue(ring, p) for mu, p in edict.items()}
-    )
+    return SymElem._from_payloads(ring, n, _symbasis.decompose_rep(rep, n, ring))
 
 
 class SymPoly1:

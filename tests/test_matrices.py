@@ -193,3 +193,21 @@ def test_spectral_mapping():
             f = random_poly(ring, rng, 3)
             expected = MonicPoly.from_roots(ring, [f(a) for a in roots])
             assert char_poly(poly_at_matrix(f, m)) == expected
+
+
+def test_mult_matrix_agrees_with_value_built_matrix():
+    # mult_matrix builds from payloads and wraps rows only when read;
+    # the same entries through the public constructor must be the same
+    # matrix in every observable way
+    rng = Random(23)
+    for ring in ORACLE_RINGS:
+        for n in _sizes(ring):
+            f = random_monic(ring, rng, n)
+            g = random_poly(ring, rng, n + 1)
+            m = mult_matrix(g, f)
+            assert char_poly(m) == charpoly_cofactor(m)
+            rebuilt = mat(ring, [[m.entry(i, j) for j in range(n)] for i in range(n)])
+            assert m == rebuilt and rebuilt == m
+            assert hash(m) == hash(rebuilt)
+            assert str(m) == str(rebuilt)
+            assert char_poly(m) == char_poly(rebuilt)

@@ -1,11 +1,13 @@
+from fractions import Fraction
 from random import Random
 
 import pytest
 
+from symmline import _symbasis
 from symmline.errors import NotSymmetricError
 from symmline.multipoly import MultiPoly, elementary, is_symmetric
-from symmline.poly import Poly
-from symmline.rings import GF, Zmod, ZZ
+from symmline.poly import Poly, PolyRing
+from symmline.rings import GF, QQ, Zmod, ZmodRing, ZZ
 from symmline.sampling import random_poly, random_symelem, random_value
 from symmline.symmetric import (
     SymElem,
@@ -15,6 +17,40 @@ from symmline.symmetric import (
     sym_char_poly,
     sym_ops_of,
 )
+
+
+TOWER = PolyRing(ZZ, "T")
+# one ring of every kind the payload kernels distinguish: residues with
+# zero divisors (lazily reduced), a small prime field, fractions and a
+# polynomial tower
+KERNEL_RINGS = [Zmod(4), Zmod(8), GF(3), QQ, TOWER]
+
+
+def _random_element(ring, n, rng, **kw):
+    """A random element; over QQ with properly fractional coefficients."""
+    s = random_symelem(ring, n, rng, **kw)
+    if ring is QQ:
+        s = s.scale(Fraction(rng.choice((1, 2, 3)), rng.choice((2, 3, 5))))
+    return s
+
+
+def _assert_canonical(s):
+    """Every payload of s is a nonzero canonical payload of its ring."""
+    _assert_canonical_payloads(s.ring, [c.payload for c in s.terms.values()])
+
+
+def _assert_canonical_payloads(ring, payloads):
+    for p in payloads:
+        assert p != ring._from_int(0)
+        if isinstance(ring, ZmodRing):
+            assert type(p) is int and 0 <= p < ring.modulus
+        elif ring is QQ:
+            assert type(p) is Fraction
+        elif isinstance(ring, PolyRing):
+            assert isinstance(p, Poly) and p.ring is ring.base
+            assert p.coeffs and not p.coeffs[-1].is_zero
+        else:
+            assert type(p) is int
 
 
 def product_over_variables(f, n, ring):
@@ -68,6 +104,27 @@ def test_roundtrip_random():
             n = rng.randint(1, 4)
             s = random_symelem(ring, n, rng, max_weight=6)
             assert decompose(s.expand()) == s
+    for ring in KERNEL_RINGS:
+        for n in range(2, 5):
+            for _ in range(6 if n < 4 else 3):
+                s = _random_element(ring, n, rng, max_weight=5)
+                back = decompose(s.expand())
+                _assert_canonical(back)
+                assert back == s
+
+
+def test_decompose_skips_lead_cancelling_only_mod_m():
+    # 2*(X1^2 + X2^2) = 2*e1^2 - 4*e2: over Zmod:4 the remainder at
+    # (1, 1) is -4 as an int, which is zero mod 4, so that lead is skipped
+    ring = Zmod(4)
+    m = MultiPoly(ring, 2, {(2, 0): 2, (0, 2): 2})
+    s = decompose(m)
+    e1 = SymElem.e(1, 2, ring)
+    assert s == (e1 * e1).scale(2)
+    assert s.terms == {(2, 0): ring.value(2)}
+    assert s.expand() == m
+    # the kernel itself returns no zero entry for the skipped lead
+    assert _symbasis.decompose_rep({(2, 0): 2}, 2, ring) == {(2, 0): 2}
 
 
 def test_expand_is_symmetric():
@@ -151,6 +208,14 @@ def test_char_product_expansion_oracle():
         n = rng.randint(1, 3)
         f = random_poly(ZZ, rng, 3, -4, 4)
         assert sym_char_poly(f, n).expand() == product_over_variables(f, n, ZZ)
+    for ring in (QQ, TOWER):
+        for n in range(1, 4):
+            for _ in range(2):
+                f = random_poly(ring, rng, 2 if ring is TOWER else 3, -4, 4)
+                d = sym_char_poly(f, n)
+                for c in d.coeffs:
+                    _assert_canonical(c)
+                assert d.expand() == product_over_variables(f, n, ring)
 
 
 def test_diagonal_tensor_examples():
@@ -165,6 +230,19 @@ def test_diagonal_tensor_is_last_sym_op():
         n = rng.randint(1, 4)
         f = random_poly(ZZ, rng, 3)
         assert diagonal_tensor(f, n) == sym_ops_of(f, n)[-1]
+    for ring in KERNEL_RINGS:
+        for n in range(1, 4):
+            for _ in range(4):
+                f = random_poly(ring, rng, 3)
+                d = diagonal_tensor(f, n)
+                _assert_canonical(d)
+                assert d == sym_ops_of(f, n)[-1]
+                # the compressed reps are reduced before their zero filter
+                fpays = [c.payload for c in f.coeffs]
+                reps = _symbasis.sym_ops_reps(fpays, n, ring)
+                reps.append(_symbasis.diagonal_rep(fpays, n, ring))
+                for rep in reps:
+                    _assert_canonical_payloads(ring, rep.values())
 
 
 def test_diagonal_tensor_multiplicative():
@@ -193,8 +271,30 @@ def test_sym_ops_specialize_to_values():
             assert s.substitute(elems) == elementary(i, n, ZZ).evaluate(values)
 
 
+def test_substitute_agrees_with_expand_then_evaluate():
+    # substituting e_i(a_1..a_n) for e_i is evaluating the expansion at
+    # the a_i; the fixed term has exponents above 1 and a zero exponent
+    rng = Random(44)
+    for ring in (ZZ, QQ, Zmod(12), GF(5), TOWER):
+        for n in range(1, 5):
+            fixed = {(3,) + (0,) * (n - 1): 1}
+            if n >= 3:
+                fixed = {(2, 0, 2) + (0,) * (n - 3): 1}
+            for _ in range(4):
+                s = _random_element(ring, n, rng, max_weight=6) + SymElem(
+                    ring, n, fixed
+                ).scale(random_value(ring, rng))
+                points = [random_value(ring, rng, -3, 3) for _ in range(n)]
+                elems = [
+                    elementary(i, n, ring).evaluate(points) for i in range(1, n + 1)
+                ]
+                got = s.substitute(elems)
+                assert got.ring is ring
+                assert got == s.expand().evaluate(points)
+
+
 def test_symelem_ring_homomorphism_between_bases():
-    # expand respects the ring operations
+    # expand respects the ring operations, which run on payloads
     rng = Random(39)
     for _ in range(15):
         n = rng.randint(1, 3)
@@ -202,6 +302,21 @@ def test_symelem_ring_homomorphism_between_bases():
         t = random_symelem(ZZ, n, rng, max_weight=4)
         assert (s + t).expand() == s.expand() + t.expand()
         assert (s * t).expand() == s.expand() * t.expand()
+    for ring in [Zmod(12)] + KERNEL_RINGS:
+        for _ in range(4):
+            n = rng.randint(1, 3)
+            s = _random_element(ring, n, rng, max_weight=4)
+            t = _random_element(ring, n, rng, max_weight=4)
+            c = random_value(ring, rng)
+            for got, want in (
+                (s + t, s.expand() + t.expand()),
+                (s - t, s.expand() - t.expand()),
+                (s * t, s.expand() * t.expand()),
+                (s.scale(c), s.expand().scale(c)),
+            ):
+                _assert_canonical(got)
+                assert got.expand() == want
+            assert (s - s).is_zero
 
 
 def test_arity_zero_convention():
