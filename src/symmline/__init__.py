@@ -40,7 +40,6 @@ from .multipoly import MultiPoly, apply_permutation, elementary, is_symmetric
 from .norms import (
     EvalMap,
     difference_product,
-    eval_sym,
     mult_char_poly,
     norm,
     norm_checked,
@@ -106,7 +105,6 @@ __all__ = [
     "diagonal_tensor",
     "difference_product",
     "elementary",
-    "eval_sym",
     "free_quotient_oracle",
     "invert_mod",
     "is_free_quotient",

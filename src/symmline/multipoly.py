@@ -3,42 +3,164 @@
 Terms map exponent tuples (fixed length n) to nonzero coefficients.
 The monomial order used throughout is lexicographic with X1 > X2 > ...,
 which is the order the symmetric decomposition algorithm relies on.
+
+MultiPoly and symmetric.SymElem, whose exponent tuples count powers of
+e_1..e_n, are the two kinds of _SparsePoly and share its body: term
+validation, the ring and arity check, and add, multiply, negate and
+scale on payloads with the ring's _add/_mul/_neg.  Each operation reads
+the terms once and wraps its result once through the trusted
+_from_payloads, which takes canonical payloads of the ring unchecked,
+apart from dropping zeros, and is for internal use only; the public
+constructors validate every exponent and coefficient.  _sparse_eval
+evaluates with one power table per value.  It takes the algebra to work
+in as arguments, so MultiPoly.evaluate and SymElem.substitute run it on
+payloads, and SymElem.expand, SymPoly1.expand and the addition and
+section maps of quotients run it on polynomials.  MultiPoly names its
+arithmetic in its own class body because perfbench/tracer.py spans
+those methods by reading MultiPoly.__dict__; its arity is also nvars.
 """
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations
 
-from .errors import RingMismatchError
-from .rings import Ring, RingValue
+from .poly import _render_sum, _signed_text
+from .rings import Ring, RingValue, _check_rings, _power
 
 
-class MultiPoly:
-    __slots__ = ("ring", "nvars", "terms")
+class _SparsePoly:
+    """A sparse polynomial over a ring: terms map exponent tuples of one
+    length, the arity, to nonzero values.  MultiPoly and SymElem are its
+    two kinds and share this body."""
 
-    def __init__(self, ring: Ring, nvars: int, terms=None):
-        if nvars < 1:
-            raise ValueError("nvars must be >= 1")
+    __slots__ = ("ring", "arity", "terms")
+
+    def _validate(self, ring: Ring, arity: int, terms, label: str):
+        """Set the fields from a map exponent vector -> value, checking
+        every exponent and coefficient and dropping zeros."""
         clean = {}
         for expo, c in (terms or {}).items():
             expo = tuple(expo)
-            if len(expo) != nvars or any(e < 0 for e in expo):
-                raise ValueError(f"bad exponent vector {expo}")
+            if len(expo) != arity or any(e < 0 for e in expo):
+                raise ValueError(f"bad {label} vector {expo}")
             c = ring.value(c)
             if not c.is_zero:
                 clean[expo] = c
         self.ring = ring
-        self.nvars = nvars
+        self.arity = arity
         self.terms = clean
+
+    @classmethod
+    def _from_payloads(cls, ring: Ring, arity: int, payloads):
+        """An element from a map exponent tuple -> canonical payload of
+        ring, unchecked apart from dropping zero payloads."""
+        zero = ring._from_int(0)
+        s = object.__new__(cls)
+        s.ring = ring
+        s.arity = arity
+        s.terms = {e: RingValue(ring, c) for e, c in payloads.items() if c != zero}
+        return s
 
     # constructors ---------------------------------------------------
     @classmethod
-    def zero(cls, ring: Ring, nvars: int) -> MultiPoly:
-        return cls(ring, nvars)
+    def zero(cls, ring: Ring, arity: int):
+        return cls(ring, arity)
 
     @classmethod
-    def constant(cls, ring: Ring, nvars: int, c) -> MultiPoly:
-        return cls(ring, nvars, {(0,) * nvars: c})
+    def constant(cls, ring: Ring, arity: int, c):
+        return cls(ring, arity, {(0,) * arity: c})
+
+    # structure ------------------------------------------------------
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _check(self, other):
+        _check_rings(self.ring, other.ring)
+        if self.arity != other.arity:
+            raise ValueError(f"arity mismatch {self.arity} vs {other.arity}")
+
+    # arithmetic on payloads -----------------------------------------
+    def __add__(self, other):
+        self._check(other)
+        add = self.ring._add
+        out = {e: c.payload for e, c in self.terms.items()}
+        for expo, c in other.terms.items():
+            cur = out.get(expo)
+            out[expo] = c.payload if cur is None else add(cur, c.payload)
+        return self._from_payloads(self.ring, self.arity, out)
+
+    def __neg__(self):
+        neg = self.ring._neg
+        out = {e: neg(c.payload) for e, c in self.terms.items()}
+        return self._from_payloads(self.ring, self.arity, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        self._check(other)
+        add, mul = self.ring._add, self.ring._mul
+        right = [(e, c.payload) for e, c in other.terms.items()]
+        out: dict[tuple, object] = {}
+        for e1, c1 in self.terms.items():
+            c1 = c1.payload
+            for e2, c2 in right:
+                expo = tuple(map(operator.add, e1, e2))
+                p = mul(c1, c2)
+                cur = out.get(expo)
+                out[expo] = p if cur is None else add(cur, p)
+        return self._from_payloads(self.ring, self.arity, out)
+
+    def scale(self, c):
+        c = self.ring.value(c).payload
+        mul = self.ring._mul
+        out = {e: mul(c, v.payload) for e, v in self.terms.items()}
+        return self._from_payloads(self.ring, self.arity, out)
+
+    def __pow__(self, k: int):
+        return _power(self, k, self.constant(self.ring, self.arity, 1))
+
+    def _at(self, values) -> RingValue:
+        """The value at a point given as payloads, one per variable."""
+        ring = self.ring
+        acc = _sparse_eval(ring, self.terms, values, _payload, ring._add, ring._mul)
+        return RingValue(ring, acc)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (
+            (self.ring is other.ring or self.ring == other.ring)
+            and self.arity == other.arity
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.ring, self.arity, frozenset(self.terms.items())))
+
+
+class MultiPoly(_SparsePoly):
+    __slots__ = ()
+
+    def __init__(self, ring: Ring, nvars: int, terms=None):
+        if nvars < 1:
+            raise ValueError("nvars must be >= 1")
+        self._validate(ring, nvars, terms, "exponent")
+
+    # perfbench/tracer.py spans these, reading them from this class's
+    # own __dict__
+    __add__ = _SparsePoly.__add__
+    __sub__ = _SparsePoly.__sub__
+    __neg__ = _SparsePoly.__neg__
+    __mul__ = _SparsePoly.__mul__
+    __pow__ = _SparsePoly.__pow__
+    scale = _SparsePoly.scale
+
+    @property
+    def nvars(self) -> int:
+        return self.arity
 
     @classmethod
     def variable(cls, i: int, nvars: int, ring: Ring) -> MultiPoly:
@@ -48,154 +170,37 @@ class MultiPoly:
         expo = tuple(1 if k == i - 1 else 0 for k in range(nvars))
         return cls(ring, nvars, {expo: 1})
 
-    # structure ------------------------------------------------------
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def total_degree(self) -> int | None:
         if not self.terms:
             return None
         return max(sum(e) for e in self.terms)
 
-    def _check(self, other: MultiPoly):
-        if self.ring != other.ring:
-            raise RingMismatchError(
-                f"mixed rings {self.ring.name} and {other.ring.name}"
-            )
-        if self.nvars != other.nvars:
-            raise ValueError(f"arity mismatch {self.nvars} vs {other.nvars}")
-
-    # arithmetic -----------------------------------------------------
-    def __add__(self, other: MultiPoly) -> MultiPoly:
-        self._check(other)
-        out = dict(self.terms)
-        for expo, c in other.terms.items():
-            cur = out.get(expo)
-            s = c if cur is None else cur + c
-            if s.is_zero:
-                out.pop(expo, None)
-            else:
-                out[expo] = s
-        return MultiPoly(self.ring, self.nvars, out)
-
-    def __neg__(self) -> MultiPoly:
-        return MultiPoly(
-            self.ring, self.nvars, {e: -c for e, c in self.terms.items()}
-        )
-
-    def __sub__(self, other: MultiPoly) -> MultiPoly:
-        return self + (-other)
-
-    def __mul__(self, other: MultiPoly) -> MultiPoly:
-        self._check(other)
-        out: dict[tuple, RingValue] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                p = c1 * c2
-                cur = out.get(expo)
-                s = p if cur is None else cur + p
-                if s.is_zero:
-                    out.pop(expo, None)
-                else:
-                    out[expo] = s
-        return MultiPoly(self.ring, self.nvars, out)
-
-    def scale(self, c) -> MultiPoly:
-        c = self.ring.value(c)
-        return MultiPoly(
-            self.ring, self.nvars, {e: c * v for e, v in self.terms.items()}
-        )
-
-    def __pow__(self, k: int) -> MultiPoly:
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = MultiPoly.constant(self.ring, self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def evaluate(self, values) -> RingValue:
-        values = [self.ring.value(v) for v in values]
-        if len(values) != self.nvars:
+        values = [self.ring.value(v).payload for v in values]
+        if len(values) != self.arity:
             raise ValueError("wrong number of values")
-        acc = self.ring.zero
-        for expo, c in self.terms.items():
-            t = c
-            for v, e in zip(values, expo):
-                if e:
-                    t = t * v**e
-            acc = acc + t
-        return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.nvars, frozenset(self.terms.items())))
+        return self._at(values)
 
     # rendering ------------------------------------------------------
     def __str__(self):
         return render_terms(self.ring, self.terms, lambda i: f"X{i + 1}")
 
     def __repr__(self):
-        return f"MultiPoly({self.ring.name}, n={self.nvars}, {self})"
+        return f"MultiPoly({self.ring.name}, n={self.arity}, {self})"
 
 
 def render_terms(ring: Ring, terms, varname) -> str:
     """Shared renderer for MultiPoly and the e-basis; descending lex."""
-    if not terms:
-        return "0"
-    parts = []
-    for expo in sorted(terms, reverse=True):
-        c = terms[expo]
-        neg, body = ring._sign_split(c.payload)
-        text = ring._render(body)
-        if not neg and _bare_negative(text):
-            neg = True
-            text = text[1:]
-        factors = []
-        for i, e in enumerate(expo):
-            if e == 1:
-                factors.append(varname(i))
-            elif e > 1:
-                factors.append(f"{varname(i)}^{e}")
-        if not factors:
-            term = _wrap(text)
-        elif text == "1":
-            term = "*".join(factors)
-        else:
-            term = "*".join([_wrap(text)] + factors)
-        if not parts:
-            parts.append(f"-{term}" if neg else term)
-        else:
-            parts.append(f" - {term}" if neg else f" + {term}")
-    return "".join(parts)
-
-
-def _wrap(text: str) -> str:
-    if " " in text or "+" in text or "-" in text[1:]:
-        return f"({text})"
-    return text
-
-
-def _bare_negative(text: str) -> bool:
-    return (
-        text.startswith("-")
-        and " " not in text
-        and "+" not in text
-        and "-" not in text[1:]
+    return _render_sum(
+        (
+            *_signed_text(ring, terms[expo].payload),
+            "*".join(
+                varname(i) if e == 1 else f"{varname(i)}^{e}"
+                for i, e in enumerate(expo)
+                if e
+            ),
+        )
+        for expo in sorted(terms, reverse=True)
     )
 
 
@@ -209,8 +214,8 @@ def apply_permutation(perm, m: MultiPoly) -> MultiPoly:
         new = [0] * m.nvars
         for i, e in enumerate(expo):
             new[perm[i]] = e
-        out[tuple(new)] = c
-    return MultiPoly(m.ring, m.nvars, out)
+        out[tuple(new)] = c.payload
+    return MultiPoly._from_payloads(m.ring, m.nvars, out)
 
 
 def is_symmetric(m: MultiPoly) -> bool:
@@ -236,3 +241,30 @@ def elementary(i: int, n: int, ring: Ring) -> MultiPoly:
             expo[k] = 1
         terms[tuple(expo)] = 1
     return MultiPoly(ring, n, terms)
+
+
+# sparse evaluation ------------------------------------------------
+
+_payload = operator.attrgetter("payload")
+
+
+def _sparse_eval(ring: Ring, terms, values, lift, add, mul):
+    """sum over the terms of lift(c) * prod_i values[i]^k_i, in whatever
+    algebra lift maps ring values into and add/mul work in: payloads of
+    ring, or polynomials with constant coefficients."""
+    # powers[i][k] = values[i]^k, up to the largest exponent present
+    one = lift(ring.one)
+    powers = []
+    for v, top in zip(values, map(max, zip(*terms))):
+        row = [one, v]
+        for _ in range(top - 1):
+            row.append(mul(row[-1], v))
+        powers.append(row)
+    acc = lift(ring.zero)
+    for expo, c in terms.items():
+        t = lift(c)
+        for row, k in zip(powers, expo):
+            if k:
+                t = mul(t, row[k])
+        acc = add(acc, t)
+    return acc

@@ -18,7 +18,7 @@ from .homs import RingHom
 from .matrices import det, mult_matrix
 from .multipoly import MultiPoly
 from .poly import MonicPoly, Poly
-from .rings import Ring, RingValue, ZZ
+from .rings import Ring, RingValue, ZZ, _check_rings
 from .symmetric import SymElem, SymPoly1, diagonal_tensor, sym_char_poly
 
 
@@ -34,7 +34,7 @@ class EvalMap:
         self.images = modulus.signed_coeffs
 
     def __call__(self, s: SymElem) -> RingValue:
-        if s.ring != self.ring:
+        if s.ring is not self.ring and s.ring != self.ring:
             raise RingMismatchError(
                 f"element over {s.ring.name}, map over {self.ring.name}"
             )
@@ -52,17 +52,10 @@ class EvalMap:
         return f"EvalMap({self.modulus})"
 
 
-def eval_sym(u: EvalMap, s: SymElem) -> RingValue:
-    return u(s)
-
-
 def mult_char_poly(f: Poly, modulus: MonicPoly) -> MonicPoly:
     """Characteristic polynomial of multiplication-by-f on A[X]/(F),
     computed through the symmetric operators of f."""
-    if f.ring != modulus.ring:
-        raise RingMismatchError(
-            f"mixed rings {f.ring.name} and {modulus.ring.name}"
-        )
+    _check_rings(f.ring, modulus.ring)
     u = EvalMap(modulus)
     return MonicPoly(u.apply_poly1(sym_char_poly(f, modulus.degree)))
 
@@ -76,10 +69,7 @@ def norm(f: Poly, modulus: MonicPoly) -> RingValue:
 def norm_symmetric(f: Poly, modulus: MonicPoly) -> RingValue:
     """The defining route: the evaluation map applied to the diagonal
     tensor f(X_1)*...*f(X_n)."""
-    if f.ring != modulus.ring:
-        raise RingMismatchError(
-            f"mixed rings {f.ring.name} and {modulus.ring.name}"
-        )
+    _check_rings(f.ring, modulus.ring)
     return EvalMap(modulus)(diagonal_tensor(f, modulus.degree))
 
 

@@ -15,24 +15,26 @@ which is the form consumed by the evaluation maps in norms.py.
 PolyRing(base, var) turns polynomials into ring elements, giving towers
 such as Poly:ZZ:T whose values print as polynomials in T.
 
-Poly multiplication and poly_divmod run on payloads: they unwrap the
-coefficients once, loop on the ring's _add/_mul/_neg, and wrap the
-result once.  The constructor takes a coefficient that is already a
-value of the same ring object as is and sends anything else through
-ring.value, so foreign-ring values are still rejected.
-Poly._from_payloads is the trusted constructor behind those kernels: it
-takes canonical payloads of the ring unchecked and is for internal use
-only.
+The dense kernels (_dense_add, _dense_mul, _dense_divmod and the
+descending-degree renderer _render_dense) are the one implementation of
+univariate add, multiply, monic division and rendering.  They work on
+ascending coefficient lists with the coefficient operations passed in:
+Poly passes payloads and its ring's _add/_mul/_neg, unwrapping once and
+wrapping the result once; symmetric.SymPoly1 passes SymElems and their
+own +, * and str.  The term-joining rules of _render_sum are shared
+with multipoly.render_terms, and rings._power is the one
+square-and-multiply behind every __pow__.  The constructor takes a
+coefficient that is already a value of the same ring object as is and
+sends anything else through ring.value, so foreign-ring values are
+still rejected.  Poly._from_payloads is the trusted constructor behind
+the kernels: it takes canonical payloads of the ring unchecked, apart
+from stripping trailing zeros, and is for internal use only.
 """
 
 from __future__ import annotations
 
-from .errors import (
-    NotInvertibleError,
-    RingMismatchError,
-    UnsupportedRingError,
-)
-from .rings import Ring, RingValue, _intern
+from .errors import NotInvertibleError, UnsupportedRingError
+from .rings import Ring, RingValue, _check_rings, _intern, _power
 
 
 class Poly:
@@ -109,24 +111,20 @@ class Poly:
         )
 
     def _check(self, other: Poly):
-        if self.ring is not other.ring and self.ring != other.ring:
-            raise RingMismatchError(
-                f"mixed rings {self.ring.name} and {other.ring.name}"
-            )
+        _check_rings(self.ring, other.ring)
+
+    def _payloads(self) -> list:
+        return [c.payload for c in self.coeffs]
 
     # arithmetic -----------------------------------------------------
     def __add__(self, other: Poly) -> Poly:
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(self.ring, out)
+        out = _dense_add(self._payloads(), other._payloads(), self.ring._add)
+        return Poly._from_payloads(self.ring, out)
 
     def __neg__(self) -> Poly:
-        return Poly(self.ring, [-c for c in self.coeffs])
+        neg = self.ring._neg
+        return Poly._from_payloads(self.ring, [neg(c.payload) for c in self.coeffs])
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
@@ -134,18 +132,8 @@ class Poly:
     def __mul__(self, other: Poly) -> Poly:
         self._check(other)
         ring = self.ring
-        if self.is_zero or other.is_zero:
-            return Poly.zero(ring)
-        add, mul = ring._add, ring._mul
-        zero = ring._from_int(0)
-        bs = [b.payload for b in other.coeffs]
-        out = [zero] * (len(self.coeffs) + len(bs) - 1)
-        for i, a in enumerate(self.coeffs):
-            a = a.payload
-            if a == zero:
-                continue
-            for j, b in enumerate(bs):
-                out[i + j] = add(out[i + j], mul(a, b))
+        a, b = self._payloads(), other._payloads()
+        out = _dense_mul(a, b, ring._add, ring._mul, ring._from_int(0))
         return Poly._from_payloads(ring, out)
 
     def scale(self, c) -> Poly:
@@ -159,16 +147,7 @@ class Poly:
         return Poly(self.ring, (self.ring.zero,) * k + self.coeffs)
 
     def __pow__(self, k: int) -> Poly:
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = Poly.constant(self.ring, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, Poly.constant(self.ring, 1))
 
     def __call__(self, x: RingValue) -> RingValue:
         x = self.ring.value(x)
@@ -192,34 +171,103 @@ class Poly:
 
     # rendering ------------------------------------------------------
     def render(self, var: str = "X") -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c.is_zero:
-                continue
-            neg, body = self.ring._sign_split(c.payload)
-            text = self.ring._render(body)
-            if not neg and _bare_negative(text):
-                neg = True
-                text = text[1:]
-            if i == 0:
-                term = _wrap(text)
-            else:
-                power = var if i == 1 else f"{var}^{i}"
-                term = power if text == "1" else f"{_wrap(text)}*{power}"
-            if not parts:
-                parts.append(f"-{term}" if neg else term)
-            else:
-                parts.append(f" - {term}" if neg else f" + {term}")
-        return "".join(parts)
+        ring = self.ring
+        return _render_dense(
+            self.coeffs, var, lambda c: _signed_text(ring, c.payload)
+        )
 
     def __str__(self):
         return self.render()
 
     def __repr__(self):
         return f"Poly({self.ring.name}, {self})"
+
+
+# dense kernels ------------------------------------------------------
+
+
+def _dense_add(a, b, add):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = add(out[i], c)
+    return out
+
+
+def _dense_mul(a, b, add, mul, zero):
+    """The product, possibly with trailing zeros for the caller to strip."""
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == zero:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = add(out[i + j], mul(x, y))
+    return out
+
+
+def _dense_divmod(f, g, add, mul, neg, zero):
+    """(quotient, remainder) of f by a monic g, by schoolbook division."""
+    n = len(g) - 1
+    neg_g = [neg(c) for c in g]
+    rem = list(f)
+    quo = [zero] * (len(rem) - n)
+    for k in range(len(rem) - 1, n - 1, -1):
+        c = rem[k]
+        if c == zero:
+            continue
+        quo[k - n] = c
+        for i in range(n + 1):
+            rem[k - n + i] = add(rem[k - n + i], mul(c, neg_g[i]))
+    return quo, rem[:n]
+
+
+def _from_signed(cs, one, zero) -> list:
+    """Ascending coefficients of X^n - c_1 X^(n-1) + ... + (-1)^n c_n."""
+    n = len(cs)
+    coeffs = [zero] * n + [one]
+    for i, c in enumerate(cs, start=1):
+        coeffs[n - i] = -c if i % 2 else c
+    return coeffs
+
+
+def _render_dense(coeffs, var: str, text) -> str:
+    """Descending-degree rendering of ascending coefficients; text(c)
+    gives (negative, rendering) of a nonzero coefficient c."""
+    return _render_sum(
+        (*text(c), "" if i == 0 else var if i == 1 else f"{var}^{i}")
+        for i, c in reversed(list(enumerate(coeffs)))
+        if not c.is_zero
+    )
+
+
+def _render_sum(terms) -> str:
+    """Join (negative, coefficient text, monomial) terms, leading term
+    first; "0" when there are none.  A coefficient 1 before a monomial
+    is dropped and a single negated coefficient lends its sign to the
+    term."""
+    parts = []
+    for neg, text, monomial in terms:
+        if not neg and _bare_negative(text):
+            neg = True
+            text = text[1:]
+        if not monomial:
+            term = _wrap(text)
+        elif text == "1":
+            term = monomial
+        else:
+            term = f"{_wrap(text)}*{monomial}"
+        if not parts:
+            parts.append(f"-{term}" if neg else term)
+        else:
+            parts.append(f" - {term}" if neg else f" + {term}")
+    return "".join(parts) or "0"
+
+
+def _signed_text(ring: Ring, payload) -> tuple[bool, str]:
+    """(is_negative, rendering of the rest) of a nonzero payload."""
+    neg, body = ring._sign_split(payload)
+    return neg, ring._render(body)
 
 
 def _wrap(text: str) -> str:
@@ -259,12 +307,7 @@ class MonicPoly:
     def from_signed_coeffs(cls, ring: Ring, cs) -> MonicPoly:
         """Build X^n - c_1 X^(n-1) + ... + (-1)^n c_n from (c_1..c_n)."""
         cs = [ring.value(c) for c in cs]
-        n = len(cs)
-        coeffs = [ring.zero] * (n + 1)
-        coeffs[n] = ring.one
-        for i, c in enumerate(cs, start=1):
-            coeffs[n - i] = -c if i % 2 else c
-        return cls(Poly(ring, coeffs))
+        return cls(Poly(ring, _from_signed(cs, ring.one, ring.zero)))
 
     @classmethod
     def from_roots(cls, ring: Ring, roots) -> MonicPoly:
@@ -314,22 +357,11 @@ def poly_divmod(f: Poly, g: MonicPoly | Poly) -> tuple[Poly, Poly]:
     if not gp.is_monic():
         raise ValueError("divisor must be monic")
     ring = f.ring
-    n = gp.degree
-    if len(f.coeffs) <= n:
+    if len(f.coeffs) <= gp.degree:
         return Poly.zero(ring), f
-    add, mul, neg = ring._add, ring._mul, ring._neg
-    zero = ring._from_int(0)
-    neg_g = [neg(c.payload) for c in gp.coeffs]
-    rem = [c.payload for c in f.coeffs]
-    quo = [zero] * (len(rem) - n)
-    for k in range(len(rem) - 1, n - 1, -1):
-        c = rem[k]
-        if c == zero:
-            continue
-        quo[k - n] = c
-        for i in range(n + 1):
-            rem[k - n + i] = add(rem[k - n + i], mul(c, neg_g[i]))
-    return Poly._from_payloads(ring, quo), Poly._from_payloads(ring, rem[:n])
+    add, mul, neg, zero = ring._add, ring._mul, ring._neg, ring._from_int(0)
+    quo, rem = _dense_divmod(f._payloads(), gp._payloads(), add, mul, neg, zero)
+    return Poly._from_payloads(ring, quo), Poly._from_payloads(ring, rem)
 
 
 def poly_mod(f: Poly, g: MonicPoly) -> Poly:
@@ -407,8 +439,7 @@ class QuotientElem:
 def invert_mod(f: Poly, F: MonicPoly) -> QuotientElem:
     """Inverse of f modulo F over a field, via the extended Euclidean
     algorithm; raises NotInvertibleError when gcd(f, F) != 1."""
-    if f.ring != F.ring:
-        raise RingMismatchError(f"mixed rings {f.ring.name} and {F.ring.name}")
+    _check_rings(f.ring, F.ring)
     if not f.ring.is_field:
         raise UnsupportedRingError(
             f"invert_mod needs a field base, got {f.ring.name};"

@@ -22,6 +22,7 @@ the generic monic polynomial of sym_char_poly(X, n).
 
 from __future__ import annotations
 
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from itertools import islice, product
@@ -34,6 +35,7 @@ from .errors import (
     UnsupportedRingError,
 )
 from .matrices import SquareMatrix, char_poly, poly_at_matrix
+from .multipoly import _sparse_eval
 from .norms import norm
 from .poly import MonicPoly, Poly
 from .rings import PrimeField, Ring, RingValue, ZmodRing, ZZ
@@ -246,15 +248,14 @@ def addition_map(s: SymElem) -> SymPoly1:
     if n < 1:
         raise ValueError("arity must be >= 1")
     ring = s.ring
-    images = _addition_images(ring, n)
-    acc = SymPoly1.zero(ring, n - 1)
-    for expo, c in s.terms.items():
-        term = SymPoly1(ring, n - 1, (SymElem.constant(ring, n - 1, c),))
-        for i, k in enumerate(expo):
-            if k:
-                term = term * images[i] ** k
-        acc = acc + term
-    return acc
+    return _sparse_eval(
+        ring,
+        s.terms,
+        _addition_images(ring, n),
+        lambda c: SymPoly1(ring, n - 1, (c,)),
+        operator.add,
+        operator.mul,
+    )
 
 
 def apply_addition(t: SymPoly1) -> SymPoly1:
@@ -278,14 +279,15 @@ def section_map(t: SymPoly1) -> SymPoly1:
         images.append(upstairs - images[i - 1] * x)
     acc = SymPoly1.zero(ring, k + 1)
     for j, c in enumerate(t.coeffs):
-        for expo, coeff in c.terms.items():
-            term = SymPoly1(
-                ring, k + 1, (SymElem.constant(ring, k + 1, coeff),)
-            )
-            for i, e in enumerate(expo):
-                if e:
-                    term = term * images[i + 1] ** e
-            acc = acc + term.shift(j)
+        term = _sparse_eval(
+            ring,
+            c.terms,
+            images[1:],
+            lambda v: SymPoly1(ring, k + 1, (v,)),
+            operator.add,
+            operator.mul,
+        )
+        acc = acc + term.shift(j)
     return acc
 
 

@@ -153,6 +153,28 @@ def _intern(cls, key, **attrs):
         return ring
 
 
+def _check_rings(a: Ring, b: Ring):
+    """Raise RingMismatchError unless a and b are the same ring; the
+    identity test settles interned rings without a structural compare."""
+    if a is not b and a != b:
+        raise RingMismatchError(f"mixed rings {a.name} and {b.name}")
+
+
+def _power(base, k, one):
+    """base**k by square-and-multiply from one; the __pow__ of every
+    value and polynomial class.  It squares only while bits remain."""
+    if not isinstance(k, int) or k < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    result = one
+    while True:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if not k:
+            return result
+        base = base * base
+
+
 class RingValue:
     """An element of a ring, kept in canonical form."""
 
@@ -204,16 +226,7 @@ class RingValue:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = self.ring.one
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, self.ring.one)
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -18,67 +18,59 @@ X_1..X_n, never an (n+1)-th MultiPoly variable.
 Arity 0 is allowed for SymElem (a bare ring constant), matching the
 convention that the zeroth symmetric tensor ring is the base ring.
 
-SymElem arithmetic and substitute run on payloads: they unwrap the
-coefficients once, loop on the ring's _add/_mul/_neg, and wrap the
-result once; substitute builds one power table per value, up to the
-largest exponent present.  SymElem._from_payloads is the trusted
+SymElem shares MultiPoly's sparse body (multipoly._SparsePoly):
+validation and arithmetic on payloads, and evaluation with one power
+table per value, which substitute runs on payloads and expand() runs
+at the elementary MultiPolys.  SymElem._from_payloads is the trusted
 constructor behind them and behind decompose, sym_ops_of and
 diagonal_tensor: it takes canonical payloads of the ring unchecked,
 apart from dropping zeros, and is for internal use only.  The public
 SymElem(...) constructor validates every exponent and coefficient.
+
+SymPoly1 has no coefficient loop of its own: add, multiply, monic
+division and rendering are poly's dense kernels called with SymElem
+coefficients and SymElem's +, * and str.  SymPoly1._from_elems is the
+trusted constructor behind them: it takes SymElems of the right ring
+and arity unchecked, apart from stripping trailing zeros, and is for
+internal use only.  The public SymPoly1(...) constructor checks every
+coefficient's ring (identity first) and arity.
 """
 
 from __future__ import annotations
 
 import operator
+from functools import partial
 
 from . import _symbasis
-from .errors import NotSymmetricError, RingMismatchError
-from .multipoly import MultiPoly, elementary, is_symmetric, render_terms
-from .poly import Poly
-from .rings import Ring, RingValue
+from .errors import NotSymmetricError
+from .multipoly import (
+    MultiPoly,
+    _sparse_eval,
+    _SparsePoly,
+    elementary,
+    is_symmetric,
+    render_terms,
+)
+from .poly import (
+    Poly,
+    _dense_add,
+    _dense_divmod,
+    _dense_mul,
+    _from_signed,
+    _render_dense,
+)
+from .rings import Ring, RingValue, _power
 
 
-class SymElem:
-    __slots__ = ("ring", "arity", "terms")
+class SymElem(_SparsePoly):
+    __slots__ = ()
 
     def __init__(self, ring: Ring, arity: int, terms=None):
         if arity < 0:
             raise ValueError("arity must be >= 0")
-        clean = {}
-        for expo, c in (terms or {}).items():
-            expo = tuple(expo)
-            if len(expo) != arity or any(k < 0 for k in expo):
-                raise ValueError(f"bad e-exponent vector {expo}")
-            c = ring.value(c)
-            if not c.is_zero:
-                clean[expo] = c
-        self.ring = ring
-        self.arity = arity
-        self.terms = clean
-
-    @classmethod
-    def _from_payloads(cls, ring: Ring, arity: int, payloads) -> SymElem:
-        """An element from a map e-exponent tuple -> canonical payload of
-        ring, unchecked apart from dropping zero payloads."""
-        zero = ring._from_int(0)
-        s = object.__new__(cls)
-        s.ring = ring
-        s.arity = arity
-        s.terms = {
-            expo: RingValue(ring, c) for expo, c in payloads.items() if c != zero
-        }
-        return s
+        self._validate(ring, arity, terms, "e-exponent")
 
     # constructors ---------------------------------------------------
-    @classmethod
-    def zero(cls, ring: Ring, arity: int) -> SymElem:
-        return cls(ring, arity)
-
-    @classmethod
-    def constant(cls, ring: Ring, arity: int, c) -> SymElem:
-        return cls(ring, arity, {(0,) * arity: c})
-
     @classmethod
     def one(cls, ring: Ring, arity: int) -> SymElem:
         return cls.constant(ring, arity, 1)
@@ -93,126 +85,32 @@ class SymElem:
         expo = tuple(1 if k == i - 1 else 0 for k in range(arity))
         return cls(ring, arity, {expo: 1})
 
-    # structure ------------------------------------------------------
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def constant_value(self) -> RingValue:
         """The coefficient of the empty e-monomial."""
         return self.terms.get((0,) * self.arity, self.ring.zero)
 
-    def _check(self, other: SymElem):
-        if self.ring is not other.ring and self.ring != other.ring:
-            raise RingMismatchError(
-                f"mixed rings {self.ring.name} and {other.ring.name}"
-            )
-        if self.arity != other.arity:
-            raise ValueError(f"arity mismatch {self.arity} vs {other.arity}")
-
-    # arithmetic -----------------------------------------------------
-    def __add__(self, other: SymElem) -> SymElem:
-        self._check(other)
-        add = self.ring._add
-        out = {e: c.payload for e, c in self.terms.items()}
-        for expo, c in other.terms.items():
-            cur = out.get(expo)
-            out[expo] = c.payload if cur is None else add(cur, c.payload)
-        return SymElem._from_payloads(self.ring, self.arity, out)
-
-    def __neg__(self) -> SymElem:
-        neg = self.ring._neg
-        return SymElem._from_payloads(
-            self.ring, self.arity, {e: neg(c.payload) for e, c in self.terms.items()}
-        )
-
-    def __sub__(self, other: SymElem) -> SymElem:
-        return self + (-other)
-
-    def __mul__(self, other: SymElem) -> SymElem:
-        self._check(other)
-        add, mul = self.ring._add, self.ring._mul
-        right = [(e, c.payload) for e, c in other.terms.items()]
-        out: dict[tuple, object] = {}
-        for e1, c1 in self.terms.items():
-            c1 = c1.payload
-            for e2, c2 in right:
-                expo = tuple(map(operator.add, e1, e2))
-                p = mul(c1, c2)
-                cur = out.get(expo)
-                out[expo] = p if cur is None else add(cur, p)
-        return SymElem._from_payloads(self.ring, self.arity, out)
-
-    def scale(self, c) -> SymElem:
-        c = self.ring.value(c).payload
-        mul = self.ring._mul
-        return SymElem._from_payloads(
-            self.ring, self.arity, {e: mul(c, v.payload) for e, v in self.terms.items()}
-        )
-
-    def __pow__(self, k: int) -> SymElem:
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = SymElem.one(self.ring, self.arity)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def substitute(self, values) -> RingValue:
         """Evaluate with e_i replaced by values[i-1]."""
-        ring = self.ring
-        values = [ring.value(v).payload for v in values]
+        values = [self.ring.value(v).payload for v in values]
         if len(values) != self.arity:
             raise ValueError(
                 f"need {self.arity} values, got {len(values)}"
             )
-        add, mul = ring._add, ring._mul
-        # powers[i][k] = values[i]^k, up to the largest exponent present
-        tops = [max(col) for col in zip(*self.terms)]
-        powers = []
-        for v, top in zip(values, tops):
-            row = [ring._from_int(1)]
-            for _ in range(top):
-                row.append(mul(row[-1], v))
-            powers.append(row)
-        acc = ring._from_int(0)
-        for expo, c in self.terms.items():
-            t = c.payload
-            for row, k in zip(powers, expo):
-                if k:
-                    t = mul(t, row[k])
-            acc = add(acc, t)
-        return RingValue(ring, acc)
+        return self._at(values)
 
     def expand(self) -> MultiPoly:
         """The symmetric MultiPoly this element denotes, multiplied out."""
         if self.arity < 1:
             raise ValueError("cannot expand an arity-0 element")
-        n = self.arity
-        acc = MultiPoly.zero(self.ring, n)
-        for expo, c in self.terms.items():
-            term = MultiPoly.constant(self.ring, n, c)
-            for i, k in enumerate(expo):
-                if k:
-                    term = term * elementary(i + 1, n, self.ring) ** k
-            acc = acc + term
-        return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, SymElem):
-            return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.arity == other.arity
-            and self.terms == other.terms
+        ring, n = self.ring, self.arity
+        return _sparse_eval(
+            ring,
+            self.terms,
+            [elementary(i, n, ring) for i in range(1, n + 1)],
+            partial(MultiPoly.constant, ring, n),
+            operator.add,
+            operator.mul,
         )
-
-    def __hash__(self):
-        return hash((self.ring, self.arity, frozenset(self.terms.items())))
 
     def __str__(self):
         if self.arity == 0:
@@ -245,10 +143,9 @@ def sym_ops_of(f: Poly, n: int) -> list[SymElem]:
     if n < 1:
         raise ValueError("arity must be >= 1")
     ring = f.ring
-    fpays = [c.payload for c in f.coeffs]
     return [
         SymElem._from_payloads(ring, n, _symbasis.decompose_rep(rep, n, ring))
-        for rep in _symbasis.sym_ops_reps(fpays, n, ring)
+        for rep in _symbasis.sym_ops_reps(f._payloads(), n, ring)
     ]
 
 
@@ -258,7 +155,7 @@ def diagonal_tensor(f: Poly, n: int) -> SymElem:
     if n < 1:
         raise ValueError("arity must be >= 1")
     ring = f.ring
-    rep = _symbasis.diagonal_rep([c.payload for c in f.coeffs], n, ring)
+    rep = _symbasis.diagonal_rep(f._payloads(), n, ring)
     return SymElem._from_payloads(ring, n, _symbasis.decompose_rep(rep, n, ring))
 
 
@@ -272,9 +169,20 @@ class SymPoly1:
         for c in coeffs:
             if not isinstance(c, SymElem):
                 c = SymElem.constant(ring, arity, c)
-            if c.ring != ring or c.arity != arity:
+            if (c.ring is not ring and c.ring != ring) or c.arity != arity:
                 raise ValueError("coefficient ring or arity mismatch")
             cs.append(c)
+        self._set(ring, arity, cs)
+
+    @classmethod
+    def _from_elems(cls, ring: Ring, arity: int, elems) -> SymPoly1:
+        """A polynomial from ascending SymElems of this ring and arity,
+        unchecked apart from stripping trailing zeros."""
+        t = object.__new__(cls)
+        t._set(ring, arity, list(elems))
+        return t
+
+    def _set(self, ring: Ring, arity: int, cs: list):
         while cs and cs[-1].is_zero:
             cs.pop()
         self.ring = ring
@@ -296,11 +204,7 @@ class SymPoly1:
     @classmethod
     def lift_poly(cls, f: Poly, arity: int) -> SymPoly1:
         """A plain polynomial in X with constant symmetric coefficients."""
-        return cls(
-            f.ring,
-            arity,
-            [SymElem.constant(f.ring, arity, c) for c in f.coeffs],
-        )
+        return cls(f.ring, arity, f.coeffs)
 
     @property
     def degree(self) -> int | None:
@@ -321,80 +225,56 @@ class SymPoly1:
         )
 
     def _check(self, other: SymPoly1):
-        if self.ring != other.ring or self.arity != other.arity:
+        if (
+            self.ring is not other.ring and self.ring != other.ring
+        ) or self.arity != other.arity:
             raise ValueError("ring or arity mismatch")
 
     def __add__(self, other: SymPoly1) -> SymPoly1:
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return SymPoly1(self.ring, self.arity, out)
+        out = _dense_add(self.coeffs, other.coeffs, operator.add)
+        return SymPoly1._from_elems(self.ring, self.arity, out)
 
     def __neg__(self) -> SymPoly1:
-        return SymPoly1(self.ring, self.arity, [-c for c in self.coeffs])
+        return SymPoly1._from_elems(self.ring, self.arity, [-c for c in self.coeffs])
 
     def __sub__(self, other: SymPoly1) -> SymPoly1:
         return self + (-other)
 
     def __mul__(self, other: SymPoly1) -> SymPoly1:
         self._check(other)
-        if self.is_zero or other.is_zero:
-            return SymPoly1.zero(self.ring, self.arity)
-        out = [SymElem.zero(self.ring, self.arity)] * (
-            len(self.coeffs) + len(other.coeffs) - 1
-        )
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return SymPoly1(self.ring, self.arity, out)
+        zero = SymElem.zero(self.ring, self.arity)
+        out = _dense_mul(self.coeffs, other.coeffs, operator.add, operator.mul, zero)
+        return SymPoly1._from_elems(self.ring, self.arity, out)
 
     def scale(self, s: SymElem) -> SymPoly1:
-        return SymPoly1(self.ring, self.arity, [s * c for c in self.coeffs])
+        return SymPoly1._from_elems(self.ring, self.arity, [s * c for c in self.coeffs])
 
     def __pow__(self, k: int) -> SymPoly1:
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = SymPoly1(self.ring, self.arity, (SymElem.one(self.ring, self.arity),))
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, SymPoly1(self.ring, self.arity, (1,)))
 
     def shift(self, k: int) -> SymPoly1:
         if self.is_zero:
             return self
         pad = (SymElem.zero(self.ring, self.arity),) * k
-        return SymPoly1(self.ring, self.arity, pad + self.coeffs)
+        return SymPoly1._from_elems(self.ring, self.arity, pad + self.coeffs)
 
     def divmod_monic(self, modulus: SymPoly1) -> tuple[SymPoly1, SymPoly1]:
         """Division in the outer variable by a monic polynomial."""
         self._check(modulus)
         if not modulus.is_monic():
             raise ValueError("divisor must be monic in the outer variable")
-        n = modulus.degree
-        rem = list(self.coeffs)
-        if len(rem) <= n:
-            return SymPoly1.zero(self.ring, self.arity), self
-        quo = [SymElem.zero(self.ring, self.arity)] * (len(rem) - n)
-        for k in range(len(rem) - 1, n - 1, -1):
-            c = rem[k]
-            if c.is_zero:
-                continue
-            quo[k - n] = c
-            for i in range(n + 1):
-                rem[k - n + i] = rem[k - n + i] - c * modulus.coeff(i)
+        quo, rem = _dense_divmod(
+            self.coeffs,
+            modulus.coeffs,
+            operator.add,
+            operator.mul,
+            operator.neg,
+            SymElem.zero(self.ring, self.arity),
+        )
         return (
-            SymPoly1(self.ring, self.arity, quo),
-            SymPoly1(self.ring, self.arity, rem[:n]),
+            SymPoly1._from_elems(self.ring, self.arity, quo),
+            SymPoly1._from_elems(self.ring, self.arity, rem),
         )
 
     def mod_monic(self, modulus: SymPoly1) -> SymPoly1:
@@ -406,29 +286,25 @@ class SymPoly1:
         Only meaningful for small oracles; the result lives in
         arity + 1 variables with X mapped to the last one.
         """
-        n = self.arity
-        acc = MultiPoly.zero(self.ring, n + 1)
-        for j, c in enumerate(self.coeffs):
-            inner = c.expand() if n >= 1 else None
-            if inner is None:
-                block = MultiPoly.constant(self.ring, 1, c.constant_value())
-            else:
-                block = MultiPoly(
-                    self.ring,
-                    n + 1,
-                    {expo + (0,): v for expo, v in inner.terms.items()},
-                )
-            xpow = MultiPoly(
-                self.ring, n + 1, {(0,) * n + (j,): self.ring.one}
-            )
-            acc = acc + block * xpow
-        return acc
+        ring, n = self.ring, self.arity
+        # e_1..e_n in the first n variables, then X
+        images = [
+            MultiPoly(ring, n + 1, {e + (0,): 1 for e in elementary(i, n, ring).terms})
+            for i in range(1, n + 1)
+        ] + [MultiPoly.variable(n + 1, n + 1, ring)]
+        terms = {
+            expo + (j,): v
+            for j, c in enumerate(self.coeffs)
+            for expo, v in c.terms.items()
+        }
+        lift = partial(MultiPoly.constant, ring, n + 1)
+        return _sparse_eval(ring, terms, images, lift, operator.add, operator.mul)
 
     def __eq__(self, other):
         if not isinstance(other, SymPoly1):
             return NotImplemented
         return (
-            self.ring == other.ring
+            (self.ring is other.ring or self.ring == other.ring)
             and self.arity == other.arity
             and self.coeffs == other.coeffs
         )
@@ -437,31 +313,7 @@ class SymPoly1:
         return hash((self.ring, self.arity, self.coeffs))
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for j in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[j]
-            if c.is_zero:
-                continue
-            body = str(c)
-            composite = " " in body or "+" in body or "-" in body[1:]
-            neg = False
-            if body.startswith("-") and not composite:
-                neg = True
-                body = body[1:]
-            if composite:
-                body = f"({body})"
-            if j == 0:
-                term = body
-            else:
-                power = "X" if j == 1 else f"X^{j}"
-                term = power if body == "1" else f"{body}*{power}"
-            if not parts:
-                parts.append(f"-{term}" if neg else term)
-            else:
-                parts.append(f" - {term}" if neg else f" + {term}")
-        return "".join(parts)
+        return _render_dense(self.coeffs, "X", lambda c: (False, str(c)))
 
     def __repr__(self):
         return f"SymPoly1({self.ring.name}, n={self.arity}, {self})"
@@ -472,10 +324,6 @@ def sym_char_poly(f: Poly, n: int) -> SymPoly1:
     coefficients: X^n - s_1 X^(n-1) + ... + (-1)^n s_n."""
     if n < 1:
         raise ValueError("arity must be >= 1")
-    ops = sym_ops_of(f, n)
     ring = f.ring
-    coeffs = [SymElem.zero(ring, n)] * (n + 1)
-    coeffs[n] = SymElem.one(ring, n)
-    for i, s in enumerate(ops, start=1):
-        coeffs[n - i] = -s if i % 2 else s
-    return SymPoly1(ring, n, coeffs)
+    coeffs = _from_signed(sym_ops_of(f, n), SymElem.one(ring, n), SymElem.zero(ring, n))
+    return SymPoly1._from_elems(ring, n, coeffs)

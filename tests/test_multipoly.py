@@ -4,8 +4,10 @@ from random import Random
 import pytest
 
 from symmline.multipoly import MultiPoly, apply_permutation, elementary, is_symmetric
-from symmline.rings import Zmod, ZZ
+from symmline.poly import PolyRing
+from symmline.rings import GF, QQ, Zmod, ZZ
 from symmline.sampling import random_permutation, random_value
+from symmline.symmetric import SymElem
 
 
 def var(i, n, ring=ZZ):
@@ -94,6 +96,34 @@ def test_arithmetic_against_evaluation():
         assert (a * b).evaluate(pt) == a.evaluate(pt) * b.evaluate(pt)
         assert (a + b).evaluate(pt) == a.evaluate(pt) + b.evaluate(pt)
         assert (a - b).evaluate(pt) == a.evaluate(pt) - b.evaluate(pt)
+
+
+def test_evaluate_matches_value_arithmetic():
+    # evaluate runs on the sparse payload kernel that SymElem.substitute
+    # shares, so check it against plain RingValue arithmetic
+    rng = Random(24)
+    for ring in (ZZ, QQ, Zmod(12), GF(5), PolyRing(ZZ, "T")):
+        for n in (1, 2, 3):
+            m = random_multipoly(ring, n, rng)
+            pt = [random_value(ring, rng, -3, 3) for _ in range(n)]
+            want = ring.zero
+            for expo, c in m.terms.items():
+                for v, e in zip(pt, expo):
+                    for _ in range(e):
+                        c = c * v
+                want = want + c
+            got = m.evaluate(pt)
+            assert got.ring is ring and got == want
+
+
+def test_product_cancelling_only_mod_m_stores_no_term():
+    # (2*X1)*(2*X2) = 4*X1*X2 vanishes over Zmod:4; so does 2*e1 * 2*e2
+    ring = Zmod(4)
+    p = var(1, 2, ring).scale(2) * var(2, 2, ring).scale(2)
+    assert p.is_zero and p.terms == {}
+    assert p == MultiPoly.zero(ring, 2)
+    s = SymElem.e(1, 2, ring).scale(2) * SymElem.e(2, 2, ring).scale(2)
+    assert s.is_zero and s.terms == {}
 
 
 def test_render():

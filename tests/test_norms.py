@@ -9,7 +9,6 @@ from symmline.multipoly import MultiPoly, apply_permutation
 from symmline.norms import (
     EvalMap,
     difference_product,
-    eval_sym,
     mult_char_poly,
     norm,
     norm_checked,
@@ -46,7 +45,7 @@ def test_eval_map_defining_property():
 def test_eval_map_worked_example():
     u = EvalMap(RUNNING)
     s = SymElem.e(1, 2, ZZ) ** 2 - SymElem.e(2, 2, ZZ).scale(2)
-    assert eval_sym(u, s) == ZZ.value(5)  # 3^2 - 2*2
+    assert u(s) == ZZ.value(5)  # 3^2 - 2*2
 
 
 def test_eval_map_is_ring_homomorphism():

@@ -339,6 +339,30 @@ def test_sympoly1_divmod_monic():
         q, r = t.divmod_monic(generic)
         assert q * generic + r == t
         assert r.is_zero or r.degree < generic.degree
+    # the dense kernels on SymElem coefficients, over every ring kind:
+    # division against its defining identity, sums, products and powers
+    # against the MultiPoly arithmetic of expand()
+    for ring in (Zmod(12), GF(5), QQ, TOWER):
+        for _ in range(4):
+            n = rng.randint(1, 3)
+            f = random_poly(ring, rng, 2)
+            modulus = sym_char_poly(f if f.degree else Poly.gen(ring), n)
+            t, u = (
+                SymPoly1(
+                    ring,
+                    n,
+                    [_random_element(ring, n, rng, max_weight=2) for _ in range(k)],
+                )
+                for k in (n + 2, 2)
+            )
+            q, r = t.divmod_monic(modulus)
+            assert q * modulus + r == t
+            assert r.is_zero or r.degree < modulus.degree
+            assert (t + u).expand() == t.expand() + u.expand()
+            assert (t - u).expand() == t.expand() - u.expand()
+            assert (t * u).expand() == t.expand() * u.expand()
+            assert (u**3).expand() == u.expand() ** 3
+            assert (u**0).expand() == MultiPoly.constant(ring, n + 1, 1)
 
 
 def test_renders():

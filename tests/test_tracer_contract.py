@@ -1,0 +1,44 @@
+"""The benchmark's tracer (perfbench/tracer.py) patches symmline from
+outside: every public module function, the methods it names per class
+(read from each class's own __dict__), the RingValue operators and the
+ring equality methods.  A method moved out of its class body, or a
+patch that uninstall() does not undo, breaks the traced benchmark; this
+test makes it fail here too.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import symmline
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("symmline_bench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_install_and_uninstall_restore_every_binding():
+    tracer_mod = _load_tracer()
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer.install(symmline)
+        patches = list(tracer._patches)
+        for owner, attr, original in patches:
+            assert vars(owner)[attr] is not original, (owner, attr)
+    finally:
+        tracer.uninstall()
+    assert patches
+    patched = {(owner, attr) for owner, attr, _ in patches}
+    assert len(patched) == len(patches), "an attribute was patched twice"
+    for owner, attr, original in patches:
+        assert vars(owner)[attr] is original, (owner, attr)
+    # every spanned method is defined in its own class body
+    for (layer, cls_name), methods in tracer_mod.SPANNED_METHODS.items():
+        cls = getattr(getattr(symmline, layer), cls_name)
+        for meth in methods:
+            assert meth in vars(cls), f"{cls_name}.{meth}"
+            assert (cls, meth) in patched
