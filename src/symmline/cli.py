@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -263,9 +262,8 @@ def _cmd_count(args):
             f"count needs a prime field GF:q, got {ring.name}"
         )
     mult_set = parse_multset(args.multset, ring)
-    workers = int(os.environ.get("SYMMLINE_THREADS", "1"))
     started = time.perf_counter()
-    value = count_points(ring.modulus, args.n, mult_set, workers=workers)
+    value = count_points(ring.modulus, args.n, mult_set)
     elapsed = (time.perf_counter() - started) * 1000.0
     record = {
         "q": ring.modulus,

@@ -25,9 +25,11 @@ payloads with native + - *; each ring reaches it by its own lift:
 mult_matrix reduces f mod F once and gets each next column from the
 monic recurrence col_(j+1) = X*col_j - top(col_j)*F, since multiplying
 by X and reducing mod a monic F needs one multiple of F per column.
-A SquareMatrix keeps the payload rows it was built from, and one built
-by mult_matrix wraps them in ring values only when its rows are read,
-so norm = det(mult_matrix(f, F)) hands payloads straight to char_poly.
+A SquareMatrix stores one form, rows of canonical payloads.  The
+constructor checks each entry through ring.value and keeps its payload;
+rows, entry and column wrap payloads in ring values when read; +, -, *
+and scale run on payloads with the ring's _add, _neg and _mul.  So
+norm = det(mult_matrix(f, F)) hands payloads straight to char_poly.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import reduce
 
 from .errors import RingMismatchError
 from .poly import MonicPoly, Poly, poly_divmod
@@ -42,20 +45,19 @@ from .rings import RationalRing, Ring, RingValue, ZmodRing
 
 
 class SquareMatrix:
-    """An n x n matrix; rows holds the entries as ring values, and a
-    matrix built from payloads wraps them only when rows is first read."""
+    """An n x n matrix stored as rows of canonical payloads; rows, entry
+    and column wrap them in ring values each time they are read."""
 
-    __slots__ = ("ring", "n", "_rows", "_payload_rows")
+    __slots__ = ("ring", "n", "_payload_rows")
 
     def __init__(self, ring: Ring, rows):
-        rows = tuple(tuple(ring.value(x) for x in row) for row in rows)
+        rows = tuple(tuple(ring.value(x).payload for x in row) for row in rows)
         n = len(rows)
         if n < 1 or any(len(r) != n for r in rows):
             raise ValueError("matrix must be square with n >= 1")
         self.ring = ring
         self.n = n
-        self._rows = rows
-        self._payload_rows = tuple(tuple(x.payload for x in row) for row in rows)
+        self._payload_rows = rows
 
     @classmethod
     def _from_payloads(cls, ring: Ring, rows) -> SquareMatrix:
@@ -64,17 +66,14 @@ class SquareMatrix:
         m.ring = ring
         m._payload_rows = tuple(map(tuple, rows))
         m.n = len(m._payload_rows)
-        m._rows = None
         return m
 
     @property
     def rows(self) -> tuple[tuple[RingValue, ...], ...]:
-        if self._rows is None:
-            ring = self.ring
-            self._rows = tuple(
-                tuple(RingValue(ring, p) for p in row) for row in self._payload_rows
-            )
-        return self._rows
+        ring = self.ring
+        return tuple(
+            tuple(RingValue(ring, p) for p in row) for row in self._payload_rows
+        )
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> SquareMatrix:
@@ -88,10 +87,10 @@ class SquareMatrix:
         return cls(ring, [[ring.zero] * n for _ in range(n)])
 
     def entry(self, i: int, j: int) -> RingValue:
-        return self.rows[i][j]
+        return RingValue(self.ring, self._payload_rows[i][j])
 
     def column(self, j: int) -> tuple[RingValue, ...]:
-        return tuple(row[j] for row in self.rows)
+        return tuple(RingValue(self.ring, row[j]) for row in self._payload_rows)
 
     def _check(self, other: SquareMatrix):
         if self.ring != other.ring:
@@ -103,56 +102,53 @@ class SquareMatrix:
 
     def __add__(self, other: SquareMatrix) -> SquareMatrix:
         self._check(other)
-        return SquareMatrix(
-            self.ring,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
+        add = self.ring._add
+        pairs = zip(self._payload_rows, other._payload_rows)
+        return self._from_payloads(self.ring, [map(add, a, b) for a, b in pairs])
 
     def __neg__(self) -> SquareMatrix:
-        return SquareMatrix(self.ring, [[-a for a in row] for row in self.rows])
+        neg = self.ring._neg
+        return self._from_payloads(self.ring, [map(neg, r) for r in self._payload_rows])
 
     def __sub__(self, other: SquareMatrix) -> SquareMatrix:
         return self + (-other)
 
     def __mul__(self, other: SquareMatrix) -> SquareMatrix:
         self._check(other)
-        n = self.n
-        cols = [other.column(j) for j in range(n)]
-        out = []
-        for i in range(n):
-            row = self.rows[i]
-            out.append([_dot(row, cols[j], self.ring) for j in range(n)])
-        return SquareMatrix(self.ring, out)
+        ring = self.ring
+        add, mul, zero = ring._add, ring._mul, ring._from_int(0)
+        cols = list(zip(*other._payload_rows))
+        return self._from_payloads(
+            ring,
+            [
+                [reduce(add, map(mul, row, col), zero) for col in cols]
+                for row in self._payload_rows
+            ],
+        )
 
     def scale(self, c) -> SquareMatrix:
-        c = self.ring.value(c)
-        return SquareMatrix(self.ring, [[c * a for a in row] for row in self.rows])
+        c = self.ring.value(c).payload
+        mul = self.ring._mul
+        return self._from_payloads(
+            self.ring, [[mul(c, a) for a in row] for row in self._payload_rows]
+        )
 
     def __eq__(self, other):
         if not isinstance(other, SquareMatrix):
             return NotImplemented
-        return self.ring == other.ring and self.rows == other.rows
+        return self.ring == other.ring and self._payload_rows == other._payload_rows
 
     def __hash__(self):
-        return hash((self.ring, self.rows))
+        return hash((self.ring, self._payload_rows))
 
     def __str__(self):
+        render = self.ring._render
         return "[" + "; ".join(
-            ", ".join(str(a) for a in row) for row in self.rows
+            ", ".join(map(render, row)) for row in self._payload_rows
         ) + "]"
 
     def __repr__(self):
         return f"SquareMatrix({self.ring.name}, {self})"
-
-
-def _dot(u, v, ring: Ring) -> RingValue:
-    acc = ring.zero
-    for a, b in zip(u, v):
-        acc = acc + a * b
-    return acc
 
 
 def char_poly(m: SquareMatrix) -> MonicPoly:

@@ -170,11 +170,6 @@ class MultiPoly(_SparsePoly):
         expo = tuple(1 if k == i - 1 else 0 for k in range(nvars))
         return cls(ring, nvars, {expo: 1})
 
-    def total_degree(self) -> int | None:
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
-
     def evaluate(self, values) -> RingValue:
         values = [self.ring.value(v).payload for v in values]
         if len(values) != self.arity:

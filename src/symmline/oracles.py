@@ -79,7 +79,7 @@ def bareiss_det(m: SquareMatrix) -> RingValue | None:
     if ring._exact_div(ring._from_int(0), ring._from_int(1)) is None:
         return None
     n = m.n
-    a = [[x.payload for x in row] for row in m.rows]
+    a = [list(row) for row in m._payload_rows]
     zero = ring._from_int(0)
     sign = 1
     prev = ring._from_int(1)

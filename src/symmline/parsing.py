@@ -182,50 +182,40 @@ def _ring_int(digits: str, whole: str) -> int:
     return value
 
 
+def _parse(text: str, ring: Ring, names: dict, lift):
+    """Evaluate text with names, then ring's tower variables bound after
+    them; lift carries tower constants and integer literals to the target."""
+    env = dict(names)
+    for name, v in tower_constants(ring).items():
+        env[name] = lift(v)
+    return _eval(_Parser(text).parse(), env, lift)
+
+
 def parse_scalar(text: str, ring: Ring):
-    env = dict(tower_constants(ring))
-    return _eval(_Parser(text).parse(), env, lambda k: ring.value(k))
+    return _parse(text, ring, {}, ring.value)
 
 
 def parse_poly(text: str, ring: Ring) -> Poly:
-    env = {"X": Poly.gen(ring)}
-    for name, v in tower_constants(ring).items():
-        env[name] = Poly.constant(ring, v)
-    return _eval(
-        _Parser(text).parse(), env, lambda k: Poly.constant(ring, k)
-    )
+    return _parse(text, ring, {"X": Poly.gen(ring)}, lambda k: Poly.constant(ring, k))
 
 
 def parse_multipoly(text: str, ring: Ring, nvars: int) -> MultiPoly:
-    env = {
+    names = {
         f"X{k}": MultiPoly.variable(k, nvars, ring) for k in range(1, nvars + 1)
     }
-    for name, v in tower_constants(ring).items():
-        env[name] = MultiPoly.constant(ring, nvars, v)
-    return _eval(
-        _Parser(text).parse(), env, lambda k: MultiPoly.constant(ring, nvars, k)
-    )
+    return _parse(text, ring, names, lambda k: MultiPoly.constant(ring, nvars, k))
 
 
 def parse_symelem(text: str, ring: Ring, arity: int) -> SymElem:
-    env = {f"e{k}": SymElem.e(k, arity, ring) for k in range(1, arity + 1)}
-    for name, v in tower_constants(ring).items():
-        env[name] = SymElem.constant(ring, arity, v)
-    return _eval(
-        _Parser(text).parse(), env, lambda k: SymElem.constant(ring, arity, k)
-    )
+    names = {f"e{k}": SymElem.e(k, arity, ring) for k in range(1, arity + 1)}
+    return _parse(text, ring, names, lambda k: SymElem.constant(ring, arity, k))
 
 
 def parse_sympoly1(text: str, ring: Ring, arity: int) -> SymPoly1:
-    env = {
+    names = {
         f"e{k}": SymPoly1.from_symelem(SymElem.e(k, arity, ring))
         for k in range(1, arity + 1)
     }
-    env["X"] = SymPoly1.x(ring, arity)
-    for name, v in tower_constants(ring).items():
-        env[name] = SymPoly1(ring, arity, (SymElem.constant(ring, arity, v),))
-    return _eval(
-        _Parser(text).parse(),
-        env,
-        lambda k: SymPoly1(ring, arity, (SymElem.constant(ring, arity, k),)),
-    )
+    names["X"] = SymPoly1.x(ring, arity)
+    # the constructor lifts a scalar k through SymElem.constant
+    return _parse(text, ring, names, lambda k: SymPoly1(ring, arity, (k,)))

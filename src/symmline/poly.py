@@ -156,9 +156,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def map_coeffs(self, fn, ring: Ring) -> Poly:
-        return Poly(ring, [fn(c) for c in self.coeffs])
-
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
@@ -298,10 +295,6 @@ class MonicPoly:
         if not poly.is_monic():
             raise ValueError(f"leading coefficient of {poly} is not one")
         self.poly = poly
-
-    @classmethod
-    def from_coeffs(cls, ring: Ring, coeffs) -> MonicPoly:
-        return cls(Poly(ring, coeffs))
 
     @classmethod
     def from_signed_coeffs(cls, ring: Ring, cs) -> MonicPoly:

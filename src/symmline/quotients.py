@@ -23,9 +23,7 @@ the generic monic polynomial of sym_char_poly(X, n).
 from __future__ import annotations
 
 import operator
-import os
-from concurrent.futures import ThreadPoolExecutor
-from itertools import islice, product
+from itertools import product
 from math import comb
 
 from .errors import (
@@ -340,10 +338,8 @@ def count_points(
     Candidates are X^n + c_(n-1) X^(n-1) + ... + c_0 with (c_0..c_(n-1))
     running over itertools.product of GF(q)'s residues 0..q-1, so c_0
     varies slowest and c_(n-1) fastest.  Each passes MonicPoly's checks
-    and is_free_quotient.  workers is clamped to min(workers, CPU count,
-    q^n); above one, the candidates split into at most that many
-    consecutive ranges of that order, summed in range order, so the
-    count does not depend on workers.
+    and is_free_quotient in that order, in one serial loop.  workers
+    is accepted for existing callers and ignored.
     """
     ring = PrimeField(q)
     if mult_set.ring != ring:
@@ -352,27 +348,13 @@ def count_points(
         )
     if n < 1:
         raise ValueError("n must be >= 1")
-    total = q**n
-    if total > bound:
+    if q**n > bound:
         raise OracleInfeasibleError(
             f"{q}^{n} polynomials exceed the census bound {bound}"
         )
-    elems = tuple(ring.elements())
     one = ring.one
-
-    def count_range(span) -> int:
-        count = 0
-        for low in islice(product(elems, repeat=n), *span):
-            modulus = MonicPoly(Poly(ring, low + (one,)))
-            if is_free_quotient(modulus, mult_set):
-                count += 1
-        return count
-
-    workers = min(workers, os.cpu_count() or 1, total)
-    if workers <= 1:
-        return count_range((0, total))
-    # deterministic: fixed chunking, summed in chunk order
-    step = (total + workers - 1) // workers
-    spans = [(s, min(s + step, total)) for s in range(0, total, step)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(count_range, spans))
+    count = 0
+    for low in product(ring.elements(), repeat=n):
+        if is_free_quotient(MonicPoly(Poly(ring, low + (one,))), mult_set):
+            count += 1
+    return count

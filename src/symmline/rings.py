@@ -176,7 +176,13 @@ def _power(base, k, one):
 
 
 class RingValue:
-    """An element of a ring, kept in canonical form."""
+    """An element of a ring, kept in canonical form.
+
+    A ZZ or QQ value hashes as its payload, like the int it may equal.
+    No hash can agree with == on ints elsewhere: a Zmod:12 value equals
+    both 5 and 17, and Poly: constants equal ints.  Equal values of one
+    ring always hash equally.
+    """
 
     __slots__ = ("ring", "payload")
 
@@ -238,6 +244,8 @@ class RingValue:
         ) and self.payload == other.payload
 
     def __hash__(self):
+        if type(self.ring) in (IntegerRing, RationalRing):
+            return hash(self.payload)
         return hash((self.ring, self.payload))
 
     @property

@@ -1,6 +1,15 @@
+import argparse
 import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
-from symmline.cli import run
+import symmline
+from symmline.cli import build_parser, run
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def invoke(capsys, *argv):
@@ -231,7 +240,8 @@ def test_selftest_json(capsys):
 
 
 def test_count_uses_thread_env(monkeypatch, capsys):
-    monkeypatch.setenv("SYMMLINE_THREADS", "3")
+    # the census reads no thread setting, so a malformed one is harmless
+    monkeypatch.setenv("SYMMLINE_THREADS", "abc")
     code, payload = invoke_json(
         capsys, "count", "--ring", "GF:5", "--n", "2", "--multset", "gens:X"
     )
@@ -252,3 +262,41 @@ def test_count_composite_modulus_rejected(capsys):
         capsys, "count", "--ring", "GF:4", "--n", "2", "--multset", "trivial"
     )
     assert code == 2  # GF:4 fails ring parsing
+
+
+def _readme_cli_lines():
+    """The `symmline ...` lines of the README's code block under ## CLI."""
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("symmline ")]
+
+
+def test_readme_cli_block_runs(capsys):
+    lines = _readme_cli_lines()
+    for line in lines:
+        code = run(shlex.split(line)[1:])
+        capsys.readouterr()
+        assert code == 0, line
+    verbs = {line.split()[1] for line in lines}
+    sub = next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    assert verbs == set(sub.choices)
+
+
+def test_import_skips_thread_pool_and_logging():
+    src = str(Path(symmline.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    probe = (
+        "import sys, symmline; "
+        "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out.strip() == "[]"

@@ -1,3 +1,4 @@
+from itertools import product
 from random import Random
 
 from symmline.matrices import (
@@ -151,17 +152,24 @@ def test_mult_matrix_columns_definition():
 
 def test_mult_matrix_is_ring_homomorphism():
     rng = Random(18)
-    for ring in (ZZ, Zmod(12)):
+    for ring in ORACLE_RINGS:
         for _ in range(20):
             modulus = random_monic(ring, rng, rng.randint(1, 4))
             f = random_poly(ring, rng, 3)
             g = random_poly(ring, rng, 3)
-            assert mult_matrix(f * g, modulus) == mult_matrix(
-                f, modulus
-            ) * mult_matrix(g, modulus)
-            assert mult_matrix(f + g, modulus) == mult_matrix(
-                f, modulus
-            ) + mult_matrix(g, modulus)
+            mf, mg = mult_matrix(f, modulus), mult_matrix(g, modulus)
+            assert mult_matrix(f * g, modulus) == mf * mg
+            assert mult_matrix(f + g, modulus) == mf + mg
+            c = random_value(ring, rng)
+            n = modulus.degree
+            neg, scaled, prod = -mf, mf.scale(c), mf * mg
+            for i, j in product(range(n), repeat=2):
+                assert neg.entry(i, j) == -mf.entry(i, j)
+                assert scaled.entry(i, j) == c * mf.entry(i, j)
+                dot = ring.zero
+                for k in range(n):
+                    dot = dot + mf.entry(i, k) * mg.entry(k, j)
+                assert prod.entry(i, j) == dot
 
 
 def test_cayley_hamilton():

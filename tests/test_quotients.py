@@ -1,4 +1,4 @@
-import os
+import threading
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -10,7 +10,6 @@ from symmline.errors import (
     RingMismatchError,
     UnsupportedRingError,
 )
-from symmline import quotients
 from symmline.quotients import (
     MultSet,
     addition_diagonal_check,
@@ -420,43 +419,15 @@ def test_count_workers_deterministic():
     assert sequential == chunked
 
 
-class _SerialPool:
-    """Stands in for ThreadPoolExecutor: records max_workers, starts no
-    thread, and maps in order."""
+def test_count_starts_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError("census started a thread")
 
-    def __init__(self, seen, max_workers):
-        seen.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-def test_count_workers_clamped(monkeypatch):
-    seen = []
-    monkeypatch.setattr(
-        quotients,
-        "ThreadPoolExecutor",
-        lambda max_workers: _SerialPool(seen, max_workers),
-    )
+    monkeypatch.setattr(threading.Thread, "start", refuse)
     ring = GF(5)
     u = MultSet.generated(Poly.gen(ring) + Poly(ring, [1]))
-    sequential = count_points(5, 3, u, workers=1)
-    assert sequential == 100  # monic cubics with F(-1) != 0
-    assert seen == []
-    assert count_points(5, 3, u, workers=10**6) == sequential
-    assert all(w <= (os.cpu_count() or 1) for w in seen)
-    # a fixed CPU count takes the chunked path on any machine
-    monkeypatch.setattr(quotients.os, "cpu_count", lambda: 3)
-    assert count_points(5, 3, u, workers=10**6) == sequential
-    assert seen[-1] == 3
-    assert count_points(2, 1, MultSet.trivial(GF(2)), workers=10**6) == 2
-    assert seen[-1] == 2
+    # monic cubics with F(-1) != 0
+    assert count_points(5, 3, u, workers=10**6) == 100
 
 
 def test_count_bound():

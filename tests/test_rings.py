@@ -148,6 +148,19 @@ def test_value_powers_and_hash():
     assert str(GF(5).value(7)) == "2"
 
 
+def test_value_hash_agrees_with_eq():
+    assert len({ZZ.value(5), 5}) == 1
+    assert len({QQ.value(5), 5}) == 1
+    assert hash(QQ.value(Fraction(1, 2))) == hash(Fraction(1, 2))
+    for ring in (ZZ, QQ, Zmod(12), GF(7), PolyRing(ZZ, "T")):
+        for k in (-13, -1, 0, 1, 5, 17):
+            a, b = ring.value(k), ring.value(k)
+            assert a == b and hash(a) == hash(b)
+    assert hash(Zmod(12).value(5)) == hash(Zmod(12).value(17))
+    t = PolyRing(ZZ, "T").gen()
+    assert hash(t * t + 1) == hash(1 + t * t)
+
+
 def test_ring_specs_are_interned():
     assert Zmod(12) is Zmod(12)
     assert Zmod(12) is ZmodRing(12)
