@@ -23,10 +23,31 @@ Two facts carry the module:
     globally, with plain int values and scaled into the ring on use.
 
 decompose_rep is the textbook algorithm for writing a symmetric
-polynomial in the elementary basis: repeatedly take the lex-leading
-partition lam, emit e_1^(lam1-lam2) * e_2^(lam2-lam3) * ..., subtract,
-loop.  The subtracted expansion has unit leading coefficient, so no
-base-ring division ever happens and the loop is valid over Zmod(m).
+polynomial in the elementary basis: take the lex-leading partition lam,
+emit e_1^(lam1-lam2) * e_2^(lam2-lam3) * ..., subtract, repeat.  The
+subtracted expansion has unit leading coefficient, so no base-ring
+division ever happens and the loop is valid over Zmod(m).  The change
+of basis from e to m is unitriangular in dominance order, and dominance
+implies lex order, so the loop is a forward substitution:
+
+  * Partitions are numbered per (n, degree) in a table that lists the
+    partitions of the degree into at most n parts in ascending lex
+    order.  Lex order compares the largest part first, so the partitions
+    with largest part at most c are a prefix of it; a table is grown to
+    a cap c by appending the partitions with largest part above the old
+    cap, and an index, once handed out, never moves.  A call grows a
+    table only up to the largest part of its own input (every term of
+    the expansion led by lam is dominated by lam, so its largest part is
+    at most lam1).
+  * _ELEM_CACHE is the one cache of expansions, one entry per (n, mu),
+    each keyed by table index.  An expansion is checked when it is built:
+    no term may lie above its lead in the table, which is the
+    well-ordering argument.  decompose_rep checks on each use that it
+    leads with coefficient 1 at the lead's own index.
+  * decompose_rep groups its input by degree, fills a dense remainder
+    list per degree, and scans the indices downward from the input's
+    top one.  Every expansion read at index j writes only below j, so
+    the value found at an index is final when the scan reaches it.
 
 sym_ops_reps expands prod_i (Y - f(X_i)) one variable at a time: if
 s_(i,k) denotes the i-th signed coefficient over the first k variables,
@@ -50,29 +71,79 @@ matrices._berkowitz states too:
     and diagonal_rep a coefficient is an integer polynomial in f's
     payloads.  Reduction mod m is a ring map, so reducing late gives the
     residues that reducing after every operation would.
-  * decompose_rep keeps unreduced ints in its remainder dict and reduces
-    a lead when it pops it; a lead that is zero mod m is skipped, which
-    covers terms that cancel only mod m.  Each key enters the heap once,
-    since every later expansion lies strictly below the lead just popped.
+  * decompose_rep keeps unreduced ints in its remainder list and reduces
+    an entry when the scan visits it; an entry that is zero mod m is
+    skipped, which covers leads that cancel only mod m.
   * The int scalar k of an expansion multiplies a payload directly; only
     Poly payloads take ring._from_int(k), a choice made once per call.
   * sym_ops_reps and diagonal_rep reduce each coefficient of a step
     before dropping the zeros.  All outputs are canonical and nonzero.
+
+The three kernels are what grows the process-global tables and cache,
+so each refuses an arity above quotients.ARITY_BOUND before any work.
 """
 
 from __future__ import annotations
 
-import heapq
-import operator
-from itertools import combinations
+from itertools import accumulate, combinations
 
+# quotients imports this module (through symmetric) before it defines
+# its bounds, so the arity check is looked up when a kernel runs
+from . import quotients
 from .errors import InvariantViolationError
 from .poly import PolyRing
 from .rings import ZmodRing
 
 Partition = tuple  # descending ints, fixed length = number of variables
 
-_ELEM_CACHE: dict[tuple[int, tuple[int, ...]], dict[Partition, int]] = {}
+
+class _Table:
+    """The partitions of one degree into at most n parts whose largest
+    part is at most cap, in ascending lex order, with their positions
+    and their e-exponent tuples."""
+
+    __slots__ = ("cap", "parts", "index", "mus")
+
+    def __init__(self):
+        self.cap = -1
+        self.parts: list[Partition] = []
+        self.index: dict[Partition, int] = {}
+        self.mus: list[tuple[int, ...]] = []
+
+
+# (n, degree) -> _Table; a table only ever grows, so an index, once
+# handed out, names the same partition for the life of the process
+_TABLES: dict[tuple[int, int], _Table] = {}
+
+# (n, mu) -> expansion of e^mu as {index in the table of its degree: int}
+_ELEM_CACHE: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
+
+
+def _partitions(d: int, k: int, top: int, bottom: int = 0):
+    """Partitions of d into at most k parts whose largest part lies in
+    [bottom, top], as descending k-tuples in ascending lex order."""
+    if k == 0:
+        if d == 0:
+            yield ()
+        return
+    for first in range(max(bottom, -(-d // k)), min(d, top) + 1):
+        for rest in _partitions(d - first, k - 1, first):
+            yield (first,) + rest
+
+
+def _table(n: int, d: int, cap: int) -> _Table:
+    """The (n, d) table, grown until it holds every partition of d into
+    at most n parts with largest part at most cap."""
+    table = _TABLES.get((n, d))
+    if table is None:
+        table = _TABLES[(n, d)] = _Table()
+    if cap > table.cap:
+        for lam in _partitions(d, n, cap, table.cap + 1):
+            table.index[lam] = len(table.parts)
+            table.parts.append(lam)
+            table.mus.append(tuple(a - b for a, b in zip(lam, lam[1:] + (0,))))
+        table.cap = cap
+    return table
 
 
 def _mul_elementary_int(rep: dict[Partition, int], i: int, n: int) -> dict[Partition, int]:
@@ -108,20 +179,34 @@ def _mul_elementary_int(rep: dict[Partition, int], i: int, n: int) -> dict[Parti
     return out
 
 
-def elem_monomial(n: int, mu: tuple[int, ...]) -> dict[Partition, int]:
-    """Expansion of e_1^mu1 * ... * e_n^mun, cached ring-independently."""
+def elem_monomial(n: int, mu: tuple[int, ...]) -> dict[int, int]:
+    """Expansion of e_1^mu1 * ... * e_n^mun, cached ring-independently,
+    keyed by index in the table of its degree."""
     key = (n, mu)
     got = _ELEM_CACHE.get(key)
     if got is not None:
         return got
+    # the lead lam has lam_k = mu_k + ... + mu_n
+    lam = tuple(accumulate(reversed(mu)))[::-1]
+    table = _table(n, sum(lam), lam[0] if n else 0)
     if not any(mu):
-        res = {(0,) * n: 1}
+        res = {lam: 1}
     else:
         i = max(k for k in range(n) if mu[k])
         smaller = mu[:i] + (mu[i] - 1,) + mu[i + 1 :]
-        res = _mul_elementary_int(elem_monomial(n, smaller), i + 1, n)
-    _ELEM_CACHE[key] = res
-    return res
+        low = elem_monomial(n, smaller)
+        parts = _TABLES[(n, sum(lam) - i - 1)].parts
+        res = _mul_elementary_int({parts[j]: k for j, k in low.items()}, i + 1, n)
+    top = table.index[lam]
+    expansion = {}
+    for part, k in res.items():
+        j = table.index.get(part)
+        # the well-ordering argument: no term lies above the lead
+        if j is None or j > top:
+            raise InvariantViolationError(f"e-monomial {mu} has {part} above {lam}")
+        expansion[j] = k
+    _ELEM_CACHE[key] = expansion
+    return expansion
 
 
 def _modulus(ring) -> int:
@@ -136,43 +221,41 @@ def decompose_rep(rep: dict[Partition, object], n: int, ring) -> dict[tuple, obj
     Returns a map from e-exponent tuples (length n) to nonzero canonical
     payloads.
     """
+    quotients._check_arity(n)
     m = _modulus(ring)
     embed = ring._from_int if isinstance(ring, PolyRing) else None
     zero = ring._from_int(0)
-    rem = dict(rep)
-    heap = [tuple(map(operator.neg, k)) for k in rem]
-    heapq.heapify(heap)
+    by_degree: dict[int, list] = {}
+    for lam, c in rep.items():
+        by_degree.setdefault(sum(lam), []).append((lam, c))
     out = {}
-    prev = None
-    while heap:
-        lam = tuple(map(operator.neg, heapq.heappop(heap)))
-        c = rem.pop(lam)
-        if m:
-            c %= m
-        if c == zero:
-            continue
-        # the well-ordering argument: each round strictly lowers the lead
-        if prev is not None and not lam < prev:
-            raise InvariantViolationError(f"lead {lam} did not drop below {prev}")
-        prev = lam
-        mu = tuple(map(operator.sub, lam, lam[1:] + (0,)))
-        out[mu] = c
-        expansion = elem_monomial(n, mu)
-        if expansion.get(lam) != 1:
-            raise InvariantViolationError(f"e-monomial {mu} does not lead with {lam}")
-        terms = expansion.items()
-        if embed is not None:
-            terms = [(part, embed(k)) for part, k in terms]
-        neg_c = -c
-        for part, k in terms:
-            if part == lam:
+    for d, terms in by_degree.items():
+        table = _table(n, d, max(lam[0] for lam, _ in terms) if n else 0)
+        slots = [table.index[lam] for lam, _ in terms]
+        rem = [zero] * (max(slots) + 1)
+        for j, (_, c) in zip(slots, terms):
+            rem[j] = c
+        mus = table.mus
+        for j in range(len(rem) - 1, -1, -1):
+            c = rem[j]
+            if m:
+                c %= m
+            if c == zero:
                 continue
-            cur = rem.get(part)
-            if cur is None:
-                rem[part] = neg_c * k
-                heapq.heappush(heap, tuple(map(operator.neg, part)))
+            mu = mus[j]
+            out[mu] = c
+            expansion = elem_monomial(n, mu)
+            if expansion.get(j) != 1:
+                raise InvariantViolationError(
+                    f"e-monomial {mu} does not lead with {table.parts[j]}"
+                )
+            neg_c = -c
+            if embed is None:
+                for i, k in expansion.items():
+                    rem[i] += neg_c * k
             else:
-                rem[part] = cur + neg_c * k
+                for i, k in expansion.items():
+                    rem[i] += neg_c * embed(k)
     return out
 
 
@@ -220,6 +303,7 @@ def _extend(prev_reps: dict[int, dict], k: int, fterms, ring) -> dict[int, dict]
 
 def sym_ops_reps(fpayloads, n: int, ring) -> list[dict[Partition, object]]:
     """Compressed reps of the signed coefficients of prod_i (Y - f(X_i))."""
+    quotients._check_arity(n)
     fterms = _nonzero_terms(fpayloads, ring)
     reps: dict[int, dict] = {0: {(): ring._from_int(1)}}
     for k in range(1, n + 1):
@@ -229,6 +313,7 @@ def sym_ops_reps(fpayloads, n: int, ring) -> list[dict[Partition, object]]:
 
 def diagonal_rep(fpayloads, n: int, ring) -> dict[Partition, object]:
     """Compressed rep of f(X_1) * ... * f(X_n)."""
+    quotients._check_arity(n)
     m = _modulus(ring)
     zero = ring._from_int(0)
     fterms = _nonzero_terms(fpayloads, ring)

@@ -26,7 +26,7 @@ class NotSymmetricError(SymmlineError, ValueError):
 
 
 class OracleInfeasibleError(SymmlineError, RuntimeError):
-    """A brute-force search or enumeration exceeds its configured bound."""
+    """A search, an enumeration or an input exceeds its configured bound."""
 
 
 class InvariantViolationError(SymmlineError, RuntimeError):

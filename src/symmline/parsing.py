@@ -11,7 +11,12 @@ unary minus above * above binary +/-):
     power  := atom ('^' integer)*
     atom   := integer | name | '(' expr ')'
 
-Exponents must be nonnegative integer literals.  Which names resolve
+Exponents must be nonnegative integer literals.  Before anything is
+evaluated, the degree the result can reach, counting every integer
+literal as degree 1 like a name (so that 2^k grows like X^k), must stay
+within quotients.DEGREE_BOUND, and the number of variables X1..Xn or
+e1..en, each a name bound before parsing, within quotients.ARITY_BOUND;
+a larger one raises OracleInfeasibleError.  Which names resolve
 depends on the context: X for univariate polynomials, X1..Xn for
 multivariate ones, e1..en for elements of the symmetric ring (plus X
 again for polynomials over it), and the tower variables of the
@@ -22,9 +27,10 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError
+from .errors import OracleInfeasibleError, ParseError
 from .multipoly import MultiPoly
 from .poly import Poly, PolyRing, tower_constants
+from .quotients import DEGREE_BOUND, _check_arity
 from .rings import GF, QQ, Ring, Zmod, ZZ, is_prime
 from .symmetric import SymElem, SymPoly1
 
@@ -126,6 +132,21 @@ class _Parser:
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
 
 
+def _degree(node) -> int:
+    """A bound on the degree of node's value in all names together, with
+    integer literals counted as degree 1."""
+    kind = node[0]
+    if kind in ("int", "var"):
+        return 1
+    if kind == "neg":
+        return _degree(node[1])
+    if kind == "pow":
+        return _degree(node[1]) * node[2]
+    if kind == "mul":
+        return _degree(node[1]) + _degree(node[2])
+    return max(_degree(node[1]), _degree(node[2]))
+
+
 def _eval(node, env, embed_int):
     kind = node[0]
     if kind == "int":
@@ -185,10 +206,16 @@ def _ring_int(digits: str, whole: str) -> int:
 def _parse(text: str, ring: Ring, names: dict, lift):
     """Evaluate text with names, then ring's tower variables bound after
     them; lift carries tower constants and integer literals to the target."""
+    tree = _Parser(text).parse()
+    degree = _degree(tree)
+    if degree > DEGREE_BOUND:
+        raise OracleInfeasibleError(
+            f"expression degree {degree} exceeds the degree bound {DEGREE_BOUND}"
+        )
     env = dict(names)
     for name, v in tower_constants(ring).items():
         env[name] = lift(v)
-    return _eval(_Parser(text).parse(), env, lift)
+    return _eval(tree, env, lift)
 
 
 def parse_scalar(text: str, ring: Ring):
@@ -200,6 +227,7 @@ def parse_poly(text: str, ring: Ring) -> Poly:
 
 
 def parse_multipoly(text: str, ring: Ring, nvars: int) -> MultiPoly:
+    _check_arity(nvars)
     names = {
         f"X{k}": MultiPoly.variable(k, nvars, ring) for k in range(1, nvars + 1)
     }
@@ -207,11 +235,13 @@ def parse_multipoly(text: str, ring: Ring, nvars: int) -> MultiPoly:
 
 
 def parse_symelem(text: str, ring: Ring, arity: int) -> SymElem:
+    _check_arity(arity)
     names = {f"e{k}": SymElem.e(k, arity, ring) for k in range(1, arity + 1)}
     return _parse(text, ring, names, lambda k: SymElem.constant(ring, arity, k))
 
 
 def parse_sympoly1(text: str, ring: Ring, arity: int) -> SymPoly1:
+    _check_arity(arity)
     names = {
         f"e{k}": SymPoly1.from_symelem(SymElem.e(k, arity, ring))
         for k in range(1, arity + 1)

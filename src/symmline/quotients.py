@@ -45,8 +45,20 @@ from .symmetric import (
     sym_ops_of,
 )
 
+# work budgets, each checked before the work starts and raised as
+# OracleInfeasibleError: residues the membership oracle may try, monic
+# candidates the census may enumerate, the arity of the symmetric-basis
+# kernels (which grow process-global caches) and of parsed expressions,
+# and the degree of a parsed expression
 ORACLE_SEARCH_BOUND = 100_000
 CENSUS_BOUND = 1_000_000
+ARITY_BOUND = 10
+DEGREE_BOUND = 100
+
+
+def _check_arity(n: int) -> None:
+    if n > ARITY_BOUND:
+        raise OracleInfeasibleError(f"arity {n} exceeds the arity bound {ARITY_BOUND}")
 
 
 class MultSet:

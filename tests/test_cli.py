@@ -4,10 +4,12 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import symmline
 from symmline.cli import build_parser, run
+from symmline.quotients import ARITY_BOUND
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -220,6 +222,33 @@ def test_unsupported_error_exit_code(capsys):
     )
     assert code == 1
     assert "UnsupportedRingError" in err
+
+
+def test_huge_exponent_fails_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = invoke(
+        capsys, "norm", "--ring", "ZZ", "--F", "X^2+1", "--f", "X^99999999"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert "OracleInfeasibleError" in err
+
+
+def test_arity_over_bound_fails_fast(capsys):
+    # the parsers bind one name per variable, so a huge --n is refused
+    # before those names are built
+    start = time.perf_counter()
+    for n in (str(ARITY_BOUND + 1), "99999999"):
+        for argv in (
+            ("sym-ops", "--ring", "ZZ", "--f", "X^2", "--n", n),
+            ("decompose", "--ring", "ZZ", "--n", n, "--expr", "1"),
+            ("addition", "--ring", "ZZ", "--n", n, "--expr", "e1"),
+            ("section", "--ring", "ZZ", "--n", n, "--expr", "e1"),
+        ):
+            code, out, err = invoke(capsys, *argv)
+            assert code == 1, argv
+            assert "OracleInfeasibleError" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_selftest_deterministic(capsys):

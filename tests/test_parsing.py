@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from symmline.errors import ParseError
+from symmline.errors import OracleInfeasibleError, ParseError
 from symmline.parsing import (
     parse_multipoly,
     parse_poly,
@@ -12,6 +12,7 @@ from symmline.parsing import (
     parse_sympoly1,
 )
 from symmline.poly import Poly, PolyRing
+from symmline.quotients import DEGREE_BOUND
 from symmline.rings import GF, QQ, Zmod, ZZ
 from symmline.sampling import random_poly, random_symelem
 from symmline.symmetric import SymElem, SymPoly1
@@ -83,6 +84,27 @@ def test_parse_scalar():
     assert parse_scalar("2^10", ZZ) == ZZ.value(1024)
     tower = PolyRing(ZZ, "T")
     assert parse_scalar("T^2 - 1", tower) == tower.gen() ** 2 - tower.one
+
+
+def test_degree_bound_is_checked_before_evaluating():
+    b = DEGREE_BOUND
+    assert parse_poly(f"X^{b}", ZZ).degree == b
+    assert parse_poly(f"(X + 1)^{b // 2} * X^{b - b // 2}", ZZ).degree == b
+    tower = PolyRing(ZZ, "T")
+    over = [
+        (parse_poly, f"X^{b + 1}", ZZ),
+        (parse_poly, "X^99999999", ZZ),
+        (parse_poly, f"X^{b} * X", ZZ),
+        (parse_poly, f"(X^{b})^{b}", Zmod(12)),
+        (parse_scalar, f"2^{b + 1}", ZZ),  # literals count as degree 1
+        (parse_scalar, f"(T^2)^{b}", tower),
+        (lambda t, r: parse_multipoly(t, r, 2), f"(X1 + X2)^{b + 1}", QQ),
+        (lambda t, r: parse_symelem(t, r, 3), f"e3^{b + 1}", GF(5)),
+        (lambda t, r: parse_sympoly1(t, r, 2), f"(e1 * X)^{b}", ZZ),
+    ]
+    for parse, text, ring in over:
+        with pytest.raises(OracleInfeasibleError):
+            parse(text, ring)
 
 
 def test_poly_render_parse_roundtrip():
