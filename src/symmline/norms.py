@@ -9,6 +9,10 @@ norm() itself takes the O(n^4) determinant route, which is the
 production path: the symmetric route is exponential in n through the
 multivariate expansion and exists for fidelity to the defining formula.
 norm_checked() runs both and insists they agree.
+
+Both symmetric routes reduce f mod F before the symmetric expansion.
+That is exact, since f(a) = (f mod F)(a) at every root a of F, and it
+keeps their cost bounded by deg F instead of growing with deg f.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from .errors import InvariantViolationError, RingMismatchError
 from .homs import RingHom
 from .matrices import det, mult_matrix
 from .multipoly import MultiPoly
-from .poly import MonicPoly, Poly
-from .rings import Ring, RingValue, ZZ, _check_rings
+from .poly import MonicPoly, Poly, poly_mod
+from .rings import Ring, RingValue, ZZ
 from .symmetric import SymElem, SymPoly1, diagonal_tensor, sym_char_poly
 
 
@@ -54,8 +58,8 @@ class EvalMap:
 
 def mult_char_poly(f: Poly, modulus: MonicPoly) -> MonicPoly:
     """Characteristic polynomial of multiplication-by-f on A[X]/(F),
-    computed through the symmetric operators of f."""
-    _check_rings(f.ring, modulus.ring)
+    computed through the symmetric operators of f mod F."""
+    f = poly_mod(f, modulus)  # checks the rings
     u = EvalMap(modulus)
     return MonicPoly(u.apply_poly1(sym_char_poly(f, modulus.degree)))
 
@@ -68,8 +72,8 @@ def norm(f: Poly, modulus: MonicPoly) -> RingValue:
 
 def norm_symmetric(f: Poly, modulus: MonicPoly) -> RingValue:
     """The defining route: the evaluation map applied to the diagonal
-    tensor f(X_1)*...*f(X_n)."""
-    _check_rings(f.ring, modulus.ring)
+    tensor of f mod F, (f mod F)(X_1)*...*(f mod F)(X_n)."""
+    f = poly_mod(f, modulus)  # checks the rings
     return EvalMap(modulus)(diagonal_tensor(f, modulus.degree))
 
 

@@ -29,6 +29,9 @@ sends anything else through ring.value, so foreign-ring values are
 still rejected.  Poly._from_payloads is the trusted constructor behind
 the kernels: it takes canonical payloads of the ring unchecked, apart
 from stripping trailing zeros, and is for internal use only.
+Poly._monic_from_values is the trusted constructor behind the census:
+it wraps a tuple of the ring's own values ending in its one as a
+MonicPoly, checking nothing, and is for internal use only.
 """
 
 from __future__ import annotations
@@ -63,6 +66,18 @@ class Poly:
         p.ring = ring
         p.coeffs = tuple(RingValue(ring, c) for c in cs)
         return p
+
+    @classmethod
+    def _monic_from_values(cls, ring: Ring, values: tuple) -> MonicPoly:
+        """A monic polynomial from an ascending tuple of canonical values
+        of ring whose last is its one, unchecked: no coercion, no
+        stripping and no degree or leading-coefficient test."""
+        p = object.__new__(cls)
+        p.ring = ring
+        p.coeffs = values
+        m = object.__new__(MonicPoly)
+        m.poly = p
+        return m
 
     # constructors ---------------------------------------------------
     @classmethod

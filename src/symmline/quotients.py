@@ -9,6 +9,19 @@ generators.  The admissible F are precisely the monic generators of
 ideals with free rank-n quotient, so counting them over GF(q) counts
 the GF(q)-points of the corresponding parameter scheme.
 
+A generator g of degree d >= 1 whose leading coefficient a is a unit
+is decided on its own side of the resultant: with g = a*h, h monic,
+
+    N_F(g) = (-1)^(nd) * a^n * N_h(F),
+
+an identity in the coefficients that holds over every commutative ring,
+so N_F(g) is a unit exactly when N_h(F) is.  When d < n that is a d x d
+determinant instead of an n x n one.  Every other generator (degree 0,
+a leading coefficient that is not a unit, or d >= n) keeps the norm
+N_F(g) itself.  Over GF(q) every nonconstant generator has a unit
+leading coefficient, so the census takes the generator side whenever
+d < n.
+
 free_quotient_oracle decides the same membership by exhaustive search
 for an inverse residue, touching neither norms nor determinants; it is
 the independent route the criterion is tested against.
@@ -62,15 +75,21 @@ def _check_arity(n: int) -> None:
 
 
 class MultSet:
-    """A multiplicatively closed subset of the polynomial ring."""
+    """A multiplicatively closed subset of the polynomial ring.
 
-    __slots__ = ("ring", "kind", "gens", "point")
+    monic_gens holds, for each generator g, its monic associate
+    g / lc(g), built once here; it is None when deg g = 0 or lc(g) is
+    not a unit, and is_free_quotient then uses g itself.
+    """
+
+    __slots__ = ("ring", "kind", "gens", "point", "monic_gens")
 
     def __init__(self, ring: Ring, kind: str, gens=(), point=None):
         self.ring = ring
         self.kind = kind
         self.gens = tuple(gens)
         self.point = point
+        self.monic_gens = tuple(_monic_associate(g) for g in self.gens)
 
     @classmethod
     def trivial(cls, ring: Ring) -> MultSet:
@@ -123,9 +142,24 @@ class MultSet:
         return f"MultSet({self.ring.name}, {self.describe()})"
 
 
+def _monic_associate(g: Poly) -> MonicPoly | None:
+    """g / lc(g) when deg g >= 1 and lc(g) is a unit, else None."""
+    if not g.degree:
+        return None
+    inv = g.leading.try_inverse()
+    return None if inv is None else MonicPoly(g.scale(inv))
+
+
 def is_free_quotient(modulus: MonicPoly, mult_set: MultSet) -> bool:
     """Whether A[X]/(F) maps isomorphically onto A[X]_U/(F): the norm
-    of every element of U is a unit, decided on generators."""
+    of every element of U is a unit, decided on generators in order,
+    stopping at the first that fails.
+
+    A generator with a monic associate h of degree below deg F is
+    decided by whether N_h(F) is a unit, which by the resultant identity
+    in the module docstring is the same question as whether N_F(g) is;
+    any other generator g by N_F(g) itself.
+    """
     ring = modulus.ring
     if ring is not mult_set.ring and ring != mult_set.ring:
         raise RingMismatchError(
@@ -134,7 +168,15 @@ def is_free_quotient(modulus: MonicPoly, mult_set: MultSet) -> bool:
     if mult_set.kind == "trivial":
         return True
     if mult_set.kind == "generated":
-        return all(norm(g, modulus).is_unit() for g in mult_set.gens)
+        n = modulus.degree
+        for g, monic in zip(mult_set.gens, mult_set.monic_gens):
+            if monic is not None and monic.degree < n:
+                unit = norm(modulus.poly, monic).is_unit()
+            else:
+                unit = norm(g, modulus).is_unit()
+            if not unit:
+                return False
+        return True
     if mult_set.kind == "local-at":
         if not ring.is_field:
             raise UnsupportedRingError(
@@ -349,9 +391,17 @@ def count_points(
 
     Candidates are X^n + c_(n-1) X^(n-1) + ... + c_0 with (c_0..c_(n-1))
     running over itertools.product of GF(q)'s residues 0..q-1, so c_0
-    varies slowest and c_(n-1) fastest.  Each passes MonicPoly's checks
-    and is_free_quotient in that order, in one serial loop.  workers
-    is accepted for existing callers and ignored.
+    varies slowest and c_(n-1) fastest.  Each goes to is_free_quotient
+    in that order, in one serial loop.  A candidate is built by the
+    trusted Poly._monic_from_values, since it is canonical by
+    construction: its coefficients are the ring's own values from
+    ring.elements(), and the last is ring.one, so nothing needs
+    coercing or stripping and it is monic of degree n >= 1.  It equals
+    MonicPoly(Poly(ring, ...)) under ==, hash and str.  Generators with
+    a unit leading coefficient (every nonconstant one over GF(q)) and
+    degree below n are decided by a determinant of their own degree;
+    see is_free_quotient.  workers is accepted for existing callers and
+    ignored.
     """
     ring = PrimeField(q)
     if mult_set.ring != ring:
@@ -364,9 +414,10 @@ def count_points(
         raise OracleInfeasibleError(
             f"{q}^{n} polynomials exceed the census bound {bound}"
         )
-    one = ring.one
+    top = (ring.one,)
+    monic = Poly._monic_from_values
     count = 0
     for low in product(ring.elements(), repeat=n):
-        if is_free_quotient(MonicPoly(Poly(ring, low + (one,))), mult_set):
+        if is_free_quotient(monic(ring, low + top), mult_set):
             count += 1
     return count

@@ -234,6 +234,17 @@ def test_huge_exponent_fails_fast(capsys):
     assert "OracleInfeasibleError" in err
 
 
+def test_norm_of_high_degree_f_is_fast(capsys):
+    # the symmetric route reduces f mod F before expanding
+    start = time.perf_counter()
+    code, out, err = invoke(
+        capsys, "norm", "--ring", "ZZ", "--F", "X^4+X+1", "--f", "(X+1)^40"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0, err
+    assert "norm = 1" in out
+
+
 def test_arity_over_bound_fails_fast(capsys):
     # the parsers bind one name per variable, so a huge --n is refused
     # before those names are built

@@ -18,7 +18,7 @@ from symmline.norms import (
 )
 from symmline.oracles import sylvester_matrix, sylvester_resultant
 from symmline.poly import MonicPoly, Poly, PolyRing
-from symmline.rings import GF, Zmod, ZZ
+from symmline.rings import GF, QQ, Zmod, ZZ
 from symmline.sampling import (
     random_monic,
     random_nonzero_poly,
@@ -156,6 +156,49 @@ def test_sylvester_oracle_matches_norm():
         if f.degree < 1:
             continue
         assert norm(f, modulus) == sylvester_resultant(modulus, f)
+
+
+def _random_unit(ring, rng):
+    while True:
+        a = random_value(ring, rng, -2, 2)
+        if a.is_unit():
+            return a
+
+
+def test_norm_generator_side_identity():
+    # g = a*h with a a unit and h monic of degree d >= 1:
+    # N_F(g) = (-1)^(nd) * a^n * N_h(F), the identity behind the
+    # census's generator-side membership test
+    rng = Random(64)
+    for ring in (ZZ, QQ, Zmod(12), GF(7), PolyRing(ZZ, "T")):
+        for _ in range(12):
+            n, d = rng.randint(1, 4), rng.randint(1, 4)
+            modulus = random_monic(ring, rng, n)
+            h = random_monic(ring, rng, d)
+            a = _random_unit(ring, rng)
+            expected = a**n * norm(modulus.poly, h)
+            if n * d % 2:
+                expected = -expected
+            assert norm(h.poly.scale(a), modulus) == expected, (ring, modulus, h, a)
+
+
+def test_symmetric_routes_reduce_high_degree_f():
+    # deg f >= 2 deg F; both symmetric routes reduce f mod F first
+    rng = Random(65)
+    for ring in (ZZ, QQ, Zmod(12), GF(5), PolyRing(ZZ, "T")):
+        for n in (1, 2, 3):
+            modulus = random_monic(ring, rng, n)
+            while True:
+                f = random_poly(ring, rng, 2 * n + 3)
+                if f.degree is not None and f.degree >= 2 * n:
+                    break
+            expected = sylvester_resultant(modulus, f)
+            assert norm(f, modulus) == expected
+            assert norm_symmetric(f, modulus) == expected
+            chi = mult_char_poly(f, modulus)
+            assert chi == char_poly(mult_matrix(f, modulus))
+            constant = chi.poly.coeff(0)
+            assert (constant if n % 2 == 0 else -constant) == expected
 
 
 def test_sylvester_matrix_shape():

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from symmline import quotients
 from symmline.errors import (
     OracleInfeasibleError,
     RingMismatchError,
@@ -24,7 +25,7 @@ from symmline.quotients import (
 )
 from symmline.matrices import companion_matrix, poly_at_matrix, SquareMatrix
 from symmline.norms import norm
-from symmline.poly import MonicPoly, Poly, poly_gcd
+from symmline.poly import MonicPoly, Poly, PolyRing, poly_gcd
 from symmline.rings import GF, QQ, Zmod, ZZ
 from symmline.sampling import (
     random_monic,
@@ -193,14 +194,88 @@ def test_oracle_needs_finite_modular_base():
         free_quotient_oracle(RUNNING, MultSet.generated(Poly.gen(ZZ)))
 
 
+def test_monic_associates():
+    cases = [
+        (Zmod(6), [1, 5], [5, 1]),  # 5 is a unit and its own inverse
+        (Zmod(6), [1, 2], None),  # 2 is a zero divisor
+        (Zmod(6), [3], None),  # degree 0
+        (GF(5), [1, 0, 2], [3, 0, 1]),  # 1/2 = 3
+        (ZZ, [2, -1], [-2, 1]),
+        (ZZ, [1, 2], None),
+        (QQ, [1, 3], [Fraction(1, 3), 1]),
+        (PolyRing(ZZ, "T"), [Poly(ZZ, [0, 1]), -1], [Poly(ZZ, [0, -1]), 1]),
+        (PolyRing(ZZ, "T"), [1, Poly(ZZ, [0, 1])], None),  # lc T
+    ]
+    for ring, coeffs, monic in cases:
+        g = Poly(ring, coeffs)
+        (got,) = MultSet.generated(g).monic_gens
+        assert got == (None if monic is None else MonicPoly(Poly(ring, monic)))
+
+
+def test_membership_side_choice(monkeypatch):
+    # which norm is_free_quotient asks for: the generator side only for a
+    # unit leading coefficient and 1 <= deg g < deg F, else N_F(g)
+    calls = []
+
+    def record(f, modulus):
+        calls.append((f, modulus))
+        return norm(f, modulus)
+
+    monkeypatch.setattr(quotients, "norm", record)
+    for ring, unit, inverse in ((Zmod(6), 5, 5), (GF(5), 2, 3)):
+        x = Poly.gen(ring)
+        one = Poly(ring, [1])
+        modulus = MonicPoly(x**3 + x + one)
+        cases = [
+            (x.scale(unit) + one, (modulus.poly, MonicPoly(x + one.scale(inverse)))),
+            (x * x + one, (modulus.poly, MonicPoly(x * x + one))),
+            (x**3 + x * x + one, None),  # deg g = deg F
+            (x**4 + one, None),  # deg g > deg F
+            (one.scale(unit), None),  # deg g = 0
+        ]
+        if ring == Zmod(6):
+            cases.append((x.scale(2) + one, None))  # lc not a unit
+        for g, generator_side in cases:
+            calls.clear()
+            is_free_quotient(modulus, MultSet.generated(g))
+            assert calls == [generator_side or (g, modulus)], (ring, g)
+
+
+def test_membership_stops_at_first_failing_generator(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        quotients, "norm", lambda f, F: calls.append(f) or norm(f, F)
+    )
+    ring = GF(5)
+    x = Poly.gen(ring)
+    modulus = MonicPoly(x**3)
+    assert not is_free_quotient(modulus, MultSet.generated(x, x + Poly(ring, [1])))
+    assert calls == [modulus.poly]
+
+
 def test_oracle_agrees_with_criterion_small():
-    for ring in (Zmod(4), GF(3)):
-        for modulus in all_monic(ring, 2):
-            for g in all_nonzero_polys(ring, 1):
-                u = MultSet.generated(g)
-                assert is_free_quotient(modulus, u) == free_quotient_oracle(
-                    modulus, u
-                )
+    # every F of degree 1-2 and nonzero g with deg F + deg g <= 3; Zmod:6
+    # and Zmod:8 reach every branch of the criterion: unit and
+    # zero-divisor leading coefficients, deg g below, equal to and above
+    # deg F, and deg g = 0
+    branches = set()
+    for ring in (Zmod(4), GF(3), Zmod(6), Zmod(8)):
+        for deg in (1, 2):
+            gens = list(all_nonzero_polys(ring, 3 - deg))
+            for modulus in all_monic(ring, deg):
+                for g in gens:
+                    u = MultSet.generated(g)
+                    assert is_free_quotient(modulus, u) == free_quotient_oracle(
+                        modulus, u
+                    ), (modulus, g)
+                    monic = u.monic_gens[0]
+                    branches.add(
+                        "degree 0" if g.degree == 0
+                        else "lc not a unit" if monic is None
+                        else "generator side" if g.degree < deg
+                        else "deg g >= deg F"
+                    )
+    assert len(branches) == 4
 
 
 # -------------------------------------------------------------- recover
@@ -449,6 +524,66 @@ def test_coprimality_exhaustive():
                 unit = norm(g, modulus).is_unit()
                 coprime = poly_gcd(modulus.poly, g).degree == 0
                 assert unit == coprime
+
+
+def _census_sets(ring):
+    x = Poly.gen(ring)
+    one = Poly(ring, [1])
+    return [
+        MultSet.trivial(ring),
+        # a unit-lc linear generator and a quadratic with lc -1, so that
+        # both sides of the resultant are taken as n runs over 1..3
+        MultSet.generated(x.scale(-1) + one, one + x - x * x),
+        MultSet.local_at(ring.value(1)),
+        MultSet.all_nonzero(ring),
+    ]
+
+
+def _reference_count(q, n, mult_set):
+    """The census through public constructors and the F-side norm."""
+    ring = GF(q)
+    x = Poly.gen(ring)
+    total = 0
+    for low in product(range(q), repeat=n):
+        modulus = MonicPoly(Poly(ring, list(low) + [1]))
+        if mult_set.kind == "trivial":
+            ok = True
+        elif mult_set.kind == "generated":
+            ok = all(norm(g, modulus).is_unit() for g in mult_set.gens)
+        elif mult_set.kind == "local-at":
+            ok = modulus.poly == (x - Poly(ring, [mult_set.point])) ** n
+        else:  # F itself lies in the set
+            ok = norm(modulus.poly, modulus).is_unit()
+        total += ok
+    return total
+
+
+def test_count_candidate_stream(monkeypatch):
+    seen = []
+    real = quotients.is_free_quotient
+
+    def record(modulus, mult_set):
+        seen.append(modulus)
+        return real(modulus, mult_set)
+
+    monkeypatch.setattr(quotients, "is_free_quotient", record)
+    for q in (2, 3, 5):
+        ring = GF(q)
+        for n in (1, 2, 3):
+            # c_0 slowest, c_(n-1) fastest
+            expected = [
+                MonicPoly(Poly(ring, list(low) + [1]))
+                for low in product(range(q), repeat=n)
+            ]
+            for mult_set in _census_sets(ring):
+                seen.clear()
+                count = count_points(q, n, mult_set)
+                assert all(type(c) is MonicPoly for c in seen)
+                assert seen == expected
+                assert list(map(hash, seen)) == list(map(hash, expected))
+                assert list(map(str, seen)) == list(map(str, expected))
+                assert [c.degree for c in seen] == [n] * q**n
+                assert count == _reference_count(q, n, mult_set)
 
 
 def test_count_requires_prime_q():
