@@ -4,6 +4,11 @@ Every verb prints human-readable text by default, or one JSON object
 with stable field names {verb, inputs, result, oracle, elapsed_ms}
 under --json.  Exit status: 0 success, 1 domain error (the library
 error class name is printed), 2 parse error.
+
+A process has one argument parser, built by the first build_parser()
+call and returned by every later one; nothing builds it at import.
+parse_args never mutates it, so each call's state lives only in the
+Namespace it returns, and in-process callers of run() share the parser.
 """
 
 from __future__ import annotations
@@ -13,8 +18,9 @@ import json
 import sys
 import time
 
-from .errors import ParseError, SymmlineError
+from .errors import OracleInfeasibleError, ParseError, SymmlineError
 from .quotients import (
+    ARITY_BOUND,
     MultSet,
     addition_map,
     count_points,
@@ -74,12 +80,21 @@ def parse_multset(text: str, ring) -> MultSet:
 
 
 def _parse_matrix(text: str, ring) -> SquareMatrix:
-    rows = []
+    """The matrix 'a,b;c,d'.  Its size is checked against ARITY_BOUND
+    before any entry is parsed: recover returns a monic F of that degree,
+    and ARITY_BOUND caps deg F for norm, charpoly and push-norm."""
+    texts = []
     for row_text in text.split(";"):
         entries = [e for e in row_text.split(",") if e.strip()]
         if not entries:
             raise ParseError("empty matrix row")
-        rows.append([parse_scalar(e, ring) for e in entries])
+        texts.append(entries)
+    size = max(len(texts), max(len(entries) for entries in texts))
+    if size > ARITY_BOUND:
+        raise OracleInfeasibleError(
+            f"matrix size {size} exceeds the arity bound {ARITY_BOUND}"
+        )
+    rows = [[parse_scalar(e, ring) for e in entries] for entries in texts]
     return SquareMatrix(ring, rows)
 
 
@@ -305,7 +320,18 @@ _INPUT_FLAGS = ("ring", "F", "f", "P", "Q", "n", "expr", "multset", "matrix",
                 "to", "eval", "seed")
 
 
+_PARSER = None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _new_parser()
+    return _PARSER
+
+
+def _new_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symmline",
         description="Exact symmetric-tensor algebra on the line: norms,"

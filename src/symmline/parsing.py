@@ -12,11 +12,13 @@ unary minus above * above binary +/-):
     atom   := integer | name | '(' expr ')'
 
 Exponents must be nonnegative integer literals.  Before anything is
-evaluated, the degree the result can reach, counting every integer
-literal as degree 1 like a name (so that 2^k grows like X^k), must stay
-within quotients.DEGREE_BOUND, and the number of variables X1..Xn or
-e1..en, each a name bound before parsing, within quotients.ARITY_BOUND;
-a larger one raises OracleInfeasibleError.  Which names resolve
+evaluated, the degree every subexpression can reach, counting every
+integer literal as degree 1 like a name (so that 2^k grows like X^k),
+must stay within quotients.DEGREE_BOUND; the term products (products of
+two coefficients) that evaluating the whole expression can make, within
+quotients.TERM_PRODUCT_BOUND; and the number of variables X1..Xn or
+e1..en, each a name bound before parsing, within quotients.ARITY_BOUND.
+A larger one raises OracleInfeasibleError.  Which names resolve
 depends on the context: X for univariate polynomials, X1..Xn for
 multivariate ones, e1..en for elements of the symmetric ring (plus X
 again for polynomials over it), and the tower variables of the
@@ -26,11 +28,12 @@ coefficient ring everywhere.
 from __future__ import annotations
 
 import re
+from math import comb
 
 from .errors import OracleInfeasibleError, ParseError
 from .multipoly import MultiPoly
 from .poly import Poly, PolyRing, tower_constants
-from .quotients import DEGREE_BOUND, _check_arity
+from .quotients import DEGREE_BOUND, TERM_PRODUCT_BOUND, _check_arity
 from .rings import GF, QQ, Ring, Zmod, ZZ, is_prime
 from .symmetric import SymElem, SymPoly1
 
@@ -132,19 +135,77 @@ class _Parser:
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
 
 
-def _degree(node) -> int:
-    """A bound on the degree of node's value in all names together, with
-    integer literals counted as degree 1."""
+def _bounds(node, sparse):
+    """(degree, names, terms, products) for node's value: a bound on its
+    degree in all names together, with integer literals counted as
+    degree 1; the names it uses; a bound on its number of terms in the
+    names of sparse; and a bound on the term products that evaluating it
+    makes (see _slots).  _eval evaluates every subtree, so the degree
+    budget holds for each of them: (X^99999999)^0 is refused."""
     kind = node[0]
-    if kind in ("int", "var"):
-        return 1
+    if kind == "int":
+        return 1, frozenset(), 1, 0
+    if kind == "var":
+        return 1, frozenset((node[1],)), 1, 0
     if kind == "neg":
-        return _degree(node[1])
+        return _bounds(node[1], sparse)
     if kind == "pow":
-        return _degree(node[1]) * node[2]
+        degree, names, terms, products = _bounds(node[1], sparse)
+        k = node[2]
+        _check_degree(degree * k)
+        n_sparse = len(names & sparse)
+
+        def power_terms(j):
+            return min(_monomials(j * degree, n_sparse), comb(terms + j - 1, j))
+
+        def slots(j):
+            return _slots(j * degree, names, power_terms(j), sparse)
+
+        done, base = 0, 1
+        # the products of rings._power, which squares only while bits remain
+        while True:
+            if k & 1:
+                products += slots(done) * slots(base)
+                done += base
+            k >>= 1
+            if not k:
+                return degree * node[2], names, power_terms(done), products
+            products += slots(base) ** 2
+            base *= 2
+    d1, names1, t1, p1 = _bounds(node[1], sparse)
+    d2, names2, t2, p2 = _bounds(node[2], sparse)
+    names = names1 | names2
+    n_sparse = len(names & sparse)
     if kind == "mul":
-        return _degree(node[1]) + _degree(node[2])
-    return max(_degree(node[1]), _degree(node[2]))
+        degree = _check_degree(d1 + d2)
+        products = _slots(d1, names1, t1, sparse) * _slots(d2, names2, t2, sparse)
+        terms = min(t1 * t2, _monomials(degree, n_sparse))
+        return degree, names, terms, p1 + p2 + products
+    degree = max(d1, d2)
+    return degree, names, min(t1 + t2, _monomials(degree, n_sparse)), p1 + p2
+
+
+def _slots(degree: int, names, terms: int, sparse) -> int:
+    """A bound on the coefficient slots of a value.  Each of its terms in
+    the names of sparse (X1..Xn, e1..en, and the X of a SymPoly1, whose
+    coefficients are sparse) holds a dense array of payloads over its
+    other names (the X of a Poly, tower variables), zeros included.
+    Multiplying two values makes at most the product of their slot
+    counts term products."""
+    return terms * _monomials(degree, len(names - sparse))
+
+
+def _monomials(degree: int, count: int) -> int:
+    """The number of monomials in count names of total degree at most degree."""
+    return comb(degree + count, count)
+
+
+def _check_degree(degree: int) -> int:
+    if degree > DEGREE_BOUND:
+        raise OracleInfeasibleError(
+            f"expression degree {degree} exceeds the degree bound {DEGREE_BOUND}"
+        )
+    return degree
 
 
 def _eval(node, env, embed_int):
@@ -203,14 +264,16 @@ def _ring_int(digits: str, whole: str) -> int:
     return value
 
 
-def _parse(text: str, ring: Ring, names: dict, lift):
+def _parse(text: str, ring: Ring, names: dict, lift, sparse=frozenset()):
     """Evaluate text with names, then ring's tower variables bound after
-    them; lift carries tower constants and integer literals to the target."""
+    them; lift carries tower constants and integer literals to the target.
+    The values are sparse in the names of sparse (see _slots)."""
     tree = _Parser(text).parse()
-    degree = _degree(tree)
-    if degree > DEGREE_BOUND:
+    products = _bounds(tree, sparse)[3]
+    if products > TERM_PRODUCT_BOUND:
         raise OracleInfeasibleError(
-            f"expression degree {degree} exceeds the degree bound {DEGREE_BOUND}"
+            f"expression needs up to {products} term products, over the"
+            f" bound {TERM_PRODUCT_BOUND}"
         )
     env = dict(names)
     for name, v in tower_constants(ring).items():
@@ -231,13 +294,17 @@ def parse_multipoly(text: str, ring: Ring, nvars: int) -> MultiPoly:
     names = {
         f"X{k}": MultiPoly.variable(k, nvars, ring) for k in range(1, nvars + 1)
     }
-    return _parse(text, ring, names, lambda k: MultiPoly.constant(ring, nvars, k))
+    return _parse(
+        text, ring, names, lambda k: MultiPoly.constant(ring, nvars, k), frozenset(names)
+    )
 
 
 def parse_symelem(text: str, ring: Ring, arity: int) -> SymElem:
     _check_arity(arity)
     names = {f"e{k}": SymElem.e(k, arity, ring) for k in range(1, arity + 1)}
-    return _parse(text, ring, names, lambda k: SymElem.constant(ring, arity, k))
+    return _parse(
+        text, ring, names, lambda k: SymElem.constant(ring, arity, k), frozenset(names)
+    )
 
 
 def parse_sympoly1(text: str, ring: Ring, arity: int) -> SymPoly1:
@@ -247,5 +314,8 @@ def parse_sympoly1(text: str, ring: Ring, arity: int) -> SymPoly1:
         for k in range(1, arity + 1)
     }
     names["X"] = SymPoly1.x(ring, arity)
-    # the constructor lifts a scalar k through SymElem.constant
-    return _parse(text, ring, names, lambda k: SymPoly1(ring, arity, (k,)))
+    # the constructor lifts a scalar k through SymElem.constant; the
+    # coefficients of X are sparse, so X counts as a sparse name
+    return _parse(
+        text, ring, names, lambda k: SymPoly1(ring, arity, (k,)), frozenset(names)
+    )

@@ -62,11 +62,13 @@ from .symmetric import (
 # OracleInfeasibleError: residues the membership oracle may try, monic
 # candidates the census may enumerate, the arity of the symmetric-basis
 # kernels (which grow process-global caches) and of parsed expressions,
-# and the degree of a parsed expression
+# the degree of every subexpression of a parsed expression, and the
+# term-by-term products its evaluation may make
 ORACLE_SEARCH_BOUND = 100_000
 CENSUS_BOUND = 1_000_000
 ARITY_BOUND = 10
 DEGREE_BOUND = 100
+TERM_PRODUCT_BOUND = 100_000
 
 
 def _check_arity(n: int) -> None:

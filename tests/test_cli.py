@@ -7,9 +7,13 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import symmline
+from symmline import cli, quotients
 from symmline.cli import build_parser, run
 from symmline.quotients import ARITY_BOUND
+from symmline.selftest import DEFAULT_SEED
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -225,13 +229,16 @@ def test_unsupported_error_exit_code(capsys):
 
 
 def test_huge_exponent_fails_fast(capsys):
-    start = time.perf_counter()
-    code, out, err = invoke(
-        capsys, "norm", "--ring", "ZZ", "--F", "X^2+1", "--f", "X^99999999"
-    )
-    assert time.perf_counter() - start < 1.0
-    assert code == 1
-    assert "OracleInfeasibleError" in err
+    for argv in (
+        ("norm", "--ring", "ZZ", "--F", "X^2+1", "--f", "X^99999999"),
+        # degree 64 is within DEGREE_BOUND, but not the term products
+        ("decompose", "--ring", "ZZ", "--n", "3", "--expr", "(X1+X2+X3+1)^64"),
+    ):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "OracleInfeasibleError" in err
 
 
 def test_norm_of_high_degree_f_is_fast(capsys):
@@ -260,6 +267,35 @@ def test_arity_over_bound_fails_fast(capsys):
             assert code == 1, argv
             assert "OracleInfeasibleError" in err
     assert time.perf_counter() - start < 1.0
+
+
+def _matrix_text(n):
+    return ";".join(
+        ",".join(str((i * n + j) % 7 - 3) for j in range(n)) for i in range(n)
+    )
+
+
+def test_recover_size_bound(capsys):
+    start = time.perf_counter()
+    code, out, err = invoke(
+        capsys, "recover", "--ring", "ZZ",
+        f"--matrix={_matrix_text(ARITY_BOUND + 1)}",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert "OracleInfeasibleError" in err
+    # a single row longer than the bound is refused before its entries
+    code, out, err = invoke(
+        capsys, "recover", "--ring", "ZZ",
+        "--matrix", ",".join(["1"] * (ARITY_BOUND + 1)),
+    )
+    assert code == 1
+    assert "OracleInfeasibleError" in err
+    code, out, err = invoke(
+        capsys, "recover", "--ring", "ZZ", f"--matrix={_matrix_text(ARITY_BOUND)}"
+    )
+    assert code == 0, err
+    assert f"X^{ARITY_BOUND} " in out
 
 
 def test_selftest_deterministic(capsys):
@@ -325,18 +361,106 @@ def test_readme_cli_block_runs(capsys):
     assert verbs == set(sub.choices)
 
 
-def test_import_skips_thread_pool_and_logging():
+def _probe(script):
+    """The stdout of script run by a fresh interpreter on this source tree."""
     src = str(Path(symmline.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    probe = (
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+
+
+def test_import_skips_thread_pool_and_logging():
+    out = _probe(
         "import sys, symmline; "
         "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
-    ).stdout
     assert out.strip() == "[]"
+
+
+def test_parser_built_once_per_process():
+    # counts ArgumentParser constructions (the subparsers included) in a
+    # fresh process: none at import, all of them during the first call
+    out = _probe("""
+import argparse, contextlib, io, json
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+from symmline import cli
+counts, codes = [len(built)], []
+for argv in (["norm", "--ring", "ZZ", "--F", "X^2+1", "--f", "X"],
+             ["sym-ops", "--ring", "ZZ", "--f", "X^2", "--n", "2"],
+             ["count", "--ring", "GF:3", "--n", "2", "--multset", "trivial"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.run(argv))
+    counts.append(len(built))
+print(json.dumps([counts, codes]))
+""")
+    counts, codes = json.loads(out)
+    assert codes == [0, 0, 0]
+    assert counts[0] == 0
+    assert counts[1] > 1  # the top parser and its subparsers
+    assert counts[1] == counts[2] == counts[3]
+
+
+def _json_without_timing(capsys, argv):
+    """Exit status and parsed --json output, minus every elapsed_ms."""
+    code, out, err = invoke(capsys, *argv, "--json")
+    payload = json.loads(out) if out else None
+    if payload is not None:
+        payload.pop("elapsed_ms")
+        if isinstance(payload["result"], dict):
+            payload["result"].pop("elapsed_ms", None)
+    return code, payload
+
+
+def test_shared_parser_keeps_no_state(capsys, monkeypatch):
+    calls = [
+        ("push-norm", "--ring", "ZZ", "--to", "Zmod:12",
+         "--F", "X^2-3*X+2", "--f", "X"),
+        ("push-norm", "--ring", "Poly:ZZ:T", "--eval", "2",
+         "--F", "X-T", "--f", "X"),
+        ("selftest", "--seed", "3"),
+        ("selftest",),
+        ("count", "--ring", "GF:3", "--n", "2", "--multset", "gens:X"),
+    ]
+    parser = build_parser()
+    shared = [_json_without_timing(capsys, argv) for argv in calls]
+    with pytest.raises(SystemExit) as exc:
+        run(["norm", "--ring", "ZZ", "--F", "X^2+1"])  # --f is missing
+    assert exc.value.code == 2
+    capsys.readouterr()
+    shared.append(_json_without_timing(capsys, calls[0]))
+    assert build_parser() is parser
+
+    assert "to" not in shared[1][1]["inputs"]
+    assert shared[2][1]["inputs"]["seed"] == 3
+    assert shared[3][1]["inputs"]["seed"] == DEFAULT_SEED
+    for argv, got in zip(calls + calls[:1], shared):
+        monkeypatch.setattr(cli, "_PARSER", None)
+        assert got == _json_without_timing(capsys, argv), argv
+        assert cli._PARSER is not parser
+
+
+def _readme_budget_list():
+    """The README's list of work budgets, under 'Oversized input'."""
+    text = README.read_text()
+    return text.split("Oversized input", 1)[1].split("\n\n`selftest`", 1)[0]
+
+
+def test_readme_names_every_bound():
+    budgets = _readme_budget_list()
+    bounds = {
+        name: value for name, value in vars(quotients).items()
+        if name.endswith("_BOUND") and isinstance(value, int)
+    }
+    assert "TERM_PRODUCT_BOUND" in bounds
+    for name, value in bounds.items():
+        assert f"`{name} = {value:_}`" in budgets, name

@@ -2,6 +2,7 @@ from random import Random
 
 import pytest
 
+from symmline import parsing
 from symmline.errors import OracleInfeasibleError, ParseError
 from symmline.parsing import (
     parse_multipoly,
@@ -12,7 +13,7 @@ from symmline.parsing import (
     parse_sympoly1,
 )
 from symmline.poly import Poly, PolyRing
-from symmline.quotients import DEGREE_BOUND
+from symmline.quotients import DEGREE_BOUND, TERM_PRODUCT_BOUND
 from symmline.rings import GF, QQ, Zmod, ZZ
 from symmline.sampling import random_poly, random_symelem
 from symmline.symmetric import SymElem, SymPoly1
@@ -95,6 +96,7 @@ def test_degree_bound_is_checked_before_evaluating():
         (parse_poly, f"X^{b + 1}", ZZ),
         (parse_poly, "X^99999999", ZZ),
         (parse_poly, f"X^{b} * X", ZZ),
+        (parse_poly, f"(X^{b + 1})^0", ZZ),  # every subexpression counts
         (parse_poly, f"(X^{b})^{b}", Zmod(12)),
         (parse_scalar, f"2^{b + 1}", ZZ),  # literals count as degree 1
         (parse_scalar, f"(T^2)^{b}", tower),
@@ -105,6 +107,59 @@ def test_degree_bound_is_checked_before_evaluating():
     for parse, text, ring in over:
         with pytest.raises(OracleInfeasibleError):
             parse(text, ring)
+
+
+def _names(prefix, n):
+    return frozenset(f"{prefix}{k}" for k in range(1, n + 1))
+
+
+def _bounds(text, sparse):
+    return parsing._bounds(parsing._Parser(text).parse(), sparse)
+
+
+def test_term_products_bound_the_work(monkeypatch):
+    # every coefficient product of an evaluation over ZZ or a tower on ZZ
+    # is one ZZ._mul call
+    calls = []
+    mul = ZZ._mul
+    monkeypatch.setitem(vars(ZZ), "_mul", lambda a, b: calls.append(1) or mul(a, b))
+    tower = PolyRing(ZZ, "T")
+    cases = [
+        (parse_poly, "(X + 1)^50 * X^50", ZZ, frozenset()),
+        (parse_poly, "(T*X + 2*T - X + 1)^20", tower, frozenset()),
+        (lambda t, r: parse_multipoly(t, r, 3), "(X1 + X2 + X3 + 1)^13", ZZ,
+         _names("X", 3)),
+        (lambda t, r: parse_multipoly(t, r, 3), "(X1*X2 - 3*X3)^7 * (X1 + T)^5",
+         tower, _names("X", 3)),
+        (lambda t, r: parse_symelem(t, r, 4), "(e1 + e2*e3 + e4)^9 - e1^20", ZZ,
+         _names("e", 4)),
+        (lambda t, r: parse_sympoly1(t, r, 2), "(e1*X + e2 + X^2)^8 * (X - e1)^3",
+         ZZ, _names("e", 2)),
+    ]
+    for parse, text, ring, sparse in cases:
+        del calls[:]
+        value = parse(text, ring)
+        _, _, terms, products = _bounds(text, sparse)
+        assert 0 < len(calls) <= products <= TERM_PRODUCT_BOUND, text
+        if sparse and not isinstance(value, SymPoly1):
+            assert len(value.terms) <= terms, text
+
+
+def test_term_budget_is_checked_before_evaluating():
+    tower = PolyRing(ZZ, "T")
+    cubic = "(X1 + X2 + X3 + 1)^"
+    assert _bounds(cubic + "64", _names("X", 3))[3] > TERM_PRODUCT_BOUND
+    over = [
+        (lambda t, r: parse_multipoly(t, r, 3), cubic + "64", ZZ),
+        (lambda t, r: parse_multipoly(t, r, 10), "(X1+X2+X3+X4+X5+X6)^40", QQ),
+        (lambda t, r: parse_symelem(t, r, 3), "(e1 + e2 + e3 + 1)^64", GF(5)),
+        (lambda t, r: parse_sympoly1(t, r, 3), "(e1 + e2 + e3 + X)^64", ZZ),
+        (parse_poly, "(X + T + 1)^50 * (X - T)^50", PolyRing(tower, "S")),
+    ]
+    for parse, text, ring in over:
+        with pytest.raises(OracleInfeasibleError, match="term products"):
+            parse(text, ring)
+    assert len(parse_multipoly(cubic + "12", ZZ, 3).terms) == 455
 
 
 def test_poly_render_parse_roundtrip():
