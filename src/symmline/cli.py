@@ -35,7 +35,7 @@ from .multipoly import MultiPoly
 from .norms import (
     mult_char_poly,
     norm,
-    norm_symmetric,
+    norm_checked,
     push_norm,
     resultant_symmetry_check,
 )
@@ -101,17 +101,11 @@ def _parse_matrix(text: str, ring) -> SquareMatrix:
 def _cmd_norm(args):
     ring = parse_ring(args.ring)
     modulus = _monic(args.F, ring)
-    f = parse_poly(args.f, ring)
-    matrix_route = norm(f, modulus)
-    symmetric_route = norm_symmetric(f, modulus)
-    if matrix_route != symmetric_route:
-        raise InvariantViolationError(
-            f"norm routes disagree: {matrix_route} vs {symmetric_route}"
-        )
+    value = str(norm_checked(parse_poly(args.f, ring), modulus))
     return (
-        str(matrix_route),
-        {"matrix": str(matrix_route), "symmetric": str(symmetric_route)},
-        [f"norm = {matrix_route}", "matrix and symmetric routes agree"],
+        value,
+        {"matrix": value, "symmetric": value},
+        [f"norm = {value}", "matrix and symmetric routes agree"],
     )
 
 
@@ -161,12 +155,12 @@ def _cmd_resultant_check(args):
     first = _monic(args.P, ring)
     second = _monic(args.Q, ring)
     holds = resultant_symmetry_check(first, second)
-    lhs = norm(second.poly, first)
-    rhs = norm(first.poly, second)
+    lhs = norm(second, first)
+    rhs = norm(first, second)
     oracle = {
         "N_P(Q)": str(lhs),
         "N_Q(P)": str(rhs),
-        "sylvester_N_P(Q)": str(sylvester_resultant(first, second.poly)),
+        "sylvester_N_P(Q)": str(sylvester_resultant(first, second)),
     }
     lines = [
         f"symmetry holds: {_bool(holds)}",

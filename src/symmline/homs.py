@@ -76,7 +76,7 @@ class RingHom:
         return Poly(self.target, [self(c) for c in f.coeffs])
 
     def map_monic(self, f: MonicPoly) -> MonicPoly:
-        return MonicPoly(self.map_poly(f.poly))
+        return MonicPoly(self.map_poly(f))
 
     def describe(self) -> str:
         if self.rule == "eval":

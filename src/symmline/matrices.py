@@ -5,9 +5,10 @@ operations, no divisions), so it is correct over rings with zero
 divisors such as Zmod(12) where fraction-free elimination breaks.
 det is read off the characteristic polynomial's constant term.
 
-char_poly and mult_matrix unwrap their inputs to payloads once, loop on
-the payloads, and wrap the result once.  The Berkowitz kernel needs
-payloads with native + - *; each ring reaches it by its own lift:
+char_poly and mult_matrix read the payloads their inputs store, loop on
+them, and store the result's payloads as they are.  The Berkowitz
+kernel needs payloads with native + - *; each ring reaches it by its
+own lift:
 
     ZZ        the int entries themselves.
     Zmod, GF  the int residues, reduced mod m after every dot product
@@ -25,11 +26,14 @@ payloads with native + - *; each ring reaches it by its own lift:
 mult_matrix reduces f mod F once and gets each next column from the
 monic recurrence col_(j+1) = X*col_j - top(col_j)*F, since multiplying
 by X and reducing mod a monic F needs one multiple of F per column.
-A SquareMatrix stores one form, rows of canonical payloads.  The
-constructor checks each entry through ring.value and keeps its payload;
-rows, entry and column wrap payloads in ring values when read; +, -, *
-and scale run on payloads with the ring's _add, _neg and _mul.  So
-norm = det(mult_matrix(f, F)) hands payloads straight to char_poly.
+Every container of the library stores one form, canonical payloads:
+a SquareMatrix its rows, a Poly its coefficients and a MultiPoly or
+SymElem its terms.  The SquareMatrix constructor checks each entry
+through ring.value and keeps its payload; rows, entry and column wrap
+payloads in ring values when read; +, -, * and scale run on payloads
+with the ring's _add, _neg and _mul.  So norm = det(mult_matrix(f, F))
+hands the payloads of f and F straight through to char_poly, which
+stores the Berkowitz coefficients as the payloads of its MonicPoly.
 """
 
 from __future__ import annotations
@@ -165,7 +169,7 @@ def char_poly(m: SquareMatrix) -> MonicPoly:
         ]
     else:  # ZZ and Poly towers: payloads with native + - *
         coeffs = _berkowitz(a, ring._from_int(1), ring._from_int(0))
-    return MonicPoly(Poly._from_payloads(ring, reversed(coeffs)))
+    return MonicPoly._from_monic_payloads(ring, tuple(reversed(coeffs)))
 
 
 def _berkowitz(a, one, zero=0, modulus=0):
@@ -201,7 +205,7 @@ def _berkowitz(a, one, zero=0, modulus=0):
 
 def det(m: SquareMatrix) -> RingValue:
     """(-1)^n times the constant term of char_poly(m)."""
-    constant = char_poly(m).poly.coeff(0)
+    constant = char_poly(m).coeff(0)
     return constant if m.n % 2 == 0 else -constant
 
 
@@ -221,9 +225,9 @@ def mult_matrix(f: Poly, modulus: MonicPoly) -> SquareMatrix:
     add, mul, neg = ring._add, ring._mul, ring._neg
     zero = ring._from_int(0)
     # x^n = sum_i low[i] x^i mod F
-    low = [neg(c.payload) for c in modulus.poly.coeffs[:n]]
-    rem = poly_divmod(f, modulus)[1]
-    col = [rem.coeff(i).payload for i in range(n)]
+    low = [neg(c) for c in modulus._payload_coeffs[:n]]
+    rem = poly_divmod(f, modulus)[1]._payload_coeffs
+    col = list(rem) + [zero] * (n - len(rem))
     cols = [col]
     for _ in range(n - 1):
         top = col[-1]

@@ -7,17 +7,20 @@ which is the order the symmetric decomposition algorithm relies on.
 MultiPoly and symmetric.SymElem, whose exponent tuples count powers of
 e_1..e_n, are the two kinds of _SparsePoly and share its body: term
 validation, the ring and arity check, and add, multiply, negate and
-scale on payloads with the ring's _add/_mul/_neg.  Each operation reads
-the terms once and wraps its result once through the trusted
+scale with the ring's _add/_mul/_neg.  A _SparsePoly stores one form, a
+map from exponent tuples to nonzero canonical payloads of its ring, and
+terms wraps them in ring values each time it is read.  Each operation
+runs on the stored payloads and builds its result through the trusted
 _from_payloads, which takes canonical payloads of the ring unchecked,
 apart from dropping zeros, and is for internal use only; the public
 constructors validate every exponent and coefficient.  _sparse_eval
-evaluates with one power table per value.  It takes the algebra to work
-in as arguments, so MultiPoly.evaluate and SymElem.substitute run it on
-payloads, and SymElem.expand, SymPoly1.expand and the addition and
-section maps of quotients run it on polynomials.  MultiPoly names its
-arithmetic in its own class body because perfbench/tracer.py spans
-those methods by reading MultiPoly.__dict__; its arity is also nvars.
+evaluates a map of payloads with one power table per value.  It takes
+the algebra to work in as arguments, so MultiPoly.evaluate and
+SymElem.substitute run it on payloads, and SymElem.expand,
+SymPoly1.expand and the addition and section maps of quotients run it
+on polynomials.  MultiPoly names its arithmetic and evaluate in its own
+class body because perfbench/tracer.py spans those methods by reading
+MultiPoly.__dict__; its arity is also nvars.
 """
 
 from __future__ import annotations
@@ -30,26 +33,27 @@ from .rings import Ring, RingValue, _check_rings, _power
 
 
 class _SparsePoly:
-    """A sparse polynomial over a ring: terms map exponent tuples of one
-    length, the arity, to nonzero values.  MultiPoly and SymElem are its
-    two kinds and share this body."""
+    """A sparse polynomial over a ring: _payload_terms maps exponent
+    tuples of one length, the arity, to nonzero canonical payloads.
+    MultiPoly and SymElem are its two kinds and share this body."""
 
-    __slots__ = ("ring", "arity", "terms")
+    __slots__ = ("ring", "arity", "_payload_terms")
 
     def _validate(self, ring: Ring, arity: int, terms, label: str):
         """Set the fields from a map exponent vector -> value, checking
         every exponent and coefficient and dropping zeros."""
         clean = {}
+        zero = ring._from_int(0)
         for expo, c in (terms or {}).items():
             expo = tuple(expo)
             if len(expo) != arity or any(e < 0 for e in expo):
                 raise ValueError(f"bad {label} vector {expo}")
-            c = ring.value(c)
-            if not c.is_zero:
+            c = ring.value(c).payload
+            if c != zero:
                 clean[expo] = c
         self.ring = ring
         self.arity = arity
-        self.terms = clean
+        self._payload_terms = clean
 
     @classmethod
     def _from_payloads(cls, ring: Ring, arity: int, payloads):
@@ -59,7 +63,7 @@ class _SparsePoly:
         s = object.__new__(cls)
         s.ring = ring
         s.arity = arity
-        s.terms = {e: RingValue(ring, c) for e, c in payloads.items() if c != zero}
+        s._payload_terms = {e: c for e, c in payloads.items() if c != zero}
         return s
 
     # constructors ---------------------------------------------------
@@ -73,8 +77,13 @@ class _SparsePoly:
 
     # structure ------------------------------------------------------
     @property
+    def terms(self) -> dict[tuple, RingValue]:
+        ring = self.ring
+        return {e: RingValue(ring, c) for e, c in self._payload_terms.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._payload_terms
 
     def _check(self, other):
         _check_rings(self.ring, other.ring)
@@ -85,15 +94,15 @@ class _SparsePoly:
     def __add__(self, other):
         self._check(other)
         add = self.ring._add
-        out = {e: c.payload for e, c in self.terms.items()}
-        for expo, c in other.terms.items():
+        out = dict(self._payload_terms)
+        for expo, c in other._payload_terms.items():
             cur = out.get(expo)
-            out[expo] = c.payload if cur is None else add(cur, c.payload)
+            out[expo] = c if cur is None else add(cur, c)
         return self._from_payloads(self.ring, self.arity, out)
 
     def __neg__(self):
         neg = self.ring._neg
-        out = {e: neg(c.payload) for e, c in self.terms.items()}
+        out = {e: neg(c) for e, c in self._payload_terms.items()}
         return self._from_payloads(self.ring, self.arity, out)
 
     def __sub__(self, other):
@@ -102,10 +111,9 @@ class _SparsePoly:
     def __mul__(self, other):
         self._check(other)
         add, mul = self.ring._add, self.ring._mul
-        right = [(e, c.payload) for e, c in other.terms.items()]
+        right = other._payload_terms.items()
         out: dict[tuple, object] = {}
-        for e1, c1 in self.terms.items():
-            c1 = c1.payload
+        for e1, c1 in self._payload_terms.items():
             for e2, c2 in right:
                 expo = tuple(map(operator.add, e1, e2))
                 p = mul(c1, c2)
@@ -116,16 +124,21 @@ class _SparsePoly:
     def scale(self, c):
         c = self.ring.value(c).payload
         mul = self.ring._mul
-        out = {e: mul(c, v.payload) for e, v in self.terms.items()}
+        out = {e: mul(c, v) for e, v in self._payload_terms.items()}
         return self._from_payloads(self.ring, self.arity, out)
 
     def __pow__(self, k: int):
         return _power(self, k, self.constant(self.ring, self.arity, 1))
 
     def _at(self, values) -> RingValue:
-        """The value at a point given as payloads, one per variable."""
+        """The value with the i-th variable (X_i of a MultiPoly, e_i of a
+        SymElem) replaced by values[i-1]."""
         ring = self.ring
-        acc = _sparse_eval(ring, self.terms, values, _payload, ring._add, ring._mul)
+        values = [ring.value(v).payload for v in values]
+        if len(values) != self.arity:
+            raise ValueError(f"need {self.arity} values, got {len(values)}")
+        terms = self._payload_terms
+        acc = _sparse_eval(ring, terms, values, _same, ring._add, ring._mul)
         return RingValue(ring, acc)
 
     def __eq__(self, other):
@@ -134,11 +147,11 @@ class _SparsePoly:
         return (
             (self.ring is other.ring or self.ring == other.ring)
             and self.arity == other.arity
-            and self.terms == other.terms
+            and self._payload_terms == other._payload_terms
         )
 
     def __hash__(self):
-        return hash((self.ring, self.arity, frozenset(self.terms.items())))
+        return hash((self.ring, self.arity, frozenset(self._payload_terms.items())))
 
 
 class MultiPoly(_SparsePoly):
@@ -157,6 +170,7 @@ class MultiPoly(_SparsePoly):
     __mul__ = _SparsePoly.__mul__
     __pow__ = _SparsePoly.__pow__
     scale = _SparsePoly.scale
+    evaluate = _SparsePoly._at
 
     @property
     def nvars(self) -> int:
@@ -170,25 +184,20 @@ class MultiPoly(_SparsePoly):
         expo = tuple(1 if k == i - 1 else 0 for k in range(nvars))
         return cls(ring, nvars, {expo: 1})
 
-    def evaluate(self, values) -> RingValue:
-        values = [self.ring.value(v).payload for v in values]
-        if len(values) != self.arity:
-            raise ValueError("wrong number of values")
-        return self._at(values)
-
     # rendering ------------------------------------------------------
     def __str__(self):
-        return render_terms(self.ring, self.terms, lambda i: f"X{i + 1}")
+        return render_terms(self.ring, self._payload_terms, lambda i: f"X{i + 1}")
 
     def __repr__(self):
         return f"MultiPoly({self.ring.name}, n={self.arity}, {self})"
 
 
 def render_terms(ring: Ring, terms, varname) -> str:
-    """Shared renderer for MultiPoly and the e-basis; descending lex."""
+    """Shared renderer for MultiPoly and the e-basis, from a map of
+    payloads; descending lex."""
     return _render_sum(
         (
-            *_signed_text(ring, terms[expo].payload),
+            *_signed_text(ring, terms[expo]),
             "*".join(
                 varname(i) if e == 1 else f"{varname(i)}^{e}"
                 for i, e in enumerate(expo)
@@ -205,11 +214,11 @@ def apply_permutation(perm, m: MultiPoly) -> MultiPoly:
     if sorted(perm) != list(range(m.nvars)):
         raise ValueError(f"not a permutation of 0..{m.nvars - 1}: {perm}")
     out = {}
-    for expo, c in m.terms.items():
+    for expo, c in m._payload_terms.items():
         new = [0] * m.nvars
         for i, e in enumerate(expo):
             new[perm[i]] = e
-        out[tuple(new)] = c.payload
+        out[tuple(new)] = c
     return MultiPoly._from_payloads(m.ring, m.nvars, out)
 
 
@@ -240,22 +249,23 @@ def elementary(i: int, n: int, ring: Ring) -> MultiPoly:
 
 # sparse evaluation ------------------------------------------------
 
-_payload = operator.attrgetter("payload")
+def _same(c):
+    return c
 
 
 def _sparse_eval(ring: Ring, terms, values, lift, add, mul):
     """sum over the terms of lift(c) * prod_i values[i]^k_i, in whatever
-    algebra lift maps ring values into and add/mul work in: payloads of
-    ring, or polynomials with constant coefficients."""
+    algebra lift maps payloads of ring into and add/mul work in: the
+    payloads themselves, or polynomials with constant coefficients."""
     # powers[i][k] = values[i]^k, up to the largest exponent present
-    one = lift(ring.one)
+    one = lift(ring._from_int(1))
     powers = []
     for v, top in zip(values, map(max, zip(*terms))):
         row = [one, v]
         for _ in range(top - 1):
             row.append(mul(row[-1], v))
         powers.append(row)
-    acc = lift(ring.zero)
+    acc = lift(ring._from_int(0))
     for expo, c in terms.items():
         t = lift(c)
         for row, k in zip(powers, expo):

@@ -109,8 +109,8 @@ def resultant_symmetry_check(first: MonicPoly, second: MonicPoly) -> bool:
             f"mixed rings {first.ring.name} and {second.ring.name}"
         )
     p, q = first.degree, second.degree
-    lhs = norm(second.poly, first)
-    rhs = norm(first.poly, second)
+    lhs = norm(second, first)
+    rhs = norm(first, second)
     if (p * q) % 2:
         rhs = -rhs
     return lhs == rhs

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from .errors import InvariantViolationError
-from .matrices import SquareMatrix, char_poly
+from .matrices import SquareMatrix, det
 from .poly import MonicPoly, Poly
 from .rings import Ring, RingValue
 
@@ -121,7 +121,7 @@ def sylvester_matrix(big: MonicPoly, small: Poly) -> SquareMatrix:
     ring = big.ring
     size = n + m
     rows = []
-    fdesc = [big.poly.coeff(n - i) for i in range(n + 1)]
+    fdesc = [big.coeff(n - i) for i in range(n + 1)]
     gdesc = [small.coeff(m - i) for i in range(m + 1)]
     for i in range(m):
         rows.append(
@@ -139,7 +139,4 @@ def sylvester_resultant(big: MonicPoly, small: Poly) -> RingValue:
     ring supports exact division, else division-free Berkowitz."""
     syl = sylvester_matrix(big, small)
     d = bareiss_det(syl)
-    if d is not None:
-        return d
-    constant = char_poly(syl).poly.coeff(0)
-    return constant if syl.n % 2 == 0 else -constant
+    return det(syl) if d is None else d

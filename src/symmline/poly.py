@@ -1,37 +1,42 @@
 """Dense univariate polynomials over a ring, and polynomial base rings.
 
-A Poly stores its coefficients ascending by degree with no trailing
-zeros, so equality is tuple equality.  The degree of the zero polynomial
-is None, a deliberate sentinel: call sites must handle the zero case
-explicitly instead of arithmetic silently proceeding on -1.
+A Poly stores one form, its coefficients as canonical payloads of its
+ring, ascending by degree with no trailing zeros, so equality is tuple
+equality.  coeffs, coeff(i) and leading wrap payloads in ring values
+each time they are read.  The degree of the zero polynomial is None, a
+deliberate sentinel: call sites must handle the zero case explicitly
+instead of arithmetic silently proceeding on -1.
 
-MonicPoly refines Poly (leading coefficient exactly one, degree >= 1)
-and provides the signed coefficient view c_1..c_n defined by
+MonicPoly is the subtype of Poly whose leading coefficient is exactly
+one and whose degree is at least 1.  It adds the signed coefficient
+view c_1..c_n defined by
 
     F = X^n - c_1 X^(n-1) + c_2 X^(n-2) - ... + (-1)^n c_n
 
-which is the form consumed by the evaluation maps in norms.py.
+which is the form consumed by the evaluation maps in norms.py.  Its
+arithmetic is Poly's and returns plain Polys.
 
 PolyRing(base, var) turns polynomials into ring elements, giving towers
-such as Poly:ZZ:T whose values print as polynomials in T.
+such as Poly:ZZ:T whose values print as polynomials in T; the payload
+of such a value is a Poly over the base.
 
 The dense kernels (_dense_add, _dense_mul, _dense_divmod and the
 descending-degree renderer _render_dense) are the one implementation of
 univariate add, multiply, monic division and rendering.  They work on
 ascending coefficient lists with the coefficient operations passed in:
-Poly passes payloads and its ring's _add/_mul/_neg, unwrapping once and
-wrapping the result once; symmetric.SymPoly1 passes SymElems and their
-own +, * and str.  The term-joining rules of _render_sum are shared
-with multipoly.render_terms, and rings._power is the one
-square-and-multiply behind every __pow__.  The constructor takes a
-coefficient that is already a value of the same ring object as is and
-sends anything else through ring.value, so foreign-ring values are
-still rejected.  Poly._from_payloads is the trusted constructor behind
-the kernels: it takes canonical payloads of the ring unchecked, apart
-from stripping trailing zeros, and is for internal use only.
-Poly._monic_from_values is the trusted constructor behind the census:
-it wraps a tuple of the ring's own values ending in its one as a
-MonicPoly, checking nothing, and is for internal use only.
+Poly passes its stored payloads and its ring's _add/_mul/_neg;
+symmetric.SymPoly1 passes SymElems and their own +, * and str.  The
+term-joining rules of _render_sum are shared with
+multipoly.render_terms, and rings._power is the one square-and-multiply
+behind every __pow__.  The constructor takes a coefficient that is
+already a value of the same ring object as is and sends anything else
+through ring.value, so foreign-ring values are still rejected.
+
+Two trusted constructors, for internal use only, take canonical
+payloads of the ring unchecked: Poly._from_payloads, behind the
+kernels, strips trailing zeros; MonicPoly._from_monic_payloads, behind
+the census and char_poly, takes an ascending tuple whose last entry is
+the ring's one and strips and checks nothing.
 """
 
 from __future__ import annotations
@@ -41,18 +46,19 @@ from .rings import Ring, RingValue, _check_rings, _intern, _power
 
 
 class Poly:
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "_payload_coeffs")
 
     def __init__(self, ring: Ring, coeffs):
         cs = [
-            c if isinstance(c, RingValue) and c.ring is ring else ring.value(c)
+            c.payload if isinstance(c, RingValue) and c.ring is ring
+            else ring.value(c).payload
             for c in coeffs
         ]
         zero = ring._from_int(0)
-        while cs and cs[-1].payload == zero:
+        while cs and cs[-1] == zero:
             cs.pop()
         self.ring = ring
-        self.coeffs = tuple(cs)
+        self._payload_coeffs = tuple(cs)
 
     @classmethod
     def _from_payloads(cls, ring: Ring, payloads) -> Poly:
@@ -64,20 +70,8 @@ class Poly:
             cs.pop()
         p = object.__new__(cls)
         p.ring = ring
-        p.coeffs = tuple(RingValue(ring, c) for c in cs)
+        p._payload_coeffs = tuple(cs)
         return p
-
-    @classmethod
-    def _monic_from_values(cls, ring: Ring, values: tuple) -> MonicPoly:
-        """A monic polynomial from an ascending tuple of canonical values
-        of ring whose last is its one, unchecked: no coercion, no
-        stripping and no degree or leading-coefficient test."""
-        p = object.__new__(cls)
-        p.ring = ring
-        p.coeffs = values
-        m = object.__new__(MonicPoly)
-        m.poly = p
-        return m
 
     # constructors ---------------------------------------------------
     @classmethod
@@ -102,44 +96,47 @@ class Poly:
 
     # structure ------------------------------------------------------
     @property
+    def coeffs(self) -> tuple[RingValue, ...]:
+        ring = self.ring
+        return tuple(RingValue(ring, c) for c in self._payload_coeffs)
+
+    @property
     def degree(self) -> int | None:
         """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self._payload_coeffs) - 1 if self._payload_coeffs else None
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._payload_coeffs
 
     @property
     def leading(self) -> RingValue:
-        if not self.coeffs:
+        if not self._payload_coeffs:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return RingValue(self.ring, self._payload_coeffs[-1])
 
     def coeff(self, i: int) -> RingValue:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.ring.zero
+        if 0 <= i < len(self._payload_coeffs):
+            return RingValue(self.ring, self._payload_coeffs[i])
+        return self.ring.zero
 
     def is_monic(self) -> bool:
         return (
-            bool(self.coeffs)
-            and self.coeffs[-1].payload == self.ring._from_int(1)
+            bool(self._payload_coeffs)
+            and self._payload_coeffs[-1] == self.ring._from_int(1)
         )
 
     def _check(self, other: Poly):
         _check_rings(self.ring, other.ring)
 
-    def _payloads(self) -> list:
-        return [c.payload for c in self.coeffs]
-
     # arithmetic -----------------------------------------------------
     def __add__(self, other: Poly) -> Poly:
         self._check(other)
-        out = _dense_add(self._payloads(), other._payloads(), self.ring._add)
+        out = _dense_add(self._payload_coeffs, other._payload_coeffs, self.ring._add)
         return Poly._from_payloads(self.ring, out)
 
     def __neg__(self) -> Poly:
-        neg = self.ring._neg
-        return Poly._from_payloads(self.ring, [neg(c.payload) for c in self.coeffs])
+        return Poly._from_payloads(self.ring, map(self.ring._neg, self._payload_coeffs))
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
@@ -147,19 +144,14 @@ class Poly:
     def __mul__(self, other: Poly) -> Poly:
         self._check(other)
         ring = self.ring
-        a, b = self._payloads(), other._payloads()
+        a, b = self._payload_coeffs, other._payload_coeffs
         out = _dense_mul(a, b, ring._add, ring._mul, ring._from_int(0))
         return Poly._from_payloads(ring, out)
 
     def scale(self, c) -> Poly:
-        c = self.ring.value(c)
-        return Poly(self.ring, [c * a for a in self.coeffs])
-
-    def shift(self, k: int) -> Poly:
-        """Multiply by X^k."""
-        if self.is_zero:
-            return self
-        return Poly(self.ring, (self.ring.zero,) * k + self.coeffs)
+        c = self.ring.value(c).payload
+        mul = self.ring._mul
+        return Poly._from_payloads(self.ring, [mul(c, a) for a in self._payload_coeffs])
 
     def __pow__(self, k: int) -> Poly:
         return _power(self, k, Poly.constant(self.ring, 1))
@@ -176,10 +168,10 @@ class Poly:
             return NotImplemented
         return (
             self.ring is other.ring or self.ring == other.ring
-        ) and self.coeffs == other.coeffs
+        ) and self._payload_coeffs == other._payload_coeffs
 
     def __hash__(self):
-        return hash((self.ring, self.coeffs))
+        return hash((self.ring, self._payload_coeffs))
 
     # rendering ------------------------------------------------------
     def render(self, var: str = "X") -> str:
@@ -192,7 +184,7 @@ class Poly:
         return self.render()
 
     def __repr__(self):
-        return f"Poly({self.ring.name}, {self})"
+        return f"{type(self).__name__}({self.ring.name}, {self})"
 
 
 # dense kernels ------------------------------------------------------
@@ -299,17 +291,28 @@ def _bare_negative(text: str) -> bool:
     )
 
 
-class MonicPoly:
-    """A monic polynomial of degree >= 1, wrapping a Poly."""
+class MonicPoly(Poly):
+    """A monic polynomial of degree >= 1."""
 
-    __slots__ = ("poly",)
+    __slots__ = ()
 
     def __init__(self, poly: Poly):
         if poly.degree is None or poly.degree < 1:
             raise ValueError("monic polynomial must have degree >= 1")
         if not poly.is_monic():
             raise ValueError(f"leading coefficient of {poly} is not one")
-        self.poly = poly
+        self.ring = poly.ring
+        self._payload_coeffs = poly._payload_coeffs
+
+    @classmethod
+    def _from_monic_payloads(cls, ring: Ring, payloads: tuple) -> MonicPoly:
+        """A monic polynomial from an ascending tuple of canonical
+        payloads of ring whose last is its one, unchecked: no stripping
+        and no degree or leading-coefficient test."""
+        m = object.__new__(cls)
+        m.ring = ring
+        m._payload_coeffs = payloads
+        return m
 
     @classmethod
     def from_signed_coeffs(cls, ring: Ring, cs) -> MonicPoly:
@@ -324,55 +327,34 @@ class MonicPoly:
         return cls(Poly.from_roots(ring, roots))
 
     @property
-    def ring(self) -> Ring:
-        return self.poly.ring
-
-    @property
-    def degree(self) -> int:
-        return self.poly.degree
+    def poly(self) -> MonicPoly:
+        """This polynomial itself; perfbench/oracle.py and the tests
+        read F.poly."""
+        return self
 
     @property
     def signed_coeffs(self) -> tuple[RingValue, ...]:
         """(c_1..c_n) with F = X^n - c_1 X^(n-1) + ... + (-1)^n c_n."""
-        n = self.degree
-        out = []
-        for i in range(1, n + 1):
-            a = self.poly.coeff(n - i)
-            out.append(-a if i % 2 else a)
-        return tuple(out)
-
-    def __eq__(self, other):
-        if isinstance(other, MonicPoly):
-            return self.poly == other.poly
-        if isinstance(other, Poly):
-            return self.poly == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.poly)
-
-    def __str__(self):
-        return str(self.poly)
-
-    def __repr__(self):
-        return f"MonicPoly({self.ring.name}, {self})"
+        below = reversed(self.coeffs[:-1])
+        return tuple(-a if i % 2 else a for i, a in enumerate(below, start=1))
 
 
-def poly_divmod(f: Poly, g: MonicPoly | Poly) -> tuple[Poly, Poly]:
+def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     """Quotient and remainder of f by a monic g; needs no base division."""
-    gp = g.poly if isinstance(g, MonicPoly) else g
-    f._check(gp)
-    if not gp.is_monic():
+    f._check(g)
+    if not g.is_monic():
         raise ValueError("divisor must be monic")
     ring = f.ring
-    if len(f.coeffs) <= gp.degree:
+    if len(f._payload_coeffs) <= g.degree:
         return Poly.zero(ring), f
     add, mul, neg, zero = ring._add, ring._mul, ring._neg, ring._from_int(0)
-    quo, rem = _dense_divmod(f._payloads(), gp._payloads(), add, mul, neg, zero)
+    quo, rem = _dense_divmod(
+        f._payload_coeffs, g._payload_coeffs, add, mul, neg, zero
+    )
     return Poly._from_payloads(ring, quo), Poly._from_payloads(ring, rem)
 
 
-def poly_mod(f: Poly, g: MonicPoly) -> Poly:
+def poly_mod(f: Poly, g: Poly) -> Poly:
     return poly_divmod(f, g)[1]
 
 
@@ -453,7 +435,7 @@ def invert_mod(f: Poly, F: MonicPoly) -> QuotientElem:
             f"invert_mod needs a field base, got {f.ring.name};"
             " use the unit-norm membership test instead"
         )
-    d, u, _ = poly_ext_gcd(f, F.poly)
+    d, u, _ = poly_ext_gcd(f, F)
     if d.is_zero or d.degree != 0:
         raise NotInvertibleError(f"gcd({f}, {F}) = {d} is not 1")
     return QuotientElem(F, u)
@@ -482,7 +464,7 @@ class PolyRing(Ring):
         return a * b
 
     def _from_int(self, k):
-        return Poly.constant(self.base, k)
+        return Poly._from_payloads(self.base, (self.base._from_int(k),))
 
     def _canon(self, payload):
         if isinstance(payload, Poly) and payload.ring == self.base:
@@ -494,7 +476,7 @@ class PolyRing(Ring):
             raise UnsupportedRingError(
                 f"unit test in {self.name} needs an integral-domain base"
             )
-        return a.degree == 0 and a.coeffs[0].is_unit()
+        return a.degree == 0 and self.base._is_unit(a._payload_coeffs[0])
 
     def _inv(self, a):
         try:
@@ -502,8 +484,7 @@ class PolyRing(Ring):
                 return None
         except UnsupportedRingError:
             return None
-        c = a.coeffs[0].try_inverse()
-        return Poly.constant(self.base, c)
+        return Poly._from_payloads(self.base, (self.base._inv(a._payload_coeffs[0]),))
 
     def _render(self, a):
         return a.render(self.var)

@@ -173,7 +173,7 @@ def is_free_quotient(modulus: MonicPoly, mult_set: MultSet) -> bool:
         n = modulus.degree
         for g, monic in zip(mult_set.gens, mult_set.monic_gens):
             if monic is not None and monic.degree < n:
-                unit = norm(modulus.poly, monic).is_unit()
+                unit = norm(modulus, monic).is_unit()
             else:
                 unit = norm(g, modulus).is_unit()
             if not unit:
@@ -199,16 +199,14 @@ def _is_power_of_linear(modulus: MonicPoly, a) -> bool:
     mul = ring._mul
     neg_a = ring._neg(a)
     power = ring._from_int(1)  # (-a)^(n-k)
-    for k, c in zip(range(n, -1, -1), reversed(modulus.poly.coeffs)):
-        if c.payload != mul(ring._from_int(comb(n, k)), power):
+    for k, c in zip(range(n, -1, -1), reversed(modulus._payload_coeffs)):
+        if c != mul(ring._from_int(comb(n, k)), power):
             return False
         power = mul(power, neg_a)
     return True
 
 
-def free_quotient_oracle(
-    modulus: MonicPoly, mult_set: MultSet, bound: int = ORACLE_SEARCH_BOUND
-) -> bool:
+def free_quotient_oracle(modulus: MonicPoly, mult_set: MultSet) -> bool:
     """Exhaustive-search route for the same membership: every generator
     must have an inverse residue modulo F, found by trying all of them.
 
@@ -228,13 +226,13 @@ def free_quotient_oracle(
         raise RingMismatchError("set and polynomial over different rings")
     m = ring.modulus
     n = modulus.degree
-    if m**n > bound:
+    if m**n > ORACLE_SEARCH_BOUND:
         raise OracleInfeasibleError(
-            f"{m}^{n} residues exceed the search bound {bound}"
+            f"{m}^{n} residues exceed the search bound {ORACLE_SEARCH_BOUND}"
         )
-    fc = [c.payload for c in modulus.poly.coeffs]
+    fc = modulus._payload_coeffs
     for g in mult_set.gens:
-        gc = _int_mod([c.payload for c in g.coeffs], fc, n, m)
+        gc = _int_mod(g._payload_coeffs, fc, n, m)
         if not _has_inverse(gc, fc, n, m):
             return False
     return True
@@ -273,7 +271,7 @@ def recover_monic(theta: SquareMatrix) -> MonicPoly:
     map onto a free rank-n quotient whose X-action is theta: its
     characteristic polynomial.  Verifies F(theta) = 0 before returning."""
     result = char_poly(theta)
-    value = poly_at_matrix(result.poly, theta)
+    value = poly_at_matrix(result, theta)
     if value != SquareMatrix.zero(theta.ring, theta.n):
         raise InvariantViolationError(
             f"characteristic polynomial does not annihilate {theta}"
@@ -304,7 +302,7 @@ def addition_map(s: SymElem) -> SymPoly1:
     ring = s.ring
     return _sparse_eval(
         ring,
-        s.terms,
+        s._payload_terms,
         _addition_images(ring, n),
         lambda c: SymPoly1(ring, n - 1, (c,)),
         operator.add,
@@ -335,7 +333,7 @@ def section_map(t: SymPoly1) -> SymPoly1:
     for j, c in enumerate(t.coeffs):
         term = _sparse_eval(
             ring,
-            c.terms,
+            c._payload_terms,
             images[1:],
             lambda v: SymPoly1(ring, k + 1, (v,)),
             operator.add,
@@ -381,13 +379,7 @@ def addition_diagonal_check(f: Poly, n: int) -> bool:
     return True
 
 
-def count_points(
-    q: int,
-    n: int,
-    mult_set: MultSet,
-    workers: int = 1,
-    bound: int = CENSUS_BOUND,
-) -> int:
+def count_points(q: int, n: int, mult_set: MultSet, workers: int = 1) -> int:
     """Number of monic degree-n polynomials over GF(q) that generate a
     free rank-n quotient of the localization at the given set.
 
@@ -395,11 +387,11 @@ def count_points(
     running over itertools.product of GF(q)'s residues 0..q-1, so c_0
     varies slowest and c_(n-1) fastest.  Each goes to is_free_quotient
     in that order, in one serial loop.  A candidate is built by the
-    trusted Poly._monic_from_values, since it is canonical by
-    construction: its coefficients are the ring's own values from
-    ring.elements(), and the last is ring.one, so nothing needs
-    coercing or stripping and it is monic of degree n >= 1.  It equals
-    MonicPoly(Poly(ring, ...)) under ==, hash and str.  Generators with
+    trusted MonicPoly._from_monic_payloads, since it is canonical by
+    construction: its payloads are the residues themselves followed by
+    GF(q)'s one, 1, so nothing needs coercing or stripping and it is
+    monic of degree n >= 1.  It equals MonicPoly(Poly(ring, ...)) under
+    ==, hash and str.  Generators with
     a unit leading coefficient (every nonconstant one over GF(q)) and
     degree below n are decided by a determinant of their own degree;
     see is_free_quotient.  workers is accepted for existing callers and
@@ -412,14 +404,13 @@ def count_points(
         )
     if n < 1:
         raise ValueError("n must be >= 1")
-    if q**n > bound:
+    if q**n > CENSUS_BOUND:
         raise OracleInfeasibleError(
-            f"{q}^{n} polynomials exceed the census bound {bound}"
+            f"{q}^{n} polynomials exceed the census bound {CENSUS_BOUND}"
         )
-    top = (ring.one,)
-    monic = Poly._monic_from_values
+    monic = MonicPoly._from_monic_payloads
     count = 0
-    for low in product(ring.elements(), repeat=n):
-        if is_free_quotient(monic(ring, low + top), mult_set):
+    for low in product(range(q), repeat=n):
+        if is_free_quotient(monic(ring, low + (1,)), mult_set):
             count += 1
     return count

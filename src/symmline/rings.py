@@ -68,8 +68,6 @@ class Ring:
 
     is_field = False
     is_domain = False
-    is_finite = False
-    size: int | None = None
 
     # payload-level primitives -------------------------------------
     def _add(self, a, b):
@@ -352,14 +350,10 @@ class RationalRing(Ring):
 class ZmodRing(Ring):
     """Integers modulo m, residues kept in [0, m)."""
 
-    is_finite = True
-
     def __new__(cls, modulus: int):
         if not isinstance(modulus, int) or modulus < 2:
             raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
-        return _intern(
-            cls, modulus, modulus=modulus, size=modulus, is_domain=is_prime(modulus)
-        )
+        return _intern(cls, modulus, modulus=modulus, is_domain=is_prime(modulus))
 
     def __getnewargs__(self):
         return (self.modulus,)

@@ -18,12 +18,12 @@ X_1..X_n, never an (n+1)-th MultiPoly variable.
 Arity 0 is allowed for SymElem (a bare ring constant), matching the
 convention that the zeroth symmetric tensor ring is the base ring.
 
-SymElem shares MultiPoly's sparse body (multipoly._SparsePoly):
-validation and arithmetic on payloads, and evaluation with one power
-table per value, which substitute runs on payloads and expand() runs
-at the elementary MultiPolys.  SymElem._from_payloads is the trusted
-constructor behind them and behind decompose, sym_ops_of and
-diagonal_tensor: it takes canonical payloads of the ring unchecked,
+SymElem shares MultiPoly's sparse body (multipoly._SparsePoly): terms
+stored as payloads, validation and arithmetic on them, and evaluation
+with one power table per value, which substitute runs on payloads and
+expand() runs at the elementary MultiPolys.  SymElem._from_payloads is
+the trusted constructor behind them and behind decompose, sym_ops_of
+and diagonal_tensor: it takes canonical payloads of the ring unchecked,
 apart from dropping zeros, and is for internal use only.  The public
 SymElem(...) constructor validates every exponent and coefficient.
 
@@ -87,16 +87,10 @@ class SymElem(_SparsePoly):
 
     def constant_value(self) -> RingValue:
         """The coefficient of the empty e-monomial."""
-        return self.terms.get((0,) * self.arity, self.ring.zero)
+        zero = self.ring._from_int(0)
+        return RingValue(self.ring, self._payload_terms.get((0,) * self.arity, zero))
 
-    def substitute(self, values) -> RingValue:
-        """Evaluate with e_i replaced by values[i-1]."""
-        values = [self.ring.value(v).payload for v in values]
-        if len(values) != self.arity:
-            raise ValueError(
-                f"need {self.arity} values, got {len(values)}"
-            )
-        return self._at(values)
+    substitute = _SparsePoly._at
 
     def expand(self) -> MultiPoly:
         """The symmetric MultiPoly this element denotes, multiplied out."""
@@ -105,7 +99,7 @@ class SymElem(_SparsePoly):
         ring, n = self.ring, self.arity
         return _sparse_eval(
             ring,
-            self.terms,
+            self._payload_terms,
             [elementary(i, n, ring) for i in range(1, n + 1)],
             partial(MultiPoly.constant, ring, n),
             operator.add,
@@ -115,7 +109,7 @@ class SymElem(_SparsePoly):
     def __str__(self):
         if self.arity == 0:
             return str(self.constant_value())
-        return render_terms(self.ring, self.terms, lambda i: f"e{i + 1}")
+        return render_terms(self.ring, self._payload_terms, lambda i: f"e{i + 1}")
 
     def __repr__(self):
         return f"SymElem({self.ring.name}, n={self.arity}, {self})"
@@ -131,9 +125,9 @@ def decompose(m: MultiPoly) -> SymElem:
         raise NotSymmetricError(f"not symmetric: {m}")
     n = m.nvars
     rep = {}
-    for expo, c in m.terms.items():
+    for expo, c in m._payload_terms.items():
         if tuple(sorted(expo, reverse=True)) == expo:
-            rep[expo] = c.payload
+            rep[expo] = c
     return SymElem._from_payloads(m.ring, n, _symbasis.decompose_rep(rep, n, m.ring))
 
 
@@ -145,7 +139,7 @@ def sym_ops_of(f: Poly, n: int) -> list[SymElem]:
     ring = f.ring
     return [
         SymElem._from_payloads(ring, n, _symbasis.decompose_rep(rep, n, ring))
-        for rep in _symbasis.sym_ops_reps(f._payloads(), n, ring)
+        for rep in _symbasis.sym_ops_reps(f._payload_coeffs, n, ring)
     ]
 
 
@@ -155,7 +149,7 @@ def diagonal_tensor(f: Poly, n: int) -> SymElem:
     if n < 1:
         raise ValueError("arity must be >= 1")
     ring = f.ring
-    rep = _symbasis.diagonal_rep(f._payloads(), n, ring)
+    rep = _symbasis.diagonal_rep(f._payload_coeffs, n, ring)
     return SymElem._from_payloads(ring, n, _symbasis.decompose_rep(rep, n, ring))
 
 

@@ -197,6 +197,19 @@ def test_section_verb(capsys):
     assert payload["result"] == "-X + e1"
 
 
+def test_norm_routes_disagreeing_is_an_invariant_violation(capsys, monkeypatch):
+    # norm runs norm_checked, so a wrong symmetric route seen through the
+    # norms module is caught
+    monkeypatch.setattr(
+        symmline.norms, "norm_symmetric", lambda f, F: F.ring.value(7)
+    )
+    code, _, err = invoke(
+        capsys, "norm", "--ring", "ZZ", "--F", "X^2-3*X+2", "--f", "X-4"
+    )
+    assert code == 1
+    assert "InvariantViolationError" in err
+
+
 def test_parse_error_exit_code(capsys):
     code, out, err = invoke(
         capsys, "norm", "--ring", "ZZ", "--F", "X^2-3*X+", "--f", "X"

@@ -6,8 +6,9 @@ import pytest
 from symmline.multipoly import MultiPoly, apply_permutation, elementary, is_symmetric
 from symmline.poly import PolyRing
 from symmline.rings import GF, QQ, Zmod, ZZ
-from symmline.sampling import random_permutation, random_value
+from symmline.sampling import random_permutation, random_symelem, random_value
 from symmline.symmetric import SymElem
+from test_matrices import ORACLE_RINGS
 
 
 def var(i, n, ring=ZZ):
@@ -130,3 +131,21 @@ def test_render():
     m = var(1, 2) ** 2 * var(2, 2) - MultiPoly.constant(ZZ, 2, 3)
     assert str(m) == "X1^2*X2 - 3"
     assert str(MultiPoly.zero(ZZ, 2)) == "0"
+
+
+def test_rebuilt_from_terms_is_equal_with_equal_hash():
+    # MultiPoly and SymElem store payloads; terms wraps them, and the
+    # public constructor takes the wrapped values back to the same form
+    rng = Random(25)
+    for ring in ORACLE_RINGS:
+        for _ in range(5):
+            pairs = [
+                (random_multipoly(ring, 3, rng), random_multipoly(ring, 3, rng)),
+                (random_symelem(ring, 3, rng), random_symelem(ring, 3, rng)),
+            ]
+            c = random_value(ring, rng)
+            for a, b in pairs:
+                for value in (a + b, a - b, a * b, a.scale(c)):
+                    back = type(value)(ring, 3, value.terms)
+                    assert back == value and hash(back) == hash(value)
+                    assert all(x.ring is ring for x in value.terms.values())

@@ -18,6 +18,7 @@ from symmline.poly import (
 )
 from symmline.rings import GF, QQ, Zmod, ZZ
 from symmline.sampling import random_monic, random_poly, random_value
+from test_matrices import ORACLE_RINGS
 
 FIVE_RINGS = (ZZ, QQ, Zmod(12), GF(5), PolyRing(ZZ, "T"))
 
@@ -212,3 +213,32 @@ def test_monic_from_signed_definition():
     # X^4 - c1 X^3 + c2 X^2 - c3 X + c4
     f = MonicPoly.from_signed_coeffs(ZZ, [1, 2, 3, 4])
     assert f.poly == p(ZZ, 4, -3, 2, -1, 1)
+
+
+def test_monic_poly_is_a_poly():
+    rng = Random(8)
+    for ring in FIVE_RINGS:
+        for _ in range(10):
+            F = random_monic(ring, rng, rng.randint(1, 4))
+            f = random_poly(ring, rng, 6)
+            plain = Poly(F.ring, F.coeffs)
+            assert isinstance(F, Poly) and F.poly is F
+            assert F == plain and hash(F) == hash(plain)
+            assert F + f == plain + f and type(F + f) is Poly
+            assert F * f == plain * f and type(F * f) is Poly
+            assert poly_divmod(f, F) == poly_divmod(f, plain)
+
+
+def test_rebuilt_from_coeffs_is_equal_with_equal_hash():
+    # Poly stores payloads; coeffs wraps them, and the public constructor
+    # takes the wrapped values back to the same stored form
+    rng = Random(9)
+    for ring in ORACLE_RINGS:
+        for _ in range(10):
+            f = random_poly(ring, rng, 4)
+            g = random_poly(ring, rng, 4)
+            c = random_value(ring, rng)
+            for value in (f + g, f - g, f * g, f.scale(c)):
+                back = Poly(ring, value.coeffs)
+                assert back == value and hash(back) == hash(value)
+                assert all(x.ring is ring for x in value.coeffs)

@@ -186,7 +186,7 @@ def test_oracle_bound():
     ring = Zmod(10)
     modulus = random_monic(ring, Random(73), 6)
     with pytest.raises(OracleInfeasibleError):
-        free_quotient_oracle(modulus, MultSet.generated(Poly.gen(ring)), bound=100)
+        free_quotient_oracle(modulus, MultSet.generated(Poly.gen(ring)))
 
 
 def test_oracle_needs_finite_modular_base():
@@ -505,9 +505,10 @@ def test_count_starts_no_thread(monkeypatch):
     assert count_points(5, 3, u, workers=10**6) == 100
 
 
-def test_count_bound():
+def test_count_bound(monkeypatch):
+    monkeypatch.setattr(quotients, "CENSUS_BOUND", 100)
     with pytest.raises(OracleInfeasibleError):
-        count_points(5, 3, MultSet.trivial(GF(5)), bound=100)
+        count_points(5, 3, MultSet.trivial(GF(5)))
 
 
 def test_count_requires_matching_field():
