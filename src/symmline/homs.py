@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import RingMismatchError
 from .poly import MonicPoly, Poly, PolyRing
-from .rings import Ring, RingValue, ZmodRing
+from .rings import Ring, RingValue, ZmodRing, _check_rings
 
 
 class RingHom:
@@ -58,10 +58,11 @@ class RingHom:
 
     # application ----------------------------------------------------
     def __call__(self, v: RingValue) -> RingValue:
-        if not isinstance(v, RingValue) or v.ring != self.source:
+        if not isinstance(v, RingValue):
             raise RingMismatchError(
                 f"value not in the source ring {self.source.name}"
             )
+        _check_rings(v.ring, self.source)
         if self.rule == "identity":
             return v
         if self.rule in ("int-reduce", "mod-reduce"):
@@ -71,8 +72,7 @@ class RingHom:
         raise ValueError(f"unknown rule {self.rule!r}")
 
     def map_poly(self, f: Poly) -> Poly:
-        if f.ring != self.source:
-            raise RingMismatchError(f"polynomial not over {self.source.name}")
+        _check_rings(f.ring, self.source)
         return Poly(self.target, [self(c) for c in f.coeffs])
 
     def map_monic(self, f: MonicPoly) -> MonicPoly:

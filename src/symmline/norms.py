@@ -17,12 +17,12 @@ keeps their cost bounded by deg F instead of growing with deg f.
 
 from __future__ import annotations
 
-from .errors import InvariantViolationError, RingMismatchError
+from .errors import InvariantViolationError
 from .homs import RingHom
 from .matrices import det, mult_matrix
 from .multipoly import MultiPoly
 from .poly import MonicPoly, Poly, poly_mod
-from .rings import Ring, RingValue, ZZ
+from .rings import Ring, RingValue, ZZ, _check_rings
 from .symmetric import SymElem, SymPoly1, diagonal_tensor, sym_char_poly
 
 
@@ -38,10 +38,7 @@ class EvalMap:
         self.images = modulus.signed_coeffs
 
     def __call__(self, s: SymElem) -> RingValue:
-        if s.ring is not self.ring and s.ring != self.ring:
-            raise RingMismatchError(
-                f"element over {s.ring.name}, map over {self.ring.name}"
-            )
+        _check_rings(s.ring, self.ring)
         if s.arity != self.arity:
             raise ValueError(
                 f"arity {s.arity} does not match degree {self.arity}"
@@ -78,9 +75,11 @@ def norm_symmetric(f: Poly, modulus: MonicPoly) -> RingValue:
 
 
 def norm_checked(f: Poly, modulus: MonicPoly) -> RingValue:
-    """Both norm routes, compared; disagreement is a library bug."""
-    a = norm(f, modulus)
+    """Both norm routes, compared; disagreement is a library bug.  The
+    symmetric route runs first: it refuses a deg F over ARITY_BOUND
+    before the determinant route does O(n^4) work."""
     b = norm_symmetric(f, modulus)
+    a = norm(f, modulus)
     if a != b:
         raise InvariantViolationError(
             f"norm routes disagree for f={f}, F={modulus}: matrix {a},"
@@ -104,16 +103,17 @@ def difference_product(p: int, q: int, ring: Ring = ZZ) -> MultiPoly:
 
 def resultant_symmetry_check(first: MonicPoly, second: MonicPoly) -> bool:
     """Whether N_P(Q) equals (-1)^(pq) N_Q(P); expected true always."""
-    if first.ring != second.ring:
-        raise RingMismatchError(
-            f"mixed rings {first.ring.name} and {second.ring.name}"
-        )
-    p, q = first.degree, second.degree
+    return _resultant_symmetry(first, second)[0]
+
+
+def _resultant_symmetry(first: MonicPoly, second: MonicPoly):
+    """(whether N_P(Q) == (-1)^(pq) N_Q(P), N_P(Q), N_Q(P)), each norm
+    computed once; the CLI reports all three."""
+    _check_rings(first.ring, second.ring)
     lhs = norm(second, first)
     rhs = norm(first, second)
-    if (p * q) % 2:
-        rhs = -rhs
-    return lhs == rhs
+    odd = (first.degree * second.degree) % 2
+    return lhs == (-rhs if odd else rhs), lhs, rhs
 
 
 def push_norm(hom: RingHom, f: Poly, modulus: MonicPoly) -> tuple[RingValue, RingValue]:
@@ -123,10 +123,8 @@ def push_norm(hom: RingHom, f: Poly, modulus: MonicPoly) -> tuple[RingValue, Rin
     to each signed coefficient of the multiplication characteristic
     polynomial lands on the corresponding coefficient downstairs.
     """
-    if modulus.ring != hom.source or f.ring != hom.source:
-        raise RingMismatchError(
-            f"inputs must be over the source ring {hom.source.name}"
-        )
+    _check_rings(modulus.ring, hom.source)
+    _check_rings(f.ring, hom.source)
     f_img = hom.map_poly(f)
     modulus_img = hom.map_monic(modulus)
 

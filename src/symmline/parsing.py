@@ -2,8 +2,8 @@
 
 Ring grammar:   ZZ | QQ | Zmod:<m> | GF:<p> | Poly:<ring>:<var>
 
-Expression grammar (recursive descent, standard precedence with ^ above
-unary minus above * above binary +/-):
+Expression grammar, with ^ above unary minus above * above binary +/-,
+and +, - and * left-associative:
 
     expr   := term (('+' | '-') term)*
     term   := factor ('*' factor)*
@@ -11,13 +11,20 @@ unary minus above * above binary +/-):
     power  := atom ('^' integer)*
     atom   := integer | name | '(' expr ')'
 
+_postfix puts the tokens in postfix order over an explicit operator
+stack, and _fold runs that list on a value stack, once for the budgets
+below and, only if they pass, once for the value.  Neither recurses, so
+no nesting cap is needed: their stacks grow at most linearly in the
+text, and the budgets bound the work.
+
 Exponents must be nonnegative integer literals.  Before anything is
 evaluated, the degree every subexpression can reach, counting every
 integer literal as degree 1 like a name (so that 2^k grows like X^k),
 must stay within quotients.DEGREE_BOUND; the term products (products of
 two coefficients) that evaluating the whole expression can make, within
 quotients.TERM_PRODUCT_BOUND; and the number of variables X1..Xn or
-e1..en, each a name bound before parsing, within quotients.ARITY_BOUND.
+e1..en, each a name bound before parsing, within quotients.ARITY_BOUND,
+as must the levels of a tower ring, which bind one name each.
 A larger one raises OracleInfeasibleError.  Which names resolve
 depends on the context: X for univariate polynomials, X1..Xn for
 multivariate ones, e1..en for elements of the symmetric ring (plus X
@@ -37,121 +44,110 @@ from .quotients import DEGREE_BOUND, TERM_PRODUCT_BOUND, _check_arity
 from .rings import GF, QQ, Ring, Zmod, ZZ, is_prime
 from .symmetric import SymElem, SymPoly1
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*^()]))")
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*^()])|(\S))")
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad_at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {text[bad_at]!r}", bad_at)
-        if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1)), m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2), m.start(2)))
+    for m in _TOKEN.finditer(text):
+        number, name, op, bad = m.groups()
+        if bad is not None:
+            raise ParseError(f"unexpected character {bad!r}", m.start(4))
+        if number is not None:
+            tokens.append(("int", int(number), m.start(1)))
+        elif name is not None:
+            tokens.append(("name", name, m.start(2)))
         else:
-            tokens.append((m.group(3), m.group(3), m.start(3)))
-        pos = m.end()
+            tokens.append((op, op, m.start(3)))
     tokens.append(("end", None, len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek()[0] == "*":
-            self.advance()
-            node = ("mul", node, self.factor())
-        return node
-
-    def factor(self):
-        if self.peek()[0] == "-":
-            self.advance()
-            return ("neg", self.factor())
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        while self.peek()[0] == "^":
-            self.advance()
-            tok = self.advance()
-            if tok[0] != "int":
-                raise ParseError("exponent must be a nonnegative integer", tok[2])
-            node = ("pow", node, tok[1])
-        return node
-
-    def atom(self):
-        tok = self.advance()
-        if tok[0] == "int":
-            return ("int", tok[1])
-        if tok[0] == "name":
-            return ("var", tok[1], tok[2])
-        if tok[0] == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        if tok[0] == "end":
-            raise ParseError("unexpected end of input", tok[2])
-        raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
+def _postfix(text: str) -> list:
+    """The tokens of text in postfix order, by precedence climbing over an
+    explicit operator stack.  Integer and name tokens are the leaves; an
+    operator node follows its operands: a binary token, ("neg",), or
+    ("^", k).  A ParseError names the first token, from the
+    left, that the grammar does not admit."""
+    out = []
+    pending = []  # (precedence, node) not yet emitted; (0, None) is a '('
+    depth = 0  # open parentheses
+    operand = True  # whether the next token must start an operand
+    tokens = iter(_tokenize(text))
+    for token in tokens:
+        kind, value, pos = token
+        if operand:
+            if kind == "-":
+                pending.append((3, ("neg",)))  # above * and below ^
+            elif kind == "(":
+                pending.append((0, None))
+                depth += 1
+            elif kind == "int" or kind == "name":
+                out.append(token)
+                operand = False
+            elif kind == "end":
+                raise ParseError("unexpected end of input", pos)
+            else:
+                raise ParseError(f"unexpected token {value!r}", pos)
+        elif kind == "^":
+            kind, value, pos = next(tokens)
+            if kind != "int":
+                raise ParseError("exponent must be a nonnegative integer", pos)
+            out.append(("^", value))
+        elif kind in _PRECEDENCE:
+            while pending and pending[-1][0] >= _PRECEDENCE[kind]:
+                out.append(pending.pop()[1])
+            pending.append((_PRECEDENCE[kind], token))
+            operand = True
+        elif kind == ")" and depth:
+            while (node := pending.pop()[1]) is not None:
+                out.append(node)
+            depth -= 1
+        elif depth:
+            raise ParseError(f"expected ')', found {value!r}", pos)
+        elif kind == "end":
+            return out + [node for _, node in reversed(pending)]
+        else:
+            raise ParseError(f"trailing input {value!r}", pos)
 
 
-def _bounds(node, sparse):
-    """(degree, names, terms, products) for node's value: a bound on its
-    degree in all names together, with integer literals counted as
-    degree 1; the names it uses; a bound on its number of terms in the
-    names of sparse; and a bound on the term products that evaluating it
-    makes (see _slots).  _eval evaluates every subtree, so the degree
-    budget holds for each of them: (X^99999999)^0 is refused."""
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2}  # binary and left-associative
+
+
+def _fold(nodes, leaf, step, context):
+    """Run a postfix node list on a value stack: leaf(node, context) is
+    the value of an integer or a name, and step(node, a, b, context) that
+    of an operator on the values a and, if it is binary, b (else None)."""
+    stack = []
+    for node in nodes:
+        kind = node[0]
+        if kind == "int" or kind == "name":
+            stack.append(leaf(node, context))
+        elif kind == "neg" or kind == "^":
+            stack[-1] = step(node, stack[-1], None, context)
+        else:
+            b = stack.pop()
+            stack[-1] = step(node, stack[-1], b, context)
+    return stack[0]
+
+
+def _bound_leaf(node, sparse):
+    return 1, frozenset(node[1:2] if node[0] == "name" else ()), 1, 0
+
+
+def _bound_step(node, a, b, sparse):
+    """The step of the budget fold.  Its value for an expression is
+    (degree, names, terms, products): bounds on its degree in all names,
+    integer literals counting as degree 1, and on its number of terms in
+    the names of sparse; the names it uses; and a bound on the term
+    products evaluating it makes (see _slots).  The value fold evaluates
+    every subexpression, so each must pass: (X^99999999)^0 is refused."""
     kind = node[0]
-    if kind == "int":
-        return 1, frozenset(), 1, 0
-    if kind == "var":
-        return 1, frozenset((node[1],)), 1, 0
     if kind == "neg":
-        return _bounds(node[1], sparse)
-    if kind == "pow":
-        degree, names, terms, products = _bounds(node[1], sparse)
-        k = node[2]
+        return a
+    if kind == "^":
+        degree, names, terms, products = a
+        k = node[1]
         _check_degree(degree * k)
         n_sparse = len(names & sparse)
 
@@ -169,14 +165,14 @@ def _bounds(node, sparse):
                 done += base
             k >>= 1
             if not k:
-                return degree * node[2], names, power_terms(done), products
+                return degree * node[1], names, power_terms(done), products
             products += slots(base) ** 2
             base *= 2
-    d1, names1, t1, p1 = _bounds(node[1], sparse)
-    d2, names2, t2, p2 = _bounds(node[2], sparse)
+    d1, names1, t1, p1 = a
+    d2, names2, t2, p2 = b
     names = names1 | names2
     n_sparse = len(names & sparse)
-    if kind == "mul":
+    if kind == "*":
         degree = _check_degree(d1 + d2)
         products = _slots(d1, names1, t1, sparse) * _slots(d2, names2, t2, sparse)
         terms = min(t1 * t2, _monomials(degree, n_sparse))
@@ -208,26 +204,27 @@ def _check_degree(degree: int) -> int:
     return degree
 
 
-def _eval(node, env, embed_int):
+def _value_leaf(node, context):
+    env, lift = context
+    if node[0] == "int":
+        return lift(node[1])
+    value = env.get(node[1])
+    if value is None:
+        raise ParseError(f"unknown symbol {node[1]!r}", node[2])
+    return value
+
+
+def _value_step(node, a, b, context):
     kind = node[0]
-    if kind == "int":
-        return embed_int(node[1])
-    if kind == "var":
-        value = env.get(node[1])
-        if value is None:
-            raise ParseError(f"unknown symbol {node[1]!r}", node[2])
-        return value
+    if kind == "+":
+        return a + b
+    if kind == "-":
+        return a - b
+    if kind == "*":
+        return a * b
     if kind == "neg":
-        return -_eval(node[1], env, embed_int)
-    if kind == "add":
-        return _eval(node[1], env, embed_int) + _eval(node[2], env, embed_int)
-    if kind == "sub":
-        return _eval(node[1], env, embed_int) - _eval(node[2], env, embed_int)
-    if kind == "mul":
-        return _eval(node[1], env, embed_int) * _eval(node[2], env, embed_int)
-    if kind == "pow":
-        return _eval(node[1], env, embed_int) ** node[2]
-    raise AssertionError(f"unhandled node {kind}")
+        return -a
+    return a ** node[1]
 
 
 def parse_ring(text: str) -> Ring:
@@ -244,8 +241,11 @@ def parse_ring(text: str) -> Ring:
             raise ParseError(f"GF parameter {p} is not prime")
         return GF(p)
     if t.startswith("Poly:"):
-        rest = t[5:]
-        base_text, sep, var = rest.rpartition(":")
+        levels, rest = 0, t
+        while rest.startswith("Poly:"):  # one name per level, as X1..Xn
+            levels, rest = levels + 1, rest[5:].lstrip()
+        _check_arity(levels, "tower depth")
+        base_text, sep, var = t[5:].rpartition(":")
         if not sep or not base_text:
             raise ParseError(f"malformed ring {text!r}")
         try:
@@ -268,8 +268,8 @@ def _parse(text: str, ring: Ring, names: dict, lift, sparse=frozenset()):
     """Evaluate text with names, then ring's tower variables bound after
     them; lift carries tower constants and integer literals to the target.
     The values are sparse in the names of sparse (see _slots)."""
-    tree = _Parser(text).parse()
-    products = _bounds(tree, sparse)[3]
+    nodes = _postfix(text)
+    products = _fold(nodes, _bound_leaf, _bound_step, sparse)[3]
     if products > TERM_PRODUCT_BOUND:
         raise OracleInfeasibleError(
             f"expression needs up to {products} term products, over the"
@@ -278,7 +278,7 @@ def _parse(text: str, ring: Ring, names: dict, lift, sparse=frozenset()):
     env = dict(names)
     for name, v in tower_constants(ring).items():
         env[name] = lift(v)
-    return _eval(tree, env, lift)
+    return _fold(nodes, _value_leaf, _value_step, (env, lift))
 
 
 def parse_scalar(text: str, ring: Ring):

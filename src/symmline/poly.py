@@ -18,7 +18,9 @@ arithmetic is Poly's and returns plain Polys.
 
 PolyRing(base, var) turns polynomials into ring elements, giving towers
 such as Poly:ZZ:T whose values print as polynomials in T; the payload
-of such a value is a Poly over the base.
+of such a value is a Poly over the base.  A level's variable differs
+from every lower level's, so a tower value prints as text that parses
+back to it.
 
 The dense kernels (_dense_add, _dense_mul, _dense_divmod and the
 descending-degree renderer _render_dense) are the one implementation of
@@ -360,18 +362,7 @@ def poly_mod(f: Poly, g: Poly) -> Poly:
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd over a field (zero when both inputs are zero)."""
-    if not f.ring.is_field:
-        raise UnsupportedRingError(f"gcd needs a field base, got {f.ring.name}")
-    a, b = f, g
-    while not b.is_zero:
-        if b.degree == 0:
-            a, b = b, Poly.zero(f.ring)
-            continue
-        bm = MonicPoly(b.scale(b.leading.try_inverse()))
-        a, b = b, poly_mod(a, bm)
-    if a.is_zero:
-        return a
-    return a.scale(a.leading.try_inverse())
+    return poly_ext_gcd(f, g)[0]
 
 
 def poly_ext_gcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
@@ -384,14 +375,8 @@ def poly_ext_gcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
     v0, v1 = Poly.zero(ring), Poly.constant(ring, 1)
     while not r1.is_zero:
         lead_inv = r1.leading.try_inverse()
-        rm = MonicPoly(r1.scale(lead_inv)) if r1.degree >= 1 else None
-        if rm is None:
-            # degree-0 divisor: remainder is zero, quotient is r0/r1
-            q = r0.scale(lead_inv)
-            r = Poly.zero(ring)
-        else:
-            q_scaled, r = poly_divmod(r0, rm)
-            q = q_scaled.scale(lead_inv)
+        q, r = poly_divmod(r0, r1.scale(lead_inv))
+        q = q.scale(lead_inv)
         r0, r1 = r1, r
         u0, u1 = u1, u0 - q * u1
         v0, v1 = v1, v0 - q * v1
@@ -449,7 +434,16 @@ class PolyRing(Ring):
             raise ValueError(f"bad variable name {var!r}")
         if var == "X" or _looks_reserved(var):
             raise ValueError(f"variable name {var!r} is reserved")
-        return _intern(cls, (base, var), base=base, var=var, is_domain=base.is_domain)
+        lower = base
+        while isinstance(lower, PolyRing):
+            if lower.var == var:
+                raise ValueError(f"variable name {var!r} is already used in {base.name}")
+            lower = lower.base
+        # the zero payload, so that _from_int costs O(depth) calls, not 2^depth
+        zero = Poly._from_payloads(base, ())
+        return _intern(
+            cls, (base, var), base=base, var=var, is_domain=base.is_domain, _zero=zero
+        )
 
     def __getnewargs__(self):
         return (self.base, self.var)
@@ -464,6 +458,8 @@ class PolyRing(Ring):
         return a * b
 
     def _from_int(self, k):
+        if k == 0:
+            return self._zero
         return Poly._from_payloads(self.base, (self.base._from_int(k),))
 
     def _canon(self, payload):

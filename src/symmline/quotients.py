@@ -42,14 +42,13 @@ from math import comb
 from .errors import (
     InvariantViolationError,
     OracleInfeasibleError,
-    RingMismatchError,
     UnsupportedRingError,
 )
 from .matrices import SquareMatrix, char_poly, poly_at_matrix
 from .multipoly import _sparse_eval
 from .norms import norm
 from .poly import MonicPoly, Poly
-from .rings import PrimeField, Ring, RingValue, ZmodRing, ZZ
+from .rings import PrimeField, Ring, RingValue, ZmodRing, ZZ, _check_rings
 from .symmetric import (
     SymElem,
     SymPoly1,
@@ -71,9 +70,9 @@ DEGREE_BOUND = 100
 TERM_PRODUCT_BOUND = 100_000
 
 
-def _check_arity(n: int) -> None:
+def _check_arity(n: int, what: str = "arity") -> None:
     if n > ARITY_BOUND:
-        raise OracleInfeasibleError(f"arity {n} exceeds the arity bound {ARITY_BOUND}")
+        raise OracleInfeasibleError(f"{what} {n} exceeds the arity bound {ARITY_BOUND}")
 
 
 class MultSet:
@@ -103,8 +102,7 @@ class MultSet:
             raise ValueError("need at least one generator")
         ring = gens[0].ring
         for g in gens:
-            if g.ring != ring:
-                raise RingMismatchError("generators over different rings")
+            _check_rings(g.ring, ring)
             if g.is_zero:
                 raise ValueError("generators must be nonzero")
         return cls(ring, "generated", gens)
@@ -163,10 +161,7 @@ def is_free_quotient(modulus: MonicPoly, mult_set: MultSet) -> bool:
     any other generator g by N_F(g) itself.
     """
     ring = modulus.ring
-    if ring is not mult_set.ring and ring != mult_set.ring:
-        raise RingMismatchError(
-            f"F over {ring.name}, set over {mult_set.ring.name}"
-        )
+    _check_rings(ring, mult_set.ring)
     if mult_set.kind == "trivial":
         return True
     if mult_set.kind == "generated":
@@ -222,8 +217,7 @@ def free_quotient_oracle(modulus: MonicPoly, mult_set: MultSet) -> bool:
         raise UnsupportedRingError(
             f"oracle needs a finitely generated set, got {mult_set.kind}"
         )
-    if mult_set.ring != ring:
-        raise RingMismatchError("set and polynomial over different rings")
+    _check_rings(mult_set.ring, ring)
     m = ring.modulus
     n = modulus.degree
     if m**n > ORACLE_SEARCH_BOUND:
@@ -398,10 +392,7 @@ def count_points(q: int, n: int, mult_set: MultSet, workers: int = 1) -> int:
     ignored.
     """
     ring = PrimeField(q)
-    if mult_set.ring != ring:
-        raise RingMismatchError(
-            f"set over {mult_set.ring.name}, census over {ring.name}"
-        )
+    _check_rings(mult_set.ring, ring)
     if n < 1:
         raise ValueError("n must be >= 1")
     if q**n > CENSUS_BOUND:

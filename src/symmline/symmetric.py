@@ -59,7 +59,7 @@ from .poly import (
     _from_signed,
     _render_dense,
 )
-from .rings import Ring, RingValue, _power
+from .rings import Ring, RingValue, _check_rings, _power
 
 
 class SymElem(_SparsePoly):
@@ -163,8 +163,9 @@ class SymPoly1:
         for c in coeffs:
             if not isinstance(c, SymElem):
                 c = SymElem.constant(ring, arity, c)
-            if (c.ring is not ring and c.ring != ring) or c.arity != arity:
-                raise ValueError("coefficient ring or arity mismatch")
+            _check_rings(c.ring, ring)
+            if c.arity != arity:
+                raise ValueError(f"arity mismatch {c.arity} vs {arity}")
             cs.append(c)
         self._set(ring, arity, cs)
 
@@ -219,10 +220,9 @@ class SymPoly1:
         )
 
     def _check(self, other: SymPoly1):
-        if (
-            self.ring is not other.ring and self.ring != other.ring
-        ) or self.arity != other.arity:
-            raise ValueError("ring or arity mismatch")
+        _check_rings(self.ring, other.ring)
+        if self.arity != other.arity:
+            raise ValueError(f"arity mismatch {self.arity} vs {other.arity}")
 
     def __add__(self, other: SymPoly1) -> SymPoly1:
         self._check(other)

@@ -138,6 +138,18 @@ def test_resultant_check_verb(capsys):
     assert payload["oracle"]["sylvester_N_P(Q)"] == "6"
 
 
+def test_resultant_check_computes_each_norm_once(capsys, monkeypatch):
+    calls = []
+    det = symmline.norms.det
+    monkeypatch.setattr(symmline.norms, "det", lambda m: calls.append(m.n) or det(m))
+    code, out, err = invoke(
+        capsys, "resultant-check", "--ring", "ZZ", "--P", "X^3+X+1", "--Q", "X^2-2"
+    )
+    assert code == 0, err
+    assert "N_P(Q) = -17, N_Q(P) = -17" in out
+    assert sorted(calls) == [2, 3]
+
+
 def test_push_norm_verb(capsys):
     code, payload = invoke_json(
         capsys,
@@ -279,6 +291,71 @@ def test_arity_over_bound_fails_fast(capsys):
             code, out, err = invoke(capsys, *argv)
             assert code == 1, argv
             assert "OracleInfeasibleError" in err
+    assert time.perf_counter() - start < 1.0
+
+
+def _expanded_sextic():
+    """(X1+...+X6+1)^8 multiplied out: 3,003 terms, 61,337 characters."""
+    from symmline.parsing import parse_multipoly
+    from symmline.rings import ZZ
+
+    return str(parse_multipoly("(X1+X2+X3+X4+X5+X6+1)^8", ZZ, 6))
+
+
+def test_long_expressions_reach_the_verbs(capsys):
+    # no expression recurses on its length or nesting in the parser
+    expr = _expanded_sextic()
+    assert len(expr) == 61_337 and expr.count(" + ") == 3_002
+    code, out, err = invoke(capsys, "decompose", "--ring", "ZZ", "--n", "6",
+                            f"--expr={expr}")
+    assert code == 0, err
+    assert "expands back to the input" in out
+    n = 10_000
+    for f in ("+".join(["X"] * n), "(" * n + "X" + ")" * n, "-" * n + "X"):
+        code, out, err = invoke(capsys, "norm", "--ring", "ZZ", "--F", "X^2+1",
+                                f"--f={f}")
+        assert code == 0, err
+
+
+def test_tower_rings_fail_fast_and_typed(capsys):
+    start = time.perf_counter()
+    for levels in (ARITY_BOUND + 1, 1000):
+        ring = "ZZ"
+        for k in range(levels):
+            ring = f"Poly:{ring}:T{k}"
+        code, out, err = invoke(capsys, "norm", "--ring", ring, "--F", "X", "--f", "X")
+        assert code == 1
+        assert f"OracleInfeasibleError: tower depth {levels} exceeds" in err
+    code, out, err = invoke(
+        capsys, "norm", "--ring", "Poly:Poly:ZZ:T:T", "--F", "X", "--f", "T"
+    )
+    assert code == 2
+    assert "variable name 'T' is already used in Poly:ZZ:T" in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_deep_tower_within_the_bound_is_fast(capsys):
+    ring = "ZZ"
+    for k in range(ARITY_BOUND):
+        ring = f"Poly:{ring}:T{k}"
+    start = time.perf_counter()
+    code, out, err = invoke(
+        capsys, "charpoly", "--ring", ring, "--F", "X^2+T0", "--f", f"X+T{ARITY_BOUND - 1}"
+    )
+    assert code == 0, err
+    assert "charpoly = X^2 - 2*T9*X + (T9^2 + T0)" in out
+    assert time.perf_counter() - start < 1.0
+
+
+def test_norm_refuses_a_large_modulus_before_the_determinant(capsys):
+    # the symmetric route checks deg F against ARITY_BOUND; the
+    # determinant route, run first, took 26 s on this input
+    start = time.perf_counter()
+    code, out, err = invoke(
+        capsys, "norm", "--ring", "ZZ", "--F", "X^100+X+1", "--f", "(X+2)^99"
+    )
+    assert code == 1
+    assert "OracleInfeasibleError: arity 100 exceeds" in err
     assert time.perf_counter() - start < 1.0
 
 

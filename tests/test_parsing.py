@@ -1,3 +1,5 @@
+import sys
+import time
 from random import Random
 
 import pytest
@@ -12,8 +14,8 @@ from symmline.parsing import (
     parse_symelem,
     parse_sympoly1,
 )
-from symmline.poly import Poly, PolyRing
-from symmline.quotients import DEGREE_BOUND, TERM_PRODUCT_BOUND
+from symmline.poly import Poly, PolyRing, tower_constants
+from symmline.quotients import ARITY_BOUND, DEGREE_BOUND, TERM_PRODUCT_BOUND
 from symmline.rings import GF, QQ, Zmod, ZZ
 from symmline.sampling import random_poly, random_symelem
 from symmline.symmetric import SymElem, SymPoly1
@@ -32,6 +34,33 @@ def test_parse_ring_errors():
     for bad in ("GF:4", "Zmod:1", "Zmod:x", "Poly:ZZ", "Poly::T", "zz", "GF:"):
         with pytest.raises(ParseError):
             parse_ring(bad)
+
+
+def _tower_text(levels, base="ZZ"):
+    for k in range(levels):
+        base = f"Poly:{base}:T{chr(ord('a') + k % 26)}{k // 26 or ''}"
+    return base
+
+
+def test_tower_depth_is_bounded_before_any_ring_is_built():
+    ring = parse_ring(_tower_text(ARITY_BOUND))
+    assert len(tower_constants(ring)) == ARITY_BOUND
+    start = time.perf_counter()
+    for levels in (ARITY_BOUND + 1, 300, 1000):
+        with pytest.raises(OracleInfeasibleError, match=f"tower depth {levels} "):
+            parse_ring(_tower_text(levels))
+    # refused on the count of levels, even where a level is malformed
+    with pytest.raises(OracleInfeasibleError):
+        parse_ring("Poly: " * (ARITY_BOUND + 1) + "ZZ")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_tower_variable_names_are_distinct():
+    for bad in ("Poly:Poly:ZZ:T:T", "Poly:Poly:Poly:ZZ:T:S:T", "Poly: Poly:ZZ:T :T"):
+        with pytest.raises(ParseError, match="already used"):
+            parse_ring(bad)
+    with pytest.raises(ValueError, match="'T' is already used in Poly:ZZ:T"):
+        PolyRing(PolyRing(ZZ, "T"), "T")
 
 
 def test_parse_poly_worked_example():
@@ -80,6 +109,100 @@ def test_parse_errors_carry_position():
         parse_poly("", ZZ)
 
 
+# malformed input -> the ParseError message (without its position
+# suffix) and position, as the recursive-descent parser gave them
+MALFORMED = [
+    ("X + $", "unexpected character '$'", 4),
+    ("X^-1", "exponent must be a nonnegative integer", 2),
+    ("X Y", "trailing input 'Y'", 2),
+    ("(X + 1", "expected ')', found None", 6),
+    ("", "unexpected end of input", 0),
+    ("()", "unexpected token ')'", 1),
+    ("X)", "trailing input ')'", 1),
+    ("X^", "exponent must be a nonnegative integer", 2),
+    ("X^X", "exponent must be a nonnegative integer", 2),
+    ("*X", "unexpected token '*'", 0),
+    ("X*", "unexpected end of input", 2),
+    ("-", "unexpected end of input", 1),
+    ("2 3", "trailing input 3", 2),
+    ("1-(X", "expected ')', found None", 4),
+    ("X^(2)", "exponent must be a nonnegative integer", 2),
+    ("Y + 1", "unknown symbol 'Y'", 0),
+    ("(", "unexpected end of input", 1),
+    (")", "unexpected token ')'", 0),
+    ("X+", "unexpected end of input", 2),
+    ("+X", "unexpected token '+'", 0),
+    ("X^2 3", "trailing input 3", 4),
+    ("((X)", "expected ')', found None", 4),
+    ("X(", "trailing input '('", 1),
+    ("1 (X)", "trailing input '('", 2),
+    ("   ", "unexpected end of input", 3),
+    ("(X))", "trailing input ')'", 3),
+    ("X ^ 2 ^ ", "exponent must be a nonnegative integer", 8),
+    ("((X Y))", "expected ')', found 'Y'", 4),
+    ("X - -", "unexpected end of input", 5),
+    ("X^2(X)", "trailing input '('", 3),
+    ("^2", "unexpected token '^'", 0),
+    ("X**2", "unexpected token '*'", 2),
+    ("X+*X", "unexpected token '*'", 2),
+    ("(X+1)^2 Y", "trailing input 'Y'", 8),
+    ("2^", "exponent must be a nonnegative integer", 2),
+    ("Y $", "unexpected character '$'", 2),  # characters before syntax
+    ("Y^101 Z", "trailing input 'Z'", 6),  # syntax before budgets
+]
+
+# inputs at the edges of the grammar -> their rendered value over ZZ
+EDGE = [
+    ("X^2^3", "X^6"),
+    ("-X^2", "-X^2"),
+    ("--X", "X"),
+    ("X*-X", "-X^2"),
+    ("3 - - 3", "6"),
+    ("X^0", "1"),
+    ("-(X)^2", "-X^2"),
+    ("(-X)^3", "-X^3"),
+    ("1-2-3*X^2*-X", "3*X^3 - 1"),
+    ("X^ 2", "X^2"),
+    ("0^0", "1"),
+]
+
+
+@pytest.mark.parametrize("text, message, position", MALFORMED)
+def test_malformed_input_messages(text, message, position):
+    with pytest.raises(ParseError) as info:
+        parse_poly(text, ZZ)
+    assert info.value.position == position
+    assert str(info.value) == f"{message} (at position {position})"
+
+
+@pytest.mark.parametrize("text, rendered", EDGE)
+def test_grammar_edges(text, rendered):
+    assert str(parse_poly(text, ZZ)) == rendered
+
+
+def test_budgets_come_before_unknown_symbols():
+    for text, degree in (("X^99999999 + Y", 99999999), ("Y^101", 101), ("Y * X^101", 101)):
+        with pytest.raises(OracleInfeasibleError) as info:
+            parse_poly(text, ZZ)
+        assert str(info.value) == (
+            f"expression degree {degree} exceeds the degree bound {DEGREE_BOUND}"
+        )
+
+
+def test_long_and_deep_input_parses_without_recursion():
+    # the postfix pass and the folds keep explicit stacks, so neither the
+    # length nor the nesting of an expression reaches the recursion limit
+    n = 10_000
+    assert sys.getrecursionlimit() < n
+    x = Poly.gen(ZZ)
+    assert parse_poly("+".join(["X"] * n), ZZ) == x.scale(n)
+    assert parse_poly("(" * n + "X" + ")" * n, ZZ) == x
+    assert parse_poly("-" * n + "X", ZZ) == x
+    assert parse_poly("-" * (n + 1) + "X", ZZ) == -x
+    assert parse_poly("(" * n + "X - 1" + ")" * n + "^2", ZZ) == (x - x ** 0) ** 2
+    assert parse_scalar("-".join(["1"] * n), ZZ) == ZZ.value(2 - n)
+
+
 def test_parse_scalar():
     assert parse_scalar("-3", ZZ) == ZZ.value(-3)
     assert parse_scalar("2^10", ZZ) == ZZ.value(1024)
@@ -114,7 +237,8 @@ def _names(prefix, n):
 
 
 def _bounds(text, sparse):
-    return parsing._bounds(parsing._Parser(text).parse(), sparse)
+    nodes = parsing._postfix(text)
+    return parsing._fold(nodes, parsing._bound_leaf, parsing._bound_step, sparse)
 
 
 def test_term_products_bound_the_work(monkeypatch):
@@ -160,6 +284,63 @@ def test_term_budget_is_checked_before_evaluating():
         with pytest.raises(OracleInfeasibleError, match="term products"):
             parse(text, ring)
     assert len(parse_multipoly(cubic + "12", ZZ, 3).terms) == 455
+
+
+# expression, sparse names -> its (degree, sorted names, terms, products)
+# budget tuple, as the recursive walk over the syntax tree gave it
+BOUNDS = [
+    ("X^2 - 3*X + 2", "", (2, ("X",), 1, 9)),
+    ("(X-1)*(X-2)", "", (2, ("X",), 1, 4)),
+    ("X^2 + 7", "", (2, ("X",), 1, 7)),
+    ("-X^2", "", (2, ("X",), 1, 7)),
+    ("-2*X", "", (2, ("X",), 1, 2)),
+    ("2+3*X^2", "", (3, ("X",), 1, 10)),
+    ("(2+3)*X", "", (2, ("X",), 1, 2)),
+    ("2-3-4", "", (1, (), 1, 0)),
+    ("X - T", "", (1, ("T", "X"), 1, 0)),
+    ("S*X + T", "", (2, ("S", "T", "X"), 1, 4)),
+    ("-3", "", (1, (), 1, 0)),
+    ("2^10", "", (10, (), 1, 5)),
+    ("T^2 - 1", "", (2, ("T",), 1, 7)),
+    ("X^100", "", (100, ("X",), 1, 4072)),
+    ("(X + 1)^50 * X^50", "", (100, ("X",), 1, 4779)),
+    ("X^2 - 3", "", (2, ("X",), 1, 7)),
+    ("Y + 1", "", (1, ("Y",), 1, 0)),
+    ("(T*X + 2*T - X + 1)^20", "", (40, ("T", "X"), 1, 50991)),
+    ("(X + T + 1)^50 * (X - T)^50", "", (100, ("T", "X"), 1, 2024712)),
+    ("X1^2 + X2^2", "X2", (2, ("X1", "X2"), 2, 4)),
+    ("X3", "X2", (1, ("X3",), 1, 0)),
+    ("(X1 + X2 + X3 + 1)^13", "X3", (13, ("X1", "X2", "X3"), 560, 10725)),
+    ("(X1*X2 - 3*X3)^7 * (X1 + T)^5", "X3", (19, ("T", "X1", "X2", "X3"), 48, 532)),
+    ("(X1 + X2 + X3 + 1)^64", "X3", (64, ("X1", "X2", "X3"), 47905, 43852457)),
+    ("(X1 + X2 + X3 + 1)^12", "X3", (12, ("X1", "X2", "X3"), 455, 7151)),
+    ("(X1+X2+X3+X4+X5+X6)^40", "X10",
+     (40, ("X1", "X2", "X3", "X4", "X5", "X6"), 1221759, 976755249)),
+    ("(e1 + e2*e3 + e4)^9 - e1^20", "e4", (20, ("e1", "e2", "e3", "e4"), 56, 415)),
+    ("(e1 + e2 + e3 + 1)^64", "e3", (64, ("e1", "e2", "e3"), 47905, 43852457)),
+    ("(e1 + e2 + e3 + X)^64", "e3X", (64, ("X", "e1", "e2", "e3"), 47905, 43852457)),
+    ("e1^2 - 2*e2", "e2", (2, ("e1", "e2"), 2, 3)),
+    ("e3", "e2", (1, ("e3",), 1, 0)),
+    ("(e1*X + e2 + X^2)^8 * (X - e1)^3", "e2", (19, ("X", "e1", "e2"), 180, 32276)),
+    ("(e1*X + e2 + X^2)^8 * (X - e1)^3", "e2X", (19, ("X", "e1", "e2"), 180, 510)),
+    ("X^2 - e1*X + e2", "e2X", (2, ("X", "e1", "e2"), 3, 3)),
+    ("--X*-X^3-(-(X))", "", (4, ("X",), 1, 20)),
+    ("2^3^2*X", "", (7, ("X",), 1, 7)),
+]
+
+
+def _sparse(spec):
+    """"" for none, "X3" for X1..X3, "e2X" for e1, e2 and X."""
+    if not spec:
+        return frozenset()
+    names = _names(spec[0], int(spec[1:].rstrip("X")))
+    return names | {"X"} if spec.endswith("X") else names
+
+
+@pytest.mark.parametrize("text, spec, expected", BOUNDS)
+def test_bounds_tuples_are_pinned(text, spec, expected):
+    degree, names, terms, products = _bounds(text, _sparse(spec))
+    assert (degree, tuple(sorted(names)), terms, products) == expected
 
 
 def test_poly_render_parse_roundtrip():

@@ -14,6 +14,7 @@ from symmline.poly import (
     QuotientElem,
     invert_mod,
     poly_divmod,
+    poly_ext_gcd,
     poly_gcd,
 )
 from symmline.rings import GF, QQ, Zmod, ZZ
@@ -182,6 +183,40 @@ def test_gcd_basics():
     g = (x - p(ring, 1)) * (x - p(ring, 3))
     assert poly_gcd(f, g) == x - p(ring, 1)
     assert poly_gcd(f, Poly.zero(ring)) == f.scale(f.leading.try_inverse())
+
+
+def test_ext_gcd_bezout_identity():
+    # u*f + v*g = d with d monic, or zero exactly when f and g both are;
+    # constants and zeros included, which the Euclid loop divides by as
+    # monic polynomials of degree 0
+    rng = Random(95)
+    for ring in (GF(5), GF(7), QQ):
+        for _ in range(300):
+            f, g = (random_poly(ring, rng, rng.choice((0, 1, 3, 6)), -4, 4) for _ in "fg")
+            d, u, v = poly_ext_gcd(f, g)
+            assert u * f + v * g == d
+            assert d.is_zero == (f.is_zero and g.is_zero)
+            if not d.is_zero:
+                assert d.is_monic()
+                assert poly_divmod(f, d)[1].is_zero and poly_divmod(g, d)[1].is_zero
+            assert poly_gcd(f, g) == d
+
+
+def test_tower_integers_cost_linear_in_depth(monkeypatch):
+    calls = []
+    from_int = PolyRing._from_int
+    monkeypatch.setattr(
+        PolyRing, "_from_int", lambda ring, k: calls.append(k) or from_int(ring, k)
+    )
+    depth = 12
+    ring = ZZ
+    for k in range(depth):
+        ring = PolyRing(ring, f"T{chr(ord('a') + k)}")
+    for k in (0, 1, -3):
+        del calls[:]
+        assert ring.value(k) == ring.value(k)
+        # each level embeds k once and strips against its cached zero
+        assert len(calls) <= 2 * 2 * depth
 
 
 def test_tower_polynomials():
