@@ -146,6 +146,9 @@ def _cmd_resultant_check(args):
     ring = parse_ring(args.ring)
     first = _monic(args.P, ring)
     second = _monic(args.Q, ring)
+    # the determinants below grow like n^4 in the degrees
+    _check_arity(first.degree, "deg P")
+    _check_arity(second.degree, "deg Q")
     holds, lhs, rhs = _resultant_symmetry(first, second)
     oracle = {
         "N_P(Q)": str(lhs),
@@ -207,6 +210,7 @@ def _cmd_push_norm(args):
 def _cmd_membership(args):
     ring = parse_ring(args.ring)
     modulus = _monic(args.F, ring)
+    _check_arity(modulus.degree, "deg F")
     mult_set = parse_multset(args.multset, ring)
     member = is_free_quotient(modulus, mult_set)
     oracle = None

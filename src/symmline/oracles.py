@@ -13,7 +13,7 @@ from itertools import permutations
 from .errors import InvariantViolationError
 from .matrices import SquareMatrix, det
 from .poly import MonicPoly, Poly
-from .rings import Ring, RingValue
+from .rings import RingValue, ZmodRing, ZZ
 
 
 def cofactor_det(rows):
@@ -135,8 +135,16 @@ def sylvester_matrix(big: MonicPoly, small: Poly) -> SquareMatrix:
 
 
 def sylvester_resultant(big: MonicPoly, small: Poly) -> RingValue:
-    """Resultant via the Sylvester determinant, fraction-free where the
-    ring supports exact division, else division-free Berkowitz."""
+    """Resultant via the Sylvester determinant by fraction-free Bareiss
+    elimination.  Over Zmod:m with m composite, which lacks the exact
+    divisions, Bareiss runs on the residues lifted to ZZ and the result
+    is reduced mod m: the determinant is an integer polynomial in the
+    entries and reduction mod m is a ring map, as in matrices.char_poly.
+    Only tower rings fall back to the production Berkowitz det."""
     syl = sylvester_matrix(big, small)
+    ring = syl.ring
+    if isinstance(ring, ZmodRing) and not ring.is_domain:
+        lifted = SquareMatrix._from_payloads(ZZ, syl._payload_rows)
+        return ring.value(bareiss_det(lifted).payload)
     d = bareiss_det(syl)
     return det(syl) if d is None else d

@@ -22,13 +22,14 @@ of such a value is a Poly over the base.  A level's variable differs
 from every lower level's, so a tower value prints as text that parses
 back to it.
 
-The dense kernels (_dense_add, _dense_mul, _dense_divmod and the
-descending-degree renderer _render_dense) are the one implementation of
-univariate add, multiply, monic division and rendering.  They work on
-ascending coefficient lists with the coefficient operations passed in:
-Poly passes its stored payloads and its ring's _add/_mul/_neg;
-symmetric.SymPoly1 passes SymElems and their own +, * and str.  The
-term-joining rules of _render_sum are shared with
+The dense kernels (_dense_add, _dense_mul and _dense_divmod) are the
+one implementation of univariate add, multiply and monic division.
+They work on ascending payload lists with the ring's _add/_mul/_neg
+passed in.  symmetric.SymPoly1 is a Poly over symmetric.SymRing, whose
+payloads are SymElems, so the same arithmetic, poly_divmod and render
+serve it; every operation builds its result in the class named by the
+_result hook, Poly for Poly and MonicPoly and SymPoly1 for SymPoly1.
+The term-joining rules of _render_sum are shared with
 multipoly.render_terms, and rings._power is the one square-and-multiply
 behind every __pow__.  The constructor takes a coefficient that is
 already a value of the same ring object as is and sends anything else
@@ -135,10 +136,11 @@ class Poly:
     def __add__(self, other: Poly) -> Poly:
         self._check(other)
         out = _dense_add(self._payload_coeffs, other._payload_coeffs, self.ring._add)
-        return Poly._from_payloads(self.ring, out)
+        return self._result._from_payloads(self.ring, out)
 
     def __neg__(self) -> Poly:
-        return Poly._from_payloads(self.ring, map(self.ring._neg, self._payload_coeffs))
+        out = map(self.ring._neg, self._payload_coeffs)
+        return self._result._from_payloads(self.ring, out)
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
@@ -148,15 +150,17 @@ class Poly:
         ring = self.ring
         a, b = self._payload_coeffs, other._payload_coeffs
         out = _dense_mul(a, b, ring._add, ring._mul, ring._from_int(0))
-        return Poly._from_payloads(ring, out)
+        return self._result._from_payloads(ring, out)
 
     def scale(self, c) -> Poly:
         c = self.ring.value(c).payload
         mul = self.ring._mul
-        return Poly._from_payloads(self.ring, [mul(c, a) for a in self._payload_coeffs])
+        out = [mul(c, a) for a in self._payload_coeffs]
+        return self._result._from_payloads(self.ring, out)
 
     def __pow__(self, k: int) -> Poly:
-        return _power(self, k, Poly.constant(self.ring, 1))
+        one = self._result._from_payloads(self.ring, (self.ring._from_int(1),))
+        return _power(self, k, one)
 
     def __call__(self, x: RingValue) -> RingValue:
         x = self.ring.value(x)
@@ -177,9 +181,11 @@ class Poly:
 
     # rendering ------------------------------------------------------
     def render(self, var: str = "X") -> str:
-        ring = self.ring
-        return _render_dense(
-            self.coeffs, var, lambda c: _signed_text(ring, c.payload)
+        ring, zero = self.ring, self.ring._from_int(0)
+        return _render_sum(
+            (*_signed_text(ring, c), "" if i == 0 else var if i == 1 else f"{var}^{i}")
+            for i, c in reversed(list(enumerate(self._payload_coeffs)))
+            if c != zero
         )
 
     def __str__(self):
@@ -187,6 +193,11 @@ class Poly:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.ring.name}, {self})"
+
+
+# the class that Poly's arithmetic builds its results in: Poly for Poly
+# and MonicPoly, and symmetric.SymPoly1 for itself
+Poly._result = Poly
 
 
 # dense kernels ------------------------------------------------------
@@ -235,16 +246,6 @@ def _from_signed(cs, one, zero) -> list:
     for i, c in enumerate(cs, start=1):
         coeffs[n - i] = -c if i % 2 else c
     return coeffs
-
-
-def _render_dense(coeffs, var: str, text) -> str:
-    """Descending-degree rendering of ascending coefficients; text(c)
-    gives (negative, rendering) of a nonzero coefficient c."""
-    return _render_sum(
-        (*text(c), "" if i == 0 else var if i == 1 else f"{var}^{i}")
-        for i, c in reversed(list(enumerate(coeffs)))
-        if not c.is_zero
-    )
 
 
 def _render_sum(terms) -> str:
@@ -347,13 +348,14 @@ def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     if not g.is_monic():
         raise ValueError("divisor must be monic")
     ring = f.ring
+    result = f._result
     if len(f._payload_coeffs) <= g.degree:
-        return Poly.zero(ring), f
+        return result._from_payloads(ring, ()), f
     add, mul, neg, zero = ring._add, ring._mul, ring._neg, ring._from_int(0)
     quo, rem = _dense_divmod(
         f._payload_coeffs, g._payload_coeffs, add, mul, neg, zero
     )
-    return Poly._from_payloads(ring, quo), Poly._from_payloads(ring, rem)
+    return result._from_payloads(ring, quo), result._from_payloads(ring, rem)
 
 
 def poly_mod(f: Poly, g: Poly) -> Poly:
@@ -447,15 +449,6 @@ class PolyRing(Ring):
 
     def __getnewargs__(self):
         return (self.base, self.var)
-
-    def _add(self, a, b):
-        return a + b
-
-    def _neg(self, a):
-        return -a
-
-    def _mul(self, a, b):
-        return a * b
 
     def _from_int(self, k):
         if k == 0:

@@ -52,6 +52,7 @@ from .rings import PrimeField, Ring, RingValue, ZmodRing, ZZ, _check_rings
 from .symmetric import (
     SymElem,
     SymPoly1,
+    SymRing,
     diagonal_tensor,
     sym_char_poly,
     sym_ops_of,
@@ -273,18 +274,17 @@ def recover_monic(theta: SquareMatrix) -> MonicPoly:
     return result
 
 
-def _addition_images(ring: Ring, n: int) -> list[SymPoly1]:
-    """Images of e_1..e_n downstairs: e_i + e_(i-1)*X in arity n-1."""
-    images = []
-    for i in range(1, n + 1):
-        const = (
-            SymElem.e(i, n - 1, ring)
-            if i <= n - 1
-            else SymElem.zero(ring, n - 1)
+def _addition_images(sym: SymRing) -> list[SymPoly1]:
+    """Images of e_1..e_n downstairs, over sym = SymRing(base, n-1):
+    e_i + e_(i-1)*X, with e_n = 0 there."""
+    ring, k = sym.base, sym.arity
+    return [
+        SymPoly1._from_payloads(
+            sym,
+            (SymElem.e(i, k, ring) if i <= k else sym._zero, SymElem.e(i - 1, k, ring)),
         )
-        linear = SymElem.e(i - 1, n - 1, ring)
-        images.append(SymPoly1(ring, n - 1, (const, linear)))
-    return images
+        for i in range(1, k + 2)
+    ]
 
 
 def addition_map(s: SymElem) -> SymPoly1:
@@ -293,12 +293,12 @@ def addition_map(s: SymElem) -> SymPoly1:
     n = s.arity
     if n < 1:
         raise ValueError("arity must be >= 1")
-    ring = s.ring
+    sym = SymRing(s.ring, n - 1)
     return _sparse_eval(
-        ring,
+        s.ring,
         s._payload_terms,
-        _addition_images(ring, n),
-        lambda c: SymPoly1(ring, n - 1, (c,)),
+        _addition_images(sym),
+        lambda c: SymPoly1._from_payloads(sym, (sym._const(c),)),
         operator.add,
         operator.mul,
     )
@@ -306,8 +306,7 @@ def addition_map(s: SymElem) -> SymPoly1:
 
 def apply_addition(t: SymPoly1) -> SymPoly1:
     """Extend the addition map X-linearly to polynomials in the outer X."""
-    n = t.arity
-    acc = SymPoly1.zero(t.ring, n - 1)
+    acc = SymPoly1.zero(t.ring.base, t.arity - 1)
     for j, c in enumerate(t.coeffs):
         acc = acc + addition_map(c).shift(j)
     return acc
@@ -317,19 +316,20 @@ def section_map(t: SymPoly1) -> SymPoly1:
     """The recursive section of the addition map: on basis symbols,
     p(e_i) = e_i' - p(e_(i-1))*X, raising arity by one."""
     k = t.arity
-    ring = t.ring
-    images = [SymPoly1(ring, k + 1, (SymElem.one(ring, k + 1),))]
-    x = SymPoly1.x(ring, k + 1)
+    ring = t.ring.base
+    sym = SymRing(ring, k + 1)
+    images = [SymPoly1._from_payloads(sym, (sym._one,))]
+    x = SymPoly1._from_payloads(sym, (sym._zero, sym._one))
     for i in range(1, k + 1):
-        upstairs = SymPoly1.from_symelem(SymElem.e(i, k + 1, ring))
+        upstairs = SymPoly1._from_payloads(sym, (SymElem.e(i, k + 1, ring),))
         images.append(upstairs - images[i - 1] * x)
-    acc = SymPoly1.zero(ring, k + 1)
+    acc = SymPoly1._from_payloads(sym, ())
     for j, c in enumerate(t.coeffs):
         term = _sparse_eval(
             ring,
             c._payload_terms,
             images[1:],
-            lambda v: SymPoly1(ring, k + 1, (v,)),
+            lambda v: SymPoly1._from_payloads(sym, (sym._const(v),)),
             operator.add,
             operator.mul,
         )

@@ -1,28 +1,32 @@
 """Exact arithmetic over the supported coefficient rings.
 
 A ring is one of: the integers ZZ, the rationals QQ, the residue ring
-Zmod(m) for m >= 2, the prime field GF(p), or a polynomial ring
-Poly(base, var) over one of these.  Elements are RingValue objects that
-pair a ring with a canonical payload:
+Zmod(m) for m >= 2, the prime field GF(p), a polynomial ring
+Poly(base, var) over one of these, or the symmetric ring
+symmetric.SymRing(base, n), the coefficient ring of SymPoly1.  Elements
+are RingValue objects that pair a ring with a canonical payload:
 
     ZZ        arbitrary-precision int
     QQ        fractions.Fraction (lowest terms, positive denominator)
     Zmod/GF   int residue in [0, m)
     Poly(...) a poly.Poly over the base ring, no trailing zeros
+    Sym(...)  a symmetric.SymElem over the base ring, of arity n
 
 Equality of values is payload equality, which the canonical forms make
 decidable.  All values are immutable; every operation returns a fresh
 value, so sharing across threads is safe.
 
-Zmod, GF and Poly ring specifications are interned: building one twice
-returns the same object while the first is alive, so the matching-ring
-checks on every operation are usually an identity test.  Ring equality
-is still structural, and a check falls back to it when identity fails.
+Zmod, GF, Poly and Sym ring specifications are interned: building one
+twice returns the same object while the first is alive, so the
+matching-ring checks on every operation are usually an identity test.
+Ring equality is still structural, and a check falls back to it when
+identity fails.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import threading
 import weakref
 from fractions import Fraction
@@ -63,21 +67,18 @@ class Ring:
     """Common interface of the supported rings.
 
     Subclasses implement the payload-level operations; RingValue wraps
-    them with operator syntax and matching-ring checks.
+    them with operator syntax and matching-ring checks.  _add, _neg and
+    _mul default to the payloads' own +, - and *, which is right for
+    every ring but Zmod, so only ZmodRing overrides them.
     """
 
     is_field = False
     is_domain = False
 
     # payload-level primitives -------------------------------------
-    def _add(self, a, b):
-        raise NotImplementedError
-
-    def _neg(self, a):
-        raise NotImplementedError
-
-    def _mul(self, a, b):
-        raise NotImplementedError
+    _add = staticmethod(operator.add)
+    _neg = staticmethod(operator.neg)
+    _mul = staticmethod(operator.mul)
 
     def _from_int(self, k: int):
         raise NotImplementedError
@@ -267,15 +268,6 @@ class RingValue:
 class IntegerRing(Ring):
     is_domain = True
 
-    def _add(self, a, b):
-        return a + b
-
-    def _neg(self, a):
-        return -a
-
-    def _mul(self, a, b):
-        return a * b
-
     def _from_int(self, k):
         return k
 
@@ -306,15 +298,6 @@ class IntegerRing(Ring):
 class RationalRing(Ring):
     is_field = True
     is_domain = True
-
-    def _add(self, a, b):
-        return a + b
-
-    def _neg(self, a):
-        return -a
-
-    def _mul(self, a, b):
-        return a * b
 
     def _from_int(self, k):
         return Fraction(k)

@@ -12,8 +12,9 @@ sym_ops_of(f, n) returns the n symmetric operators of f: the signed
 coefficients of prod_i (Y - f(X_i)).  For f = X they are e_1..e_n.
 sym_char_poly packages them as the monic degree-n polynomial itself,
 a SymPoly1: a polynomial in one outer variable X whose coefficients
-live in the symmetric ring.  The outer X is structurally separate from
-X_1..X_n, never an (n+1)-th MultiPoly variable.
+live in the symmetric ring SymRing(ring, n).  The outer X is
+structurally separate from X_1..X_n, never an (n+1)-th MultiPoly
+variable.
 
 Arity 0 is allowed for SymElem (a bare ring constant), matching the
 convention that the zeroth symmetric tensor ring is the base ring.
@@ -27,13 +28,16 @@ and diagonal_tensor: it takes canonical payloads of the ring unchecked,
 apart from dropping zeros, and is for internal use only.  The public
 SymElem(...) constructor validates every exponent and coefficient.
 
-SymPoly1 has no coefficient loop of its own: add, multiply, monic
-division and rendering are poly's dense kernels called with SymElem
-coefficients and SymElem's +, * and str.  SymPoly1._from_elems is the
-trusted constructor behind them: it takes SymElems of the right ring
-and arity unchecked, apart from stripping trailing zeros, and is for
-internal use only.  The public SymPoly1(...) constructor checks every
-coefficient's ring (identity first) and arity.
+SymRing(ring, n) is the symmetric ring as one more coefficient ring:
+an interned Ring whose payloads are the SymElems of that ring and
+arity n, with native +, - and *.  SymPoly1 is a Poly over it, so
+Poly's arithmetic, poly_divmod, equality, hash and render serve it,
+and Poly._from_payloads is its trusted constructor.  SymPoly1 adds only
+the (ring, arity, coeffs) constructor, coeffs read as SymElems, shift
+and expand; it names Poly's arithmetic in its own class body because
+perfbench/tracer.py spans those names by reading SymPoly1.__dict__.  A
+SymPoly1 reads its base ring as t.ring.base, and mixing arities raises
+RingMismatchError.
 """
 
 from __future__ import annotations
@@ -51,15 +55,8 @@ from .multipoly import (
     is_symmetric,
     render_terms,
 )
-from .poly import (
-    Poly,
-    _dense_add,
-    _dense_divmod,
-    _dense_mul,
-    _from_signed,
-    _render_dense,
-)
-from .rings import Ring, RingValue, _check_rings, _power
+from .poly import Poly, _from_signed, poly_divmod, poly_mod
+from .rings import Ring, RingValue, _check_rings, _intern
 
 
 class SymElem(_SparsePoly):
@@ -153,126 +150,114 @@ def diagonal_tensor(f: Poly, n: int) -> SymElem:
     return SymElem._from_payloads(ring, n, _symbasis.decompose_rep(rep, n, ring))
 
 
-class SymPoly1:
-    """Polynomial in the outer variable X over symmetric elements."""
+class SymRing(Ring):
+    """The symmetric ring on arity letters over base, in the elementary
+    basis: its payloads are SymElems of that ring and arity.  Interned
+    like PolyRing, and keeps its zero and one, as PolyRing keeps its
+    zero."""
 
-    __slots__ = ("ring", "arity", "coeffs")
+    def __new__(cls, base: Ring, arity: int):
+        if arity < 0:
+            raise ValueError("arity must be >= 0")
+        zero = SymElem._from_payloads(base, arity, {})
+        one = SymElem._from_payloads(base, arity, {(0,) * arity: base._from_int(1)})
+        return _intern(
+            cls, (base, arity), base=base, arity=arity,
+            is_domain=base.is_domain, _zero=zero, _one=one,
+        )
+
+    def __reduce__(self):
+        return SymRing, (self.base, self.arity)
+
+    def _const(self, c) -> SymElem:
+        """The constant SymElem of a payload c of the base ring."""
+        return SymElem._from_payloads(self.base, self.arity, {(0,) * self.arity: c})
+
+    def _from_int(self, k):
+        if k == 0:
+            return self._zero
+        if k == 1:
+            return self._one
+        return self._const(self.base._from_int(k))
+
+    def _canon(self, payload):
+        if isinstance(payload, SymElem):
+            _check_rings(SymRing(payload.ring, payload.arity), self)
+            return payload
+        return super()._canon(payload)
+
+    @property
+    def name(self):
+        return f"Sym:{self.base.name}:{self.arity}"
+
+    def __eq__(self, other):
+        return (
+            type(other) is SymRing
+            and other.base == self.base
+            and other.arity == self.arity
+        )
+
+    def __hash__(self):
+        return hash(("SymRing", self.base, self.arity))
+
+
+class SymPoly1(Poly):
+    """Polynomial in the outer variable X over symmetric elements: a
+    Poly over SymRing(ring, arity), whose coeffs are SymElems."""
+
+    __slots__ = ()
 
     def __init__(self, ring: Ring, arity: int, coeffs=()):
-        cs = []
-        for c in coeffs:
-            if not isinstance(c, SymElem):
-                c = SymElem.constant(ring, arity, c)
-            _check_rings(c.ring, ring)
-            if c.arity != arity:
-                raise ValueError(f"arity mismatch {c.arity} vs {arity}")
-            cs.append(c)
-        self._set(ring, arity, cs)
-
-    @classmethod
-    def _from_elems(cls, ring: Ring, arity: int, elems) -> SymPoly1:
-        """A polynomial from ascending SymElems of this ring and arity,
-        unchecked apart from stripping trailing zeros."""
-        t = object.__new__(cls)
-        t._set(ring, arity, list(elems))
-        return t
-
-    def _set(self, ring: Ring, arity: int, cs: list):
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        self.ring = ring
-        self.arity = arity
-        self.coeffs = tuple(cs)
+        const = partial(SymElem.constant, ring, arity)
+        cs = [c if isinstance(c, SymElem) else const(c) for c in coeffs]
+        super().__init__(SymRing(ring, arity), cs)
 
     @classmethod
     def zero(cls, ring: Ring, arity: int) -> SymPoly1:
-        return cls(ring, arity)
+        return cls._from_payloads(SymRing(ring, arity), ())
 
     @classmethod
     def from_symelem(cls, s: SymElem) -> SymPoly1:
-        return cls(s.ring, s.arity, (s,))
+        return cls._from_payloads(SymRing(s.ring, s.arity), (s,))
 
     @classmethod
     def x(cls, ring: Ring, arity: int) -> SymPoly1:
-        return cls(ring, arity, (SymElem.zero(ring, arity), SymElem.one(ring, arity)))
+        sym = SymRing(ring, arity)
+        return cls._from_payloads(sym, (sym._zero, sym._one))
 
     @classmethod
     def lift_poly(cls, f: Poly, arity: int) -> SymPoly1:
         """A plain polynomial in X with constant symmetric coefficients."""
-        return cls(f.ring, arity, f.coeffs)
+        sym = SymRing(f.ring, arity)
+        return cls._from_payloads(sym, map(sym._const, f._payload_coeffs))
 
     @property
-    def degree(self) -> int | None:
-        return len(self.coeffs) - 1 if self.coeffs else None
+    def arity(self) -> int:
+        return self.ring.arity
 
     @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def coeffs(self) -> tuple[SymElem, ...]:
+        return self._payload_coeffs
 
     def coeff(self, j: int) -> SymElem:
-        if 0 <= j < len(self.coeffs):
-            return self.coeffs[j]
-        return SymElem.zero(self.ring, self.arity)
+        cs = self._payload_coeffs
+        return cs[j] if 0 <= j < len(cs) else self.ring._zero
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == SymElem.one(
-            self.ring, self.arity
-        )
-
-    def _check(self, other: SymPoly1):
-        _check_rings(self.ring, other.ring)
-        if self.arity != other.arity:
-            raise ValueError(f"arity mismatch {self.arity} vs {other.arity}")
-
-    def __add__(self, other: SymPoly1) -> SymPoly1:
-        self._check(other)
-        out = _dense_add(self.coeffs, other.coeffs, operator.add)
-        return SymPoly1._from_elems(self.ring, self.arity, out)
-
-    def __neg__(self) -> SymPoly1:
-        return SymPoly1._from_elems(self.ring, self.arity, [-c for c in self.coeffs])
-
-    def __sub__(self, other: SymPoly1) -> SymPoly1:
-        return self + (-other)
-
-    def __mul__(self, other: SymPoly1) -> SymPoly1:
-        self._check(other)
-        zero = SymElem.zero(self.ring, self.arity)
-        out = _dense_mul(self.coeffs, other.coeffs, operator.add, operator.mul, zero)
-        return SymPoly1._from_elems(self.ring, self.arity, out)
-
-    def scale(self, s: SymElem) -> SymPoly1:
-        return SymPoly1._from_elems(self.ring, self.arity, [s * c for c in self.coeffs])
-
-    def __pow__(self, k: int) -> SymPoly1:
-        return _power(self, k, SymPoly1(self.ring, self.arity, (1,)))
+    # Poly's own functions, named in this class body because
+    # perfbench/tracer.py spans them by reading SymPoly1.__dict__
+    __add__ = Poly.__add__
+    __sub__ = Poly.__sub__
+    __neg__ = Poly.__neg__
+    __mul__ = Poly.__mul__
+    __pow__ = Poly.__pow__
+    scale = Poly.scale
+    divmod_monic = poly_divmod
+    mod_monic = poly_mod
 
     def shift(self, k: int) -> SymPoly1:
-        if self.is_zero:
-            return self
-        pad = (SymElem.zero(self.ring, self.arity),) * k
-        return SymPoly1._from_elems(self.ring, self.arity, pad + self.coeffs)
-
-    def divmod_monic(self, modulus: SymPoly1) -> tuple[SymPoly1, SymPoly1]:
-        """Division in the outer variable by a monic polynomial."""
-        self._check(modulus)
-        if not modulus.is_monic():
-            raise ValueError("divisor must be monic in the outer variable")
-        quo, rem = _dense_divmod(
-            self.coeffs,
-            modulus.coeffs,
-            operator.add,
-            operator.mul,
-            operator.neg,
-            SymElem.zero(self.ring, self.arity),
-        )
-        return (
-            SymPoly1._from_elems(self.ring, self.arity, quo),
-            SymPoly1._from_elems(self.ring, self.arity, rem),
-        )
-
-    def mod_monic(self, modulus: SymPoly1) -> SymPoly1:
-        return self.divmod_monic(modulus)[1]
+        """This polynomial times X^k."""
+        pad = (self.ring._zero,) * k
+        return SymPoly1._from_payloads(self.ring, pad + self._payload_coeffs)
 
     def expand(self) -> MultiPoly:
         """Multiply out with the outer X as an extra last variable.
@@ -280,7 +265,7 @@ class SymPoly1:
         Only meaningful for small oracles; the result lives in
         arity + 1 variables with X mapped to the last one.
         """
-        ring, n = self.ring, self.arity
+        ring, n = self.ring.base, self.arity
         # e_1..e_n in the first n variables, then X
         images = [
             MultiPoly(ring, n + 1, {e + (0,): 1 for e in elementary(i, n, ring).terms})
@@ -288,29 +273,17 @@ class SymPoly1:
         ] + [MultiPoly.variable(n + 1, n + 1, ring)]
         terms = {
             expo + (j,): v
-            for j, c in enumerate(self.coeffs)
+            for j, c in enumerate(self._payload_coeffs)
             for expo, v in c.terms.items()
         }
         lift = partial(MultiPoly.constant, ring, n + 1)
         return _sparse_eval(ring, terms, images, lift, operator.add, operator.mul)
 
-    def __eq__(self, other):
-        if not isinstance(other, SymPoly1):
-            return NotImplemented
-        return (
-            (self.ring is other.ring or self.ring == other.ring)
-            and self.arity == other.arity
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.arity, self.coeffs))
-
-    def __str__(self):
-        return _render_dense(self.coeffs, "X", lambda c: (False, str(c)))
-
     def __repr__(self):
-        return f"SymPoly1({self.ring.name}, n={self.arity}, {self})"
+        return f"SymPoly1({self.ring.base.name}, n={self.arity}, {self})"
+
+
+SymPoly1._result = SymPoly1
 
 
 def sym_char_poly(f: Poly, n: int) -> SymPoly1:
@@ -318,6 +291,6 @@ def sym_char_poly(f: Poly, n: int) -> SymPoly1:
     coefficients: X^n - s_1 X^(n-1) + ... + (-1)^n s_n."""
     if n < 1:
         raise ValueError("arity must be >= 1")
-    ring = f.ring
-    coeffs = _from_signed(sym_ops_of(f, n), SymElem.one(ring, n), SymElem.zero(ring, n))
-    return SymPoly1._from_elems(ring, n, coeffs)
+    sym = SymRing(f.ring, n)
+    coeffs = _from_signed(sym_ops_of(f, n), sym._one, sym._zero)
+    return SymPoly1._from_payloads(sym, coeffs)

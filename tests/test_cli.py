@@ -359,6 +359,31 @@ def test_norm_refuses_a_large_modulus_before_the_determinant(capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_resultant_and_membership_refuse_large_degrees(capsys):
+    # their n x n determinants grow like n^4; at degree 100 they took
+    # over a minute before deg P, deg Q and deg F were checked
+    start = time.perf_counter()
+    for argv, what in (
+        (("resultant-check", "--ring", "ZZ", "--P", "(X+1)^100", "--Q", "(X+2)^99"),
+         "deg P 100"),
+        (("resultant-check", "--ring", "ZZ", "--P", "X+1", "--Q", "(X+2)^99"),
+         "deg Q 99"),
+        (("membership", "--ring", "ZZ", "--F", "(X+1)^100", "--multset",
+          "gens:(X+2)^99"), "deg F 100"),
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1, argv
+        assert f"OracleInfeasibleError: {what} exceeds the arity bound" in err
+    assert time.perf_counter() - start < 1.0
+    top = f"(X+1)^{ARITY_BOUND}"
+    for argv in (
+        ("resultant-check", "--ring", "ZZ", "--P", top, "--Q", f"(X+2)^{ARITY_BOUND}"),
+        ("membership", "--ring", "ZZ", "--F", top, "--multset", f"gens:{top}+1"),
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 0, err
+
+
 def _matrix_text(n):
     return ";".join(
         ",".join(str((i * n + j) % 7 - 3) for j in range(n)) for i in range(n)

@@ -2,6 +2,7 @@ from random import Random
 
 import pytest
 
+from symmline import oracles
 from symmline.errors import RingMismatchError
 from symmline.homs import RingHom
 from symmline.matrices import char_poly, mult_matrix
@@ -156,6 +157,23 @@ def test_sylvester_oracle_matches_norm():
         if f.degree < 1:
             continue
         assert norm(f, modulus) == sylvester_resultant(modulus, f)
+
+
+def test_sylvester_oracle_runs_its_own_kernel_over_composite_moduli(monkeypatch):
+    # the oracle checks the production det, so it must never call it;
+    # over Zmod:m with m composite it runs Bareiss on a ZZ lift
+    def refuse(m):
+        raise AssertionError("the Sylvester oracle called the production det")
+
+    monkeypatch.setattr(oracles, "det", refuse)
+    rng = Random(62)
+    for ring in (Zmod(4), Zmod(6), Zmod(12)):
+        for _ in range(15):
+            modulus = random_monic(ring, rng, rng.randint(1, 4))
+            f = random_nonzero_poly(ring, rng, 4)
+            if f.degree < 1:
+                continue
+            assert sylvester_resultant(modulus, f) == norm(f, modulus), (ring, modulus, f)
 
 
 def _random_unit(ring, rng):

@@ -1,5 +1,6 @@
-"""Property tests: the two norm routes against the Sylvester oracle, and
-the membership criterion against exhaustive search, on random inputs.
+"""Property tests: the two norm routes against the Sylvester oracle,
+lifting to symmetric coefficients against Poly arithmetic, and the
+membership criterion against exhaustive search, on random inputs.
 
 The examples are drawn under the derandomized profile of conftest.py.
 """
@@ -14,9 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from symmline.norms import norm, norm_symmetric
 from symmline.oracles import sylvester_resultant
-from symmline.poly import MonicPoly, Poly, PolyRing
+from symmline.poly import MonicPoly, Poly, PolyRing, poly_divmod
 from symmline.quotients import MultSet, free_quotient_oracle, is_free_quotient
 from symmline.rings import GF, QQ, Zmod, ZZ
+from symmline.symmetric import SymPoly1
 
 RINGS = [
     ZZ,
@@ -66,6 +68,30 @@ def test_norm_routes_match_sylvester(ring, data):
         expected = sylvester_resultant(modulus, f)
     assert norm(f, modulus) == expected
     assert norm_symmetric(f, modulus) == expected
+
+
+@pytest.mark.parametrize(
+    "ring", [ZZ, Zmod(12), GF(7), PolyRing(ZZ, "T")], ids=lambda r: r.name
+)
+@given(data=st.data())
+def test_lift_poly_commutes_with_poly_arithmetic(ring, data):
+    # SymPoly1 is a Poly over SymRing, so lifting coefficients to
+    # constant symmetric elements is a ring map that respects division
+    arity = data.draw(st.integers(0, 3))
+    f, g = (Poly(ring, data.draw(st.lists(scalars(ring), max_size=4))) for _ in "fg")
+    low = data.draw(st.lists(scalars(ring), min_size=1, max_size=3))
+    modulus = MonicPoly(Poly(ring, low + [1]))
+    k = data.draw(st.integers(0, 3))
+
+    def lift(p):
+        return SymPoly1.lift_poly(p, arity)
+
+    assert lift(f + g) == lift(f) + lift(g)
+    assert lift(f - g) == lift(f) - lift(g)
+    assert lift(f * g) == lift(f) * lift(g)
+    assert lift(f**k) == lift(f) ** k
+    q, r = poly_divmod(f, modulus)
+    assert lift(f).divmod_monic(lift(modulus)) == (lift(q), lift(r))
 
 
 @st.composite

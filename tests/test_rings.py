@@ -19,6 +19,7 @@ from symmline.rings import (
     is_prime,
 )
 from symmline.sampling import random_value
+from symmline.symmetric import SymRing
 
 ALL_RINGS = [ZZ, QQ, Zmod(12), GF(7), PolyRing(ZZ, "T"), PolyRing(GF(5), "T")]
 
@@ -167,10 +168,13 @@ def test_ring_specs_are_interned():
     assert GF(7) is PrimeField(7)
     assert PolyRing(ZZ, "T") is PolyRing(ZZ, "T")
     assert PolyRing(GF(5), "T") is PolyRing(PrimeField(5), "T")
+    assert SymRing(ZZ, 2) is SymRing(ZZ, 2)
+    assert SymRing(ZZ, 2) != SymRing(ZZ, 3)
+    assert SymRing(ZZ, 2) != SymRing(QQ, 2)
     assert GF(7) != Zmod(7)
     assert GF(7) is not Zmod(7)
     assert PolyRing(ZZ, "T") is not PolyRing(ZZ, "S")
-    for ring in (Zmod(12), GF(7), PolyRing(GF(5), "T")):
+    for ring in (Zmod(12), GF(7), PolyRing(GF(5), "T"), SymRing(ZZ, 2)):
         assert pickle.loads(pickle.dumps(ring)) is ring
         assert copy.deepcopy(ring) is ring
 

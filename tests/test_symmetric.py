@@ -1,17 +1,19 @@
+import operator
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 from symmline import _symbasis
-from symmline.errors import NotSymmetricError
+from symmline.errors import NotSymmetricError, RingMismatchError
 from symmline.multipoly import MultiPoly, elementary, is_symmetric
-from symmline.poly import Poly, PolyRing
+from symmline.poly import Poly, PolyRing, poly_divmod, poly_mod
 from symmline.rings import GF, QQ, Zmod, ZmodRing, ZZ
 from symmline.sampling import random_poly, random_symelem, random_value
 from symmline.symmetric import (
     SymElem,
     SymPoly1,
+    SymRing,
     decompose,
     diagonal_tensor,
     sym_char_poly,
@@ -363,6 +365,61 @@ def test_sympoly1_divmod_monic():
             assert (t * u).expand() == t.expand() * u.expand()
             assert (u**3).expand() == u.expand() ** 3
             assert (u**0).expand() == MultiPoly.constant(ring, n + 1, 1)
+
+
+def test_sympoly1_is_a_poly_over_symring():
+    t = SymPoly1(ZZ, 2, [SymElem.e(1, 2, ZZ), 3, 0])
+    assert isinstance(t, Poly) and t.ring is SymRing(ZZ, 2)
+    assert t.ring.base is ZZ and t.arity == 2
+    assert t.coeffs == (SymElem.e(1, 2, ZZ), SymElem.constant(ZZ, 2, 3))
+    for u in (t + t, t - t, -t, t * t, t**2, t.scale(SymElem.e(2, 2, ZZ)), t.shift(1)):
+        assert type(u) is SymPoly1 and u.ring is t.ring
+    q, r = t.divmod_monic(sym_char_poly(Poly.gen(ZZ), 2))
+    assert type(q) is SymPoly1 and type(r) is SymPoly1
+
+
+def test_sympoly1_mixing_arities_raises():
+    a, b = SymPoly1.x(ZZ, 2), SymPoly1.x(ZZ, 3)
+    for op in (
+        operator.add,
+        operator.sub,
+        operator.mul,
+        SymPoly1.divmod_monic,
+        SymPoly1.mod_monic,
+    ):
+        with pytest.raises(RingMismatchError, match="mixed rings Sym:ZZ:2 and Sym:ZZ:3"):
+            op(a, b)
+    with pytest.raises(RingMismatchError, match="mixed rings Sym:ZZ:3 and Sym:ZZ:2"):
+        SymPoly1(ZZ, 2, [SymElem.e(1, 3, ZZ)])
+    with pytest.raises(RingMismatchError):
+        SymPoly1(ZZ, 2, [SymElem.e(1, 2, QQ)])
+
+
+def test_sympoly1_never_equals_a_poly():
+    for ring in (ZZ, Zmod(12), TOWER):
+        f = Poly(ring, [1, 2, 1])
+        for arity in range(4):
+            t = SymPoly1.lift_poly(f, arity)
+            assert t != f and f != t
+            terms = {(0,) * arity + (k,): c for k, c in enumerate((1, 2, 1))}
+            assert t.expand() == MultiPoly(ring, arity + 1, terms)
+    assert SymPoly1.zero(ZZ, 0) != Poly.zero(ZZ)
+
+
+def test_sympoly1_arithmetic_is_polys_own():
+    # SymPoly1 names these in its class body only so that the benchmark
+    # tracer finds them there; they must stay Poly's functions, not copies
+    spanned = ("__add__", "__sub__", "__neg__", "__mul__", "__pow__", "scale")
+    for name in spanned:
+        assert vars(SymPoly1)[name] is vars(Poly)[name], name
+    assert vars(SymPoly1)["divmod_monic"] is poly_divmod
+    assert vars(SymPoly1)["mod_monic"] is poly_mod
+    # and equality, hash, stripping and structure stay Poly's too
+    for name in (
+        "__eq__", "__hash__", "__str__", "render", "_from_payloads",
+        "degree", "is_zero", "is_monic", "_check",
+    ):
+        assert name not in vars(SymPoly1), name
 
 
 def test_renders():
