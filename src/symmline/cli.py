@@ -146,7 +146,7 @@ def _cmd_resultant_check(args):
     ring = parse_ring(args.ring)
     first = _monic(args.P, ring)
     second = _monic(args.Q, ring)
-    # the determinants below grow like n^4 in the degrees
+    # the determinants below grow like n^3 (ZZ, QQ) or n^4 in the degrees
     _check_arity(first.degree, "deg P")
     _check_arity(second.degree, "deg Q")
     holds, lhs, rhs = _resultant_symmetry(first, second)

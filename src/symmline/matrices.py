@@ -1,9 +1,12 @@
-"""Square matrices with exact entries and division-free determinants.
+"""Square matrices with exact entries and their determinants.
 
 char_poly uses the Samuelson-Berkowitz iteration (O(n^4) ring
 operations, no divisions), so it is correct over rings with zero
 divisors such as Zmod(12) where fraction-free elimination breaks.
-det is read off the characteristic polynomial's constant term.
+det runs Bareiss's fraction-free elimination (Math. Comp. 22, 1968)
+over ZZ and over the int lift d*M of a QQ matrix below, with
+det M = det(dM) / d^n: O(n^3) integer operations on minors of M.
+Every other ring reads det off the constant term of char_poly.
 
 char_poly and mult_matrix read the payloads their inputs store, loop on
 them, and store the result's payloads as they are.  The Berkowitz
@@ -32,8 +35,7 @@ SymElem its terms.  The SquareMatrix constructor checks each entry
 through ring.value and keeps its payload; rows, entry and column wrap
 payloads in ring values when read; +, -, * and scale run on payloads
 with the ring's _add, _neg and _mul.  So norm = det(mult_matrix(f, F))
-hands the payloads of f and F straight through to char_poly, which
-stores the Berkowitz coefficients as the payloads of its MonicPoly.
+hands the payloads of f and F straight through to det's kernels.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from functools import reduce
 
 from .errors import RingMismatchError
 from .poly import MonicPoly, Poly, poly_divmod
-from .rings import RationalRing, Ring, RingValue, ZmodRing
+from .rings import IntegerRing, RationalRing, Ring, RingValue, ZmodRing
 
 
 class SquareMatrix:
@@ -162,11 +164,8 @@ def char_poly(m: SquareMatrix) -> MonicPoly:
     if isinstance(ring, ZmodRing):
         coeffs = _berkowitz(a, 1, modulus=ring.modulus)
     elif isinstance(ring, RationalRing):
-        d = math.lcm(*(x.denominator for row in a for x in row))
-        lifted = [[x.numerator * (d // x.denominator) for x in row] for row in a]
-        coeffs = [
-            Fraction(c, d**i) for i, c in enumerate(_berkowitz(lifted, 1))
-        ]
+        d, lifted = _lift_rationals(a)
+        coeffs = [Fraction(c, d**i) for i, c in enumerate(_berkowitz(lifted, 1))]
     else:  # ZZ and Poly towers: payloads with native + - *
         coeffs = _berkowitz(a, ring._from_int(1), ring._from_int(0))
     return MonicPoly._from_monic_payloads(ring, tuple(reversed(coeffs)))
@@ -203,8 +202,38 @@ def _berkowitz(a, one, zero=0, modulus=0):
     return coeffs
 
 
+def _lift_rationals(a):
+    """(d, d*a), d the lcm of the denominators of a Fraction matrix a."""
+    d = math.lcm(*(x.denominator for row in a for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in a]
+
+
+def _bareiss_int(a) -> int:
+    """Determinant of an int matrix a (a list of rows, reordered in
+    place) by Bareiss elimination: a zero pivot swaps in a lower row and
+    flips the sign, and a zero first column gives 0."""
+    sign, prev = 1, 1
+    while len(a) > 1:
+        if not a[0][0]:
+            i = next((i for i, row in enumerate(a) if row[0]), None)
+            if i is None:
+                return 0
+            a[0], a[i], sign = a[i], a[0], -sign
+        (p, *top), *rest = a
+        a = [[(p * x - c * t) // prev for x, t in zip(r, top)] for c, *r in rest]
+        prev = p
+    return sign * a[0][0]
+
+
 def det(m: SquareMatrix) -> RingValue:
-    """(-1)^n times the constant term of char_poly(m)."""
+    """By Bareiss elimination over ZZ and QQ; over every other ring
+    (-1)^n times the constant term of char_poly(m)."""
+    ring, a = m.ring, m._payload_rows
+    if isinstance(ring, IntegerRing):
+        return RingValue(ring, _bareiss_int(list(a)))
+    if isinstance(ring, RationalRing):
+        d, lifted = _lift_rationals(a)
+        return RingValue(ring, Fraction(_bareiss_int(lifted), d**m.n))
     constant = char_poly(m).coeff(0)
     return constant if m.n % 2 == 0 else -constant
 

@@ -5,9 +5,9 @@ symbol e_i to F's i-th signed coefficient.  Pushing the symmetric
 operators of f through it yields the characteristic polynomial of
 multiplication-by-f on A[X]/(F); its signed constant term is the norm.
 
-norm() itself takes the O(n^4) determinant route, which is the
-production path: the symmetric route is exponential in n through the
-multivariate expansion and exists for fidelity to the defining formula.
+norm() takes the production determinant route, O(n^3) over ZZ and QQ
+and O(n^4) elsewhere; the symmetric route is exponential in n through
+the multivariate expansion and exists for fidelity to the definition.
 norm_checked() runs both and insists they agree.
 
 Both symmetric routes reduce f mod F before the symmetric expansion.
@@ -63,7 +63,7 @@ def mult_char_poly(f: Poly, modulus: MonicPoly) -> MonicPoly:
 
 def norm(f: Poly, modulus: MonicPoly) -> RingValue:
     """The norm of f with respect to F: the determinant of
-    multiplication-by-f on A[X]/(F)."""
+    multiplication-by-f on A[X]/(F), by matrices.det."""
     return det(mult_matrix(f, modulus))
 
 
@@ -77,7 +77,7 @@ def norm_symmetric(f: Poly, modulus: MonicPoly) -> RingValue:
 def norm_checked(f: Poly, modulus: MonicPoly) -> RingValue:
     """Both norm routes, compared; disagreement is a library bug.  The
     symmetric route runs first: it refuses a deg F over ARITY_BOUND
-    before the determinant route does O(n^4) work."""
+    before the determinant route does O(n^3) or O(n^4) work."""
     b = norm_symmetric(f, modulus)
     a = norm(f, modulus)
     if a != b:

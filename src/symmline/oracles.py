@@ -1,9 +1,9 @@
 """Independent brute-force routes used to cross-check the main paths.
 
 Nothing here touches the symmetric-function machinery: determinants
-come from cofactor expansion, Leibniz sums, or fraction-free Bareiss
+come from cofactor expansion, Leibniz sums, or ring-generic Bareiss
 elimination, so results can be compared bit-exactly against the
-Berkowitz/companion-matrix production code.
+production determinants of multiplication matrices in matrices.
 """
 
 from __future__ import annotations

@@ -447,8 +447,8 @@ class PolyRing(Ring):
             cls, (base, var), base=base, var=var, is_domain=base.is_domain, _zero=zero
         )
 
-    def __getnewargs__(self):
-        return (self.base, self.var)
+    def __reduce__(self):
+        return PolyRing, (self.base, self.var)
 
     def _from_int(self, k):
         if k == 0:

@@ -294,6 +294,9 @@ class IntegerRing(Ring):
     def __hash__(self):
         return hash("ZZ")
 
+    def __reduce__(self):
+        return "ZZ"
+
 
 class RationalRing(Ring):
     is_field = True
@@ -329,6 +332,9 @@ class RationalRing(Ring):
     def __hash__(self):
         return hash("QQ")
 
+    def __reduce__(self):
+        return "QQ"
+
 
 class ZmodRing(Ring):
     """Integers modulo m, residues kept in [0, m)."""
@@ -338,8 +344,8 @@ class ZmodRing(Ring):
             raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
         return _intern(cls, modulus, modulus=modulus, is_domain=is_prime(modulus))
 
-    def __getnewargs__(self):
-        return (self.modulus,)
+    def __reduce__(self):
+        return type(self), (self.modulus,)
 
     def _add(self, a, b):
         return (a + b) % self.modulus

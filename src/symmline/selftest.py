@@ -2,9 +2,11 @@
 
 Each check raises AssertionError on failure, through _check rather than
 assert so that the checks still run under python -O; run_selftest
-collects the outcomes, counting an InvariantViolationError raised inside
-the library as a failure too.  Sizes here are chosen for a fast smoke run; the pytest
-acceptance suite runs the same properties at their full sample counts.
+collects the outcomes, counting any other exception a check raises,
+such as an InvariantViolationError from the library or an error from a
+route that returns garbage, as a failure too.  Sizes here are chosen
+for a fast smoke run; the pytest acceptance suite runs the same
+properties at their full sample counts.
 """
 
 from __future__ import annotations
@@ -23,9 +25,15 @@ from .quotients import (
     recover_monic,
     section_map,
 )
-from .errors import InvariantViolationError
 from .homs import RingHom
-from .matrices import char_poly, companion_matrix, mult_matrix, poly_at_matrix
+from .matrices import (
+    SquareMatrix,
+    char_poly,
+    companion_matrix,
+    det,
+    mult_matrix,
+    poly_at_matrix,
+)
 from .norms import (
     mult_char_poly,
     norm,
@@ -97,6 +105,17 @@ def check_thm24_equivalence(rng: Random) -> str:
             )
             total += 1
     return f"{total} (F, f) pairs over ZZ and Zmod:12"
+
+
+def check_det_routes(rng: Random) -> str:
+    for ring in (ZZ, QQ):
+        for _ in range(15):
+            n = rng.randint(1, 6)
+            rows = [[random_value(ring, rng, -2, 2) for _ in range(n)]
+                    for _ in range(n)]
+            m = SquareMatrix(ring, rows)
+            _check(det(m) == (-1) ** n * char_poly(m).coeff(0))
+    return "30 matrices over ZZ and QQ: Bareiss det = Berkowitz constant term"
 
 
 def check_norm_multiplicativity(rng: Random) -> str:
@@ -347,6 +366,7 @@ def check_sym_ops_specialize(rng: Random) -> str:
 CHECKS = [
     ("ring-axioms", check_ring_axioms),
     ("thm24-equivalence", check_thm24_equivalence),
+    ("det-routes", check_det_routes),
     ("norm-multiplicativity", check_norm_multiplicativity),
     ("norm-oracle", check_norm_oracle),
     ("sylvester-oracle", check_sylvester_oracle),
@@ -378,6 +398,6 @@ def run_selftest(seed: int = DEFAULT_SEED):
         try:
             detail = fn(rng)
             results.append((name, True, detail))
-        except (AssertionError, InvariantViolationError) as exc:
+        except Exception as exc:
             results.append((name, False, str(exc) or "assertion failed"))
     return results

@@ -1,6 +1,9 @@
-from itertools import product
+import math
+from fractions import Fraction
+from itertools import permutations, product
 from random import Random
 
+from symmline import matrices
 from symmline.matrices import (
     SquareMatrix,
     char_poly,
@@ -9,7 +12,7 @@ from symmline.matrices import (
     mult_matrix,
     poly_at_matrix,
 )
-from symmline.oracles import charpoly_cofactor, leibniz_det
+from symmline.oracles import _parity, charpoly_cofactor, leibniz_det
 from symmline.poly import MonicPoly, Poly, PolyRing, poly_divmod
 from symmline.rings import GF, QQ, Zmod, ZZ
 from symmline.sampling import random_monic, random_poly, random_value
@@ -219,3 +222,100 @@ def test_mult_matrix_agrees_with_value_built_matrix():
             assert hash(m) == hash(rebuilt)
             assert str(m) == str(rebuilt)
             assert char_poly(m) == char_poly(rebuilt)
+
+
+def _berkowitz_det(m):
+    """(-1)^n times the constant term of the Berkowitz char_poly."""
+    return (-1) ** m.n * char_poly(m).coeff(0)
+
+
+def _random_matrix(ring, rng, n, lo=-9, hi=9):
+    return mat(
+        ring, [[random_value(ring, rng, lo, hi) for _ in range(n)] for _ in range(n)]
+    )
+
+
+def test_bareiss_det_matches_berkowitz_on_random_matrices():
+    # entries in -1..1 make zero pivots, row swaps and singular matrices
+    # common; with entries in -9..9, QQ values mix denominators 1..9
+    rng = Random(31)
+    for ring in (ZZ, QQ):
+        for n in range(1, 9):
+            for lo, hi in ((-9, 9), (-1, 1)):
+                for _ in range(6):
+                    m = _random_matrix(ring, rng, n, lo, hi)
+                    assert det(m) == _berkowitz_det(m), m
+
+
+def test_bareiss_det_pivot_cases():
+    cases = [
+        ([[0, 1], [1, 0]], -1),  # zero (1,1) entry: one swap
+        ([[0, 2, 1], [3, 1, 0], [1, 1, 1]], -4),
+        ([[1, 1, 1], [1, 1, 2], [1, 2, 1]], -1),  # zero pivot at step 2
+        ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], -1),
+        ([[1, 2, 3], [2, 4, 6], [1, 0, 1]], 0),  # dependent rows
+        ([[1, 2], [2, 4]], 0),  # last pivot zero
+        ([[0, 5, 7], [0, 1, 2], [0, 3, 4]], 0),  # zero first column
+        ([[1, 0, 7], [2, 0, 2], [3, 0, 4]], 0),  # zero middle column
+        ([[1, 2, 0], [3, 4, 0], [5, 6, 0]], 0),  # zero last column
+        ([[0, 0], [0, 0]], 0),
+    ]
+    for rows, expected in cases:
+        for ring in (ZZ, QQ):
+            m = mat(ring, rows)
+            assert det(m) == expected == _berkowitz_det(m) == leibniz_det(m), rows
+        halves = mat(QQ, [[Fraction(x, 2) for x in row] for row in rows])
+        assert det(halves) == QQ.value(Fraction(expected, 2 ** len(rows)))
+        assert det(halves) == _berkowitz_det(halves)
+
+
+def test_bareiss_det_sign_follows_the_swaps():
+    # a permutation matrix needs as many row swaps as its parity says,
+    # so an odd number of swaps must flip the sign; scaling row i by i+2
+    # keeps the pivots from being units
+    for n in range(1, 6):
+        for perm in permutations(range(n)):
+            sign = -1 if _parity(perm) else 1
+            rows = [[i + 2 if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+            scale = math.prod(range(2, n + 2))
+            for ring in (ZZ, QQ):
+                m = mat(ring, rows)
+                assert det(m) == sign * scale == _berkowitz_det(m), perm
+
+
+def test_bareiss_det_of_mult_matrix_matches_berkowitz():
+    # deg F up to 16, and f sharing a factor with F (norm 0)
+    rng = Random(33)
+    for ring in (ZZ, QQ):
+        for n in range(1, 17):
+            modulus = random_monic(ring, rng, n)
+            f = random_poly(ring, rng, 2 * n)
+            m = mult_matrix(f, modulus)
+            assert det(m) == _berkowitz_det(m), (ring, modulus, f)
+            if n > 1:
+                h = random_monic(ring, rng, rng.randint(1, n - 1))
+                k = random_monic(ring, rng, n - h.degree)
+                g = h * random_poly(ring, rng, 3)
+                m = mult_matrix(g, MonicPoly(h * k))
+                assert det(m) == 0 == _berkowitz_det(m), (ring, h, k, g)
+
+
+def test_det_routes(monkeypatch):
+    # Zmod, GF and towers read det off char_poly (the benchmark's census
+    # counts those calls); ZZ and QQ eliminate and never call it
+    calls = []
+    berkowitz = matrices.char_poly
+
+    def counting(m):
+        calls.append(m.ring)
+        return berkowitz(m)
+
+    monkeypatch.setattr(matrices, "char_poly", counting)
+    rng = Random(34)
+    for ring, expected in (
+        (Zmod(12), 1), (GF(7), 1), (PolyRing(ZZ, "T"), 1), (ZZ, 0), (QQ, 0),
+    ):
+        for n in (1, 2, 3):
+            calls.clear()
+            det(_random_matrix(ring, rng, n))
+            assert len(calls) == expected, (ring, n)

@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from symmline import oracles
+from symmline import matrices, oracles
 from symmline.errors import RingMismatchError
 from symmline.homs import RingHom
 from symmline.matrices import char_poly, mult_matrix
@@ -174,6 +174,34 @@ def test_sylvester_oracle_runs_its_own_kernel_over_composite_moduli(monkeypatch)
             if f.degree < 1:
                 continue
             assert sylvester_resultant(modulus, f) == norm(f, modulus), (ring, modulus, f)
+
+
+def test_sylvester_oracle_runs_without_the_production_bareiss_kernel(monkeypatch):
+    # over ZZ and QQ the production det eliminates an int lift of the
+    # multiplication matrix; the oracle keeps its own ring-generic
+    # Bareiss on the Sylvester matrix, so breaking the production kernel
+    # leaves the oracle's answers unchanged
+    rng = Random(63)
+    cases = []
+    for ring in (ZZ, QQ):
+        for _ in range(12):
+            modulus = random_monic(ring, rng, rng.randint(1, 6))
+            f = random_nonzero_poly(ring, rng, 6)
+            if f.degree >= 1:
+                cases.append((modulus, f, norm(f, modulus)))
+
+    def refuse(*args):
+        raise AssertionError("the oracle called the production kernel")
+
+    monkeypatch.setattr(matrices, "_bareiss_int", refuse)
+    monkeypatch.setattr(oracles, "det", refuse)
+    modulus, f, _ = cases[0]
+    with pytest.raises(AssertionError):
+        norm(f, modulus)
+    for modulus, f, expected in cases:
+        assert sylvester_resultant(modulus, f) == expected, (modulus, f)
+        assert oracles.bareiss_det(sylvester_matrix(modulus, f)) == expected
+        assert oracles.bareiss_det(mult_matrix(f, modulus)) == expected
 
 
 def _random_unit(ring, rng):

@@ -174,9 +174,17 @@ def test_ring_specs_are_interned():
     assert GF(7) != Zmod(7)
     assert GF(7) is not Zmod(7)
     assert PolyRing(ZZ, "T") is not PolyRing(ZZ, "S")
-    for ring in (Zmod(12), GF(7), PolyRing(GF(5), "T"), SymRing(ZZ, 2)):
+    for ring in (
+        Zmod(12), GF(7), PolyRing(GF(5), "T"), SymRing(ZZ, 2),
+        PolyRing(ZZ, "T"), PolyRing(QQ, "S"), ZZ, QQ,
+    ):
+        state = dict(vars(ring))
         assert pickle.loads(pickle.dumps(ring)) is ring
         assert copy.deepcopy(ring) is ring
+        # a round trip must not overwrite the live ring's attributes
+        assert all(vars(ring)[k] is v for k, v in state.items()), ring
+    assert PolyRing(ZZ, "T").base is ZZ
+    assert PolyRing(QQ, "S").base is QQ
 
 
 def test_interned_ring_checks_still_compare():

@@ -19,7 +19,7 @@ from symmline.matrices import SquareMatrix, char_poly, mult_matrix
 from symmline.norms import mult_char_poly, norm
 from symmline.poly import PolyRing
 from symmline.rings import GF, QQ, Zmod, ZmodRing, ZZ
-from symmline.sampling import random_monic, random_poly, random_value
+from symmline.sampling import random_monic, random_nonzero_poly, random_poly, random_value
 
 X, Y, T = sympy.symbols("X Y T")
 RINGS = [ZZ, QQ, Zmod(12), GF(7), PolyRing(ZZ, "T")]
@@ -67,6 +67,17 @@ def test_norm_matches_sympy_resultant():
             if f.degree is None or f.degree < 1:
                 continue
             # Res(F, f) = prod f(a) over the roots a of the monic F
+            expected = resultant(
+                poly_expr(modulus.poly, X), poly_expr(f, X), modulus.degree, f.degree
+            )
+            assert agree(ring, norm(f, modulus), expected), (ring, modulus, f)
+    # the Bareiss route of det over ZZ and QQ at larger degrees of F
+    for ring in (ZZ, QQ):
+        for n in (12, 14, 16):
+            modulus = random_monic(ring, rng, n)
+            f = random_nonzero_poly(ring, rng, n + 2)
+            if f.degree < 1:
+                continue
             expected = resultant(
                 poly_expr(modulus.poly, X), poly_expr(f, X), modulus.degree, f.degree
             )
