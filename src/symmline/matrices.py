@@ -142,7 +142,7 @@ class SquareMatrix:
     def __eq__(self, other):
         if not isinstance(other, SquareMatrix):
             return NotImplemented
-        return self.ring == other.ring and self._payload_rows == other._payload_rows
+        return self.ring is other.ring and self._payload_rows == other._payload_rows
 
     def __hash__(self):
         return hash((self.ring, self._payload_rows))

@@ -145,7 +145,7 @@ class _SparsePoly:
         if not isinstance(other, type(self)):
             return NotImplemented
         return (
-            (self.ring is other.ring or self.ring == other.ring)
+            self.ring is other.ring
             and self.arity == other.arity
             and self._payload_terms == other._payload_terms
         )

@@ -172,9 +172,7 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return (
-            self.ring is other.ring or self.ring == other.ring
-        ) and self._payload_coeffs == other._payload_coeffs
+        return self.ring is other.ring and self._payload_coeffs == other._payload_coeffs
 
     def __hash__(self):
         return hash((self.ring, self._payload_coeffs))
@@ -447,16 +445,13 @@ class PolyRing(Ring):
             cls, (base, var), base=base, var=var, is_domain=base.is_domain, _zero=zero
         )
 
-    def __reduce__(self):
-        return PolyRing, (self.base, self.var)
-
     def _from_int(self, k):
         if k == 0:
             return self._zero
         return Poly._from_payloads(self.base, (self.base._from_int(k),))
 
     def _canon(self, payload):
-        if isinstance(payload, Poly) and payload.ring == self.base:
+        if isinstance(payload, Poly) and payload.ring is self.base:
             return payload
         return super()._canon(payload)
 
@@ -490,16 +485,6 @@ class PolyRing(Ring):
     @property
     def name(self):
         return f"Poly:{self.base.name}:{self.var}"
-
-    def __eq__(self, other):
-        return (
-            type(other) is PolyRing
-            and other.base == self.base
-            and other.var == self.var
-        )
-
-    def __hash__(self):
-        return hash(("PolyRing", self.base, self.var))
 
 
 def _looks_reserved(var: str) -> bool:

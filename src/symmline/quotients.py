@@ -395,7 +395,9 @@ def count_points(q: int, n: int, mult_set: MultSet, workers: int = 1) -> int:
     _check_rings(mult_set.ring, ring)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if q**n > CENSUS_BOUND:
+    # q >= 2, so q**n exceeds the bound once n passes its bit length; test
+    # that first, as the power alone would take minutes for a huge n
+    if n > CENSUS_BOUND.bit_length() or q**n > CENSUS_BOUND:
         raise OracleInfeasibleError(
             f"{q}^{n} polynomials exceed the census bound {CENSUS_BOUND}"
         )

@@ -106,20 +106,12 @@ def random_unimodular(
 
 
 def _shear(ring: Ring, n: int, row: int, col: int, c: RingValue) -> SquareMatrix:
-    rows = [
-        [ring.one if i == j else ring.zero for j in range(n)] for i in range(n)
-    ]
+    rows = list(map(list, SquareMatrix.identity(ring, n).rows))
     rows[row][col] = c
     return SquareMatrix(ring, rows)
 
 
 def _swap_matrix(ring: Ring, n: int, i: int, j: int) -> SquareMatrix:
-    rows = [[ring.zero] * n for _ in range(n)]
-    for k in range(n):
-        if k == i:
-            rows[k][j] = ring.one
-        elif k == j:
-            rows[k][i] = ring.one
-        else:
-            rows[k][k] = ring.one
+    rows = list(SquareMatrix.identity(ring, n).rows)
+    rows[i], rows[j] = rows[j], rows[i]
     return SquareMatrix(ring, rows)

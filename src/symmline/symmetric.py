@@ -166,9 +166,6 @@ class SymRing(Ring):
             is_domain=base.is_domain, _zero=zero, _one=one,
         )
 
-    def __reduce__(self):
-        return SymRing, (self.base, self.arity)
-
     def _const(self, c) -> SymElem:
         """The constant SymElem of a payload c of the base ring."""
         return SymElem._from_payloads(self.base, self.arity, {(0,) * self.arity: c})
@@ -189,16 +186,6 @@ class SymRing(Ring):
     @property
     def name(self):
         return f"Sym:{self.base.name}:{self.arity}"
-
-    def __eq__(self, other):
-        return (
-            type(other) is SymRing
-            and other.base == self.base
-            and other.arity == self.arity
-        )
-
-    def __hash__(self):
-        return hash(("SymRing", self.base, self.arity))
 
 
 class SymPoly1(Poly):

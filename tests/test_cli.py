@@ -384,6 +384,23 @@ def test_resultant_and_membership_refuse_large_degrees(capsys):
         assert code == 0, err
 
 
+def test_count_refuses_a_huge_degree_before_the_power(capsys):
+    # 3**n alone took 118 s at n = 10**8 before the census bound was tested
+    start = time.perf_counter()
+    code, out, err = invoke(
+        capsys, "count", "--ring", "GF:3", "--n", "1000000000", "--multset", "trivial"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert "OracleInfeasibleError: 3^1000000000 polynomials exceed the census bound" in err
+    # either side of the bound's bit length (20) over GF(2) is refused alike
+    for n in ("20", "21"):
+        code, out, err = invoke(capsys, "count", "--ring", "GF:2", "--n", n, "--multset",
+                                "trivial")
+        assert code == 1
+        assert f"2^{n} polynomials exceed the census bound" in err
+
+
 def _matrix_text(n):
     return ";".join(
         ",".join(str((i * n + j) % 7 - 3) for j in range(n)) for i in range(n)

@@ -13,6 +13,8 @@ from symmline.rings import (
     QQ,
     IntegerRing,
     PrimeField,
+    RationalRing,
+    Ring,
     Zmod,
     ZmodRing,
     ZZ,
@@ -166,6 +168,8 @@ def test_ring_specs_are_interned():
     assert Zmod(12) is Zmod(12)
     assert Zmod(12) is ZmodRing(12)
     assert GF(7) is PrimeField(7)
+    assert IntegerRing() is ZZ
+    assert RationalRing() is QQ
     assert PolyRing(ZZ, "T") is PolyRing(ZZ, "T")
     assert PolyRing(GF(5), "T") is PolyRing(PrimeField(5), "T")
     assert SymRing(ZZ, 2) is SymRing(ZZ, 2)
@@ -176,7 +180,7 @@ def test_ring_specs_are_interned():
     assert PolyRing(ZZ, "T") is not PolyRing(ZZ, "S")
     for ring in (
         Zmod(12), GF(7), PolyRing(GF(5), "T"), SymRing(ZZ, 2),
-        PolyRing(ZZ, "T"), PolyRing(QQ, "S"), ZZ, QQ,
+        PolyRing(ZZ, "T"), PolyRing(QQ, "S"), ZZ, QQ, IntegerRing(), RationalRing(),
     ):
         state = dict(vars(ring))
         assert pickle.loads(pickle.dumps(ring)) is ring
@@ -194,9 +198,8 @@ def test_interned_ring_checks_still_compare():
         Zmod(12).one + Zmod(6).one
     with pytest.raises(RingMismatchError):
         GF(7).value(Zmod(7).one)
-    # an equal ring that is a different object passes by equality
     other_zz = IntegerRing()
-    assert other_zz is not ZZ
+    assert other_zz is ZZ
     assert ZZ.value(other_zz.value(3)) == ZZ.value(3)
     assert ZZ.value(2) + other_zz.value(3) == ZZ.value(5)
 
@@ -209,7 +212,26 @@ def test_rejected_ring_specs_are_not_cached():
         PrimeField(4)
     with pytest.raises(ValueError):
         PolyRing(ZZ, "X")
-    assert (ZmodRing, 1) not in rings._INTERNED
-    assert (PrimeField, 4) not in rings._INTERNED
+    assert (ZmodRing, (1,)) not in rings._INTERNED
+    assert (PrimeField, (4,)) not in rings._INTERNED
     assert (PolyRing, (ZZ, "X")) not in rings._INTERNED
     assert set(rings._INTERNED.keys()) <= cached
+
+
+def test_ring_equality_is_identity_only():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    ring_classes = list(subclasses(Ring))
+    assert {IntegerRing, RationalRing, ZmodRing, PrimeField, PolyRing, SymRing} <= set(
+        ring_classes
+    )
+    for cls in ring_classes:
+        own = {"__eq__", "__hash__", "__reduce__"} & set(vars(cls))
+        assert not own, (cls, own)
+    assert {"__eq__", "__hash__", "__ne__", "__reduce__"} & set(vars(Ring)) == {
+        "__ne__", "__reduce__",
+    }
+    assert ZZ != QQ and not ZZ != IntegerRing()
