@@ -1,6 +1,9 @@
 """Square matrices with exact entries and their determinants.
 
-char_poly uses the Samuelson-Berkowitz iteration (O(n^4) ring
+char_poly reduces the matrix to upper Hessenberg form modulo a prime
+(GF:p and Zmod:p), O(n^3) operations mod p with one inverse per column
+(Cohen, A Course in Computational Algebraic Number Theory, 2.2.4).
+Every other ring takes the Samuelson-Berkowitz iteration (O(n^4) ring
 operations, no divisions), so it is correct over rings with zero
 divisors such as Zmod(12) where fraction-free elimination breaks.
 det runs Bareiss's fraction-free elimination (Math. Comp. 22, 1968)
@@ -14,7 +17,7 @@ kernel needs payloads with native + - *; each ring reaches it by its
 own lift:
 
     ZZ        the int entries themselves.
-    Zmod, GF  the int residues, reduced mod m after every dot product
+    Zmod      the int residues, reduced mod m after every dot product
               and coefficient update.  Each Berkowitz coefficient is an
               integer polynomial in the entries with no division, and
               reduction mod m is a ring map, so reducing along the way
@@ -29,6 +32,8 @@ own lift:
 mult_matrix reduces f mod F once and gets each next column from the
 monic recurrence col_(j+1) = X*col_j - top(col_j)*F, since multiplying
 by X and reducing mod a monic F needs one multiple of F per column.
+Over QQ it runs that recurrence on ints scaled by the denominators and
+forms one Fraction per entry (_rational_columns).
 Every container of the library stores one form, canonical payloads:
 a SquareMatrix its rows, a Poly its coefficients and a MultiPoly or
 SymElem its terms.  The SquareMatrix constructor checks each entry
@@ -158,11 +163,15 @@ class SquareMatrix:
 
 
 def char_poly(m: SquareMatrix) -> MonicPoly:
-    """det(X*I - M) by the Berkowitz iteration, monic of degree n."""
+    """det(X*I - M), monic of degree n: by Hessenberg reduction modulo a
+    prime and by the Berkowitz iteration over every other ring."""
     ring = m.ring
     a = m._payload_rows
     if isinstance(ring, ZmodRing):
-        coeffs = _berkowitz(a, 1, modulus=ring.modulus)
+        if ring.is_domain:
+            coeffs = _hessenberg(a, ring.modulus)
+        else:
+            coeffs = _berkowitz(a, 1, modulus=ring.modulus)
     elif isinstance(ring, RationalRing):
         d, lifted = _lift_rationals(a)
         coeffs = [Fraction(c, d**i) for i, c in enumerate(_berkowitz(lifted, 1))]
@@ -177,29 +186,88 @@ def _berkowitz(a, one, zero=0, modulus=0):
     The payloads need native + - *; sums start at zero, and a nonzero
     modulus reduces every dot product, so coefficients land in [0, m).
     """
-
-    def dot(u, v):
-        s = sum(map(operator.mul, u, v), zero)
-        return s % modulus if modulus else s
-
+    mul = operator.mul
     coeffs = [one]
     for k in range(1, len(a) + 1):
         # Toeplitz column of the k-th step: 1, -a_kk, -R*C, -R*A*C, ...,
         # with A the leading (k-1)-block, R the row and C the column
-        # beside it; dot() stops at the shorter operand, so a full row
-        # of a stands in for its first k-1 entries.
+        # beside it; a dot product stops at the shorter operand, so a
+        # full row of a stands in for its first k-1 entries.
         top = a[: k - 1]
         row = a[k - 1]
         toeplitz = [one, -row[k - 1]]
-        if k > 1:
-            vec = [r[k - 1] for r in top]
-            toeplitz.append(-dot(row, vec))
-            for _ in range(k - 2):
-                vec = [dot(r, vec) for r in top]
-                toeplitz.append(-dot(row, vec))
-        rev = toeplitz[::-1]
-        coeffs = [dot(rev[k - i :], coeffs) for i in range(k + 1)]
+        vec = [r[k - 1] for r in top]
+        if modulus:
+            for i in range(k - 1):
+                if i:
+                    vec = [sum(map(mul, r, vec)) % modulus for r in top]
+                toeplitz.append(-sum(map(mul, row, vec)) % modulus)
+            rev = toeplitz[::-1]
+            coeffs = [
+                sum(map(mul, rev[k - i :], coeffs)) % modulus for i in range(k + 1)
+            ]
+        else:
+            for i in range(k - 1):
+                if i:
+                    vec = [sum(map(mul, r, vec), zero) for r in top]
+                toeplitz.append(-sum(map(mul, row, vec), zero))
+            rev = toeplitz[::-1]
+            coeffs = [sum(map(mul, rev[k - i :], coeffs), zero) for i in range(k + 1)]
     return coeffs
+
+
+def _hessenberg(a, p):
+    """Descending coefficients of det(X*I - A) mod a prime p, for a
+    matrix a of int residues, in O(n^3) operations mod p.
+
+    The similarities row_i -= u_i*row_(k+1), col_(k+1) += u_i*col_i
+    for i > k+1 clear column k below the sub-diagonal, after a row and
+    column swap has put a nonzero entry there (a column already clear
+    needs none); they commute, so all the row steps run before one pass
+    over column k+1.  The char polys chi_j of the leading j x j blocks
+    of the Hessenberg result then follow by expanding the last column
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.2.9):
+    chi_(j+1) = (X - h_jj) chi_j - sum_(i<j) h_ij h_(i+1)i...h_j(j-1) chi_i,
+    whose sum ends at the first zero sub-diagonal entry.
+    """
+    mul = operator.mul
+    n = len(a)
+    h = [list(row) for row in a]
+    for k in range(n - 2):
+        m = k + 1
+        for i in range(m, n):
+            if h[i][k]:
+                break
+        else:
+            continue
+        if i != m:
+            h[i], h[m] = h[m], h[i]
+            for row in h:
+                row[i], row[m] = row[m], row[i]
+        pivot = h[m]
+        inv = pow(pivot[k], -1, p)
+        us = [h[i][k] * inv % p for i in range(m + 1, n)]
+        if any(us):
+            # rows m.. are zero left of column k, which the step clears
+            zeros, tail = [0] * m, pivot[m:]
+            for i, u in enumerate(us, m + 1):
+                if u:
+                    h[i] = zeros + [(x - u * y) % p for x, y in zip(h[i][m:], tail)]
+            for row in h:
+                row[m] = (row[m] + sum(map(mul, us, row[m + 1 :]))) % p
+    chi = [[1]]  # ascending coefficients
+    for j in range(n):
+        prev, hjj = chi[j], h[j][j]
+        c = [x - hjj * y for x, y in zip([0, *prev], [*prev, 0])]
+        t = 1
+        for i in range(j - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            if not t:
+                break
+            u = t * h[i][j] % p
+            c[: i + 1] = [x - u * y for x, y in zip(c, chi[i])]
+        chi.append([x % p for x in c])
+    return chi[n][::-1]
 
 
 def _lift_rationals(a):
@@ -251,20 +319,46 @@ def mult_matrix(f: Poly, modulus: MonicPoly) -> SquareMatrix:
         )
     ring = f.ring
     n = modulus.degree
-    add, mul, neg = ring._add, ring._mul, ring._neg
-    zero = ring._from_int(0)
-    # x^n = sum_i low[i] x^i mod F
-    low = [neg(c) for c in modulus._payload_coeffs[:n]]
     rem = poly_divmod(f, modulus)[1]._payload_coeffs
-    col = list(rem) + [zero] * (n - len(rem))
-    cols = [col]
-    for _ in range(n - 1):
-        top = col[-1]
-        col = [zero] + col[:-1]
-        if top != zero:
-            col = [add(c, mul(top, b)) for c, b in zip(col, low)]
-        cols.append(col)
+    if isinstance(ring, RationalRing):
+        cols = _rational_columns(rem, modulus._payload_coeffs[:n])
+    else:
+        add, mul, neg = ring._add, ring._mul, ring._neg
+        zero = ring._from_int(0)
+        # x^n = sum_i low[i] x^i mod F
+        low = [neg(c) for c in modulus._payload_coeffs[:n]]
+        col = list(rem) + [zero] * (n - len(rem))
+        cols = [col]
+        for _ in range(n - 1):
+            top = col[-1]
+            col = [zero] + col[:-1]
+            if top != zero:
+                col = [add(c, mul(top, b)) for c, b in zip(col, low)]
+            cols.append(col)
     return SquareMatrix._from_payloads(ring, zip(*cols))
+
+
+def _rational_columns(rem, fc):
+    """The columns of mult_matrix over QQ from the Fraction coefficients
+    of f mod F (rem) and of F below its leading one (fc), on ints.
+
+    With d the lcm of fc's denominators and e that of rem's, column j
+    is v_j / (e*d^j) for the int vectors v_0 = e*rem and
+    v_(j+1) = d*shift(v_j) + top(v_j)*(-d*fc): the monic recurrence
+    scaled by e*d^(j+1), so each entry makes one Fraction.
+    """
+    n = len(fc)
+    d = math.lcm(*(c.denominator for c in fc))
+    low = [-c.numerator * (d // c.denominator) for c in fc]
+    den = math.lcm(*(c.denominator for c in rem))
+    v = [c.numerator * (den // c.denominator) for c in rem] + [0] * (n - len(rem))
+    cols = [[Fraction(x, den) for x in v]]
+    for _ in range(n - 1):
+        top = v[-1]
+        v = [d * x + top * b for x, b in zip([0, *v[:-1]], low)]
+        den *= d
+        cols.append([Fraction(x, den) for x in v])
+    return cols
 
 
 def poly_at_matrix(f: Poly, m: SquareMatrix) -> SquareMatrix:

@@ -5,8 +5,9 @@ symbol e_i to F's i-th signed coefficient.  Pushing the symmetric
 operators of f through it yields the characteristic polynomial of
 multiplication-by-f on A[X]/(F); its signed constant term is the norm.
 
-norm() takes the production determinant route, O(n^3) over ZZ and QQ
-and O(n^4) elsewhere; the symmetric route is exponential in n through
+norm() takes the production determinant route: O(n^3) over ZZ and QQ
+(Bareiss) and modulo a prime (Hessenberg), O(n^4) over composite Zmod
+and towers (Berkowitz); the symmetric route is exponential in n through
 the multivariate expansion and exists for fidelity to the definition.
 norm_checked() runs both and insists they agree.
 

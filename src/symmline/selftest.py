@@ -95,8 +95,10 @@ def check_ring_axioms(rng: Random) -> str:
 
 
 def check_thm24_equivalence(rng: Random) -> str:
+    # GF:7 reaches char_poly's Hessenberg kernel and QQ mult_matrix's
+    # int lift; the symmetric route shares neither
     total = 0
-    for ring, samples in ((ZZ, 40), (Zmod(12), 40)):
+    for ring, samples in ((ZZ, 40), (Zmod(12), 40), (GF(7), 40), (QQ, 40)):
         for _ in range(samples):
             modulus = random_monic(ring, rng, rng.randint(1, 4))
             f = random_poly(ring, rng, 4)
@@ -104,7 +106,7 @@ def check_thm24_equivalence(rng: Random) -> str:
                 mult_char_poly(f, modulus) == char_poly(mult_matrix(f, modulus))
             )
             total += 1
-    return f"{total} (F, f) pairs over ZZ and Zmod:12"
+    return f"{total} (F, f) pairs over ZZ, Zmod:12, GF:7 and QQ"
 
 
 def check_det_routes(rng: Random) -> str:
@@ -335,7 +337,17 @@ def check_census_counts(rng: Random) -> str:
             _check(count_points(q, n, MultSet.trivial(ring)) == q**n)
             _check(count_points(q, n, MultSet.local_at(ring.zero)) == 1)
             _check(count_points(q, n, MultSet.all_nonzero(ring)) == 0)
-    return "trivial = q^n, local-at = 1, all-nonzero = 0"
+        x = Poly.gen(ring)
+        gens = MultSet.generated(x, x * x + x + Poly.constant(ring, 1))
+        for n in (1, 2, 3):
+            admitted = sum(
+                free_quotient_oracle(modulus, gens) for modulus in _all_monic(ring, n)
+            )
+            _check(count_points(q, n, gens) == admitted)
+    return (
+        "trivial = q^n, local-at = 1, all-nonzero = 0; "
+        "gens:X,X^2+X+1 agrees with the oracle for n <= 3"
+    )
 
 
 def check_symmetric_roundtrip(rng: Random) -> str:

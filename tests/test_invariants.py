@@ -8,11 +8,12 @@ from pathlib import Path
 import pytest
 
 import symmline
-from symmline import _symbasis
+from symmline import _symbasis, matrices
 from symmline.errors import InvariantViolationError
 from symmline.matrices import SquareMatrix
 from symmline.oracles import bareiss_det
 from symmline.rings import ZZ
+from symmline.selftest import run_selftest
 
 SRC = str(Path(symmline.__file__).resolve().parent.parent)
 
@@ -64,3 +65,33 @@ def test_bareiss_invariant_is_a_typed_error(monkeypatch):
     monkeypatch.setattr(ZZ, "_exact_div", lambda a, b: 0 if a == 0 else None)
     with pytest.raises(InvariantViolationError):
         bareiss_det(SquareMatrix(ZZ, [[1, 2], [3, 4]]))
+
+
+def _failing_checks():
+    return [name for name, ok, _ in run_selftest() if not ok]
+
+
+def test_selftest_catches_broken_hessenberg_kernel(monkeypatch):
+    # one wrong coefficient of char_poly modulo a prime
+    hessenberg = matrices._hessenberg
+
+    def off_by_one(a, p):
+        coeffs = hessenberg(a, p)
+        coeffs[-1] = (coeffs[-1] + 1) % p
+        return coeffs
+
+    monkeypatch.setattr(matrices, "_hessenberg", off_by_one)
+    assert _failing_checks()
+
+
+def test_selftest_catches_broken_rational_mult_matrix(monkeypatch):
+    # one wrong entry of mult_matrix over QQ
+    columns = matrices._rational_columns
+
+    def off_by_one(rem, fc):
+        cols = columns(rem, fc)
+        cols[0][0] += 1
+        return cols
+
+    monkeypatch.setattr(matrices, "_rational_columns", off_by_one)
+    assert _failing_checks()

@@ -13,7 +13,7 @@ from symmline.matrices import (
     poly_at_matrix,
 )
 from symmline.oracles import _parity, charpoly_cofactor, leibniz_det
-from symmline.poly import MonicPoly, Poly, PolyRing, poly_divmod
+from symmline.poly import MonicPoly, Poly, PolyRing, poly_divmod, poly_mod
 from symmline.rings import GF, QQ, Zmod, ZZ
 from symmline.sampling import random_monic, random_poly, random_value
 
@@ -319,3 +319,93 @@ def test_det_routes(monkeypatch):
             calls.clear()
             det(_random_matrix(ring, rng, n))
             assert len(calls) == expected, (ring, n)
+
+
+def _random_residues(rng, p, n, density):
+    return [
+        [rng.randrange(p) if rng.random() < density else 0 for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
+def test_hessenberg_matches_berkowitz_mod_primes():
+    # sparse matrices make zero sub-diagonal pivots (a row and column
+    # swap), all-zero columns below the sub-diagonal, and zero
+    # sub-diagonal entries that end the recurrence's sum early
+    rng = Random(35)
+    for ring in (GF(2), GF(3), GF(5), Zmod(7), GF(10007)):
+        p = ring.modulus
+        for n in range(1, 11):
+            for density in (0.15, 0.4, 1.0):
+                for _ in range(20):
+                    a = _random_residues(rng, p, n, density)
+                    expected = matrices._berkowitz(a, 1, modulus=p)
+                    assert matrices._hessenberg(a, p) == expected, (p, a)
+
+
+def test_hessenberg_pivot_cases():
+    cases = [
+        # h[1][0] = 0 but h[2][0] != 0: rows and columns 1, 2 swap
+        [[1, 2, 3], [0, 4, 5], [5, 0, 1]],
+        [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]],
+        # column 0 already clear below the sub-diagonal
+        [[1, 2, 3], [4, 5, 6], [0, 7, 8]],
+        # column 0 all zero below the diagonal
+        [[1, 2, 3], [0, 5, 6], [0, 7, 8]],
+        # upper triangular: every sub-diagonal entry is zero
+        [[1, 2, 3, 4], [0, 5, 6, 7], [0, 0, 8, 9], [0, 0, 0, 1]],
+        [[0] * 5 for _ in range(5)],
+    ]
+    for rows in cases:
+        for ring in (GF(2), GF(3), Zmod(7), GF(10007)):
+            p = ring.modulus
+            a = [[x % p for x in row] for row in rows]
+            assert matrices._hessenberg(a, p) == matrices._berkowitz(a, 1, modulus=p)
+            m = mat(ring, rows)
+            assert char_poly(m) == charpoly_cofactor(m), (ring, rows)
+
+
+def test_char_poly_routes(monkeypatch):
+    # a prime modulus takes the Hessenberg kernel; composite Zmod, ZZ,
+    # QQ and towers take Berkowitz
+    calls = []
+    hessenberg = matrices._hessenberg
+
+    def counting(a, p):
+        calls.append(p)
+        return hessenberg(a, p)
+
+    monkeypatch.setattr(matrices, "_hessenberg", counting)
+    rng = Random(36)
+    for ring, expected in (
+        (GF(7), 1), (Zmod(7), 1), (Zmod(12), 0), (ZZ, 0), (QQ, 0),
+        (PolyRing(ZZ, "T"), 0),
+    ):
+        calls.clear()
+        char_poly(_random_matrix(ring, rng, 3))
+        assert len(calls) == expected, ring
+
+
+def _qq(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def test_mult_matrix_over_qq_matches_definition():
+    # column j is f*X^j mod F; F with fractional and with integer
+    # coefficients, deg f below, at and above deg F, and f = 0 mod F
+    rng = Random(37)
+    x = Poly.gen(QQ)
+    for n in range(1, 8):
+        for integral in (False, True):
+            low = [rng.randint(-9, 9) if integral else _qq(rng) for _ in range(n)]
+            modulus = MonicPoly(Poly(QQ, low + [1]))
+            fs = [
+                Poly(QQ, [_qq(rng) for _ in range(deg + 1)])
+                for deg in (0, n - 1, n, 2 * n + 1)
+            ]
+            fs += [Poly(QQ, []), modulus * Poly(QQ, [_qq(rng), _qq(rng)])]
+            for f in fs:
+                m = mult_matrix(f, modulus)
+                for j in range(n):
+                    col = poly_mod(f * x**j, modulus)
+                    assert list(m.column(j)) == [col.coeff(i) for i in range(n)]
