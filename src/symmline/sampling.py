@@ -78,12 +78,6 @@ def random_symelem(
     return SymElem(ring, arity, terms)
 
 
-def random_permutation(n: int, rng: Random) -> tuple[int, ...]:
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return tuple(perm)
-
-
 def random_unimodular(
     ring: Ring, n: int, rng: Random, steps: int = 8
 ) -> tuple[SquareMatrix, SquareMatrix]:

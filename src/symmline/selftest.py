@@ -4,9 +4,11 @@ Each check raises AssertionError on failure, through _check rather than
 assert so that the checks still run under python -O; run_selftest
 collects the outcomes, counting any other exception a check raises,
 such as an InvariantViolationError from the library or an error from a
-route that returns garbage, as a failure too.  Sizes here are chosen
-for a fast smoke run; the pytest acceptance suite runs the same
-properties at their full sample counts.
+route that returns garbage, as a failure too.  CHECKS is the one place
+a release property is written: the pytest acceptance suite runs these
+same functions, each as many times over fresh seeds as its release
+criterion needs, and runs the exhaustive sweeps behind
+criterion-oracle-agreement and census-counts over wider ranges.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .norms import (
     mult_char_poly,
     norm,
     norm_checked,
+    norm_symmetric,
     resultant_symmetry_check,
     push_norm,
 )
@@ -97,16 +100,15 @@ def check_ring_axioms(rng: Random) -> str:
 def check_thm24_equivalence(rng: Random) -> str:
     # GF:7 reaches char_poly's Hessenberg kernel and QQ mult_matrix's
     # int lift; the symmetric route shares neither
-    total = 0
-    for ring, samples in ((ZZ, 40), (Zmod(12), 40), (GF(7), 40), (QQ, 40)):
-        for _ in range(samples):
-            modulus = random_monic(ring, rng, rng.randint(1, 4))
-            f = random_poly(ring, rng, 4)
+    ranges = ((ZZ, 5, 6), (Zmod(12), 5, 6), (GF(7), 4, 4), (QQ, 4, 4))
+    for ring, deg_modulus, deg_f in ranges:
+        for _ in range(40):
+            modulus = random_monic(ring, rng, rng.randint(1, deg_modulus))
+            f = random_poly(ring, rng, deg_f)
             _check(
                 mult_char_poly(f, modulus) == char_poly(mult_matrix(f, modulus))
             )
-            total += 1
-    return f"{total} (F, f) pairs over ZZ, Zmod:12, GF:7 and QQ"
+    return "160 (F, f) pairs over ZZ, Zmod:12, GF:7 and QQ"
 
 
 def check_det_routes(rng: Random) -> str:
@@ -121,13 +123,13 @@ def check_det_routes(rng: Random) -> str:
 
 
 def check_norm_multiplicativity(rng: Random) -> str:
-    for ring in (ZZ, Zmod(9)):
+    for ring in (ZZ, Zmod(9), QQ):
         for _ in range(25):
             modulus = random_monic(ring, rng, rng.randint(1, 4))
             f = random_poly(ring, rng, 3)
             g = random_poly(ring, rng, 3)
             _check(norm(f * g, modulus) == norm(f, modulus) * norm(g, modulus))
-    return "50 products over ZZ and Zmod:9"
+    return "75 products over ZZ, Zmod:9 and QQ"
 
 
 def check_norm_oracle(rng: Random) -> str:
@@ -153,18 +155,19 @@ def check_split_root_oracle(rng: Random) -> str:
     for ring in (ZZ, GF(7)):
         for _ in range(15):
             n = rng.randint(1, 4)
-            roots = [random_value(ring, rng, -5, 5) for _ in range(n)]
+            roots = [random_value(ring, rng) for _ in range(n)]
             modulus = MonicPoly.from_roots(ring, roots)
             f = random_poly(ring, rng, 3)
             expected = ring.one
             for a in roots:
                 expected = expected * f(a)
             _check(norm(f, modulus) == expected)
+            _check(norm_symmetric(f, modulus) == expected)
             spectrum = MonicPoly.from_roots(ring, [f(a) for a in roots])
             _check(
                 char_poly(poly_at_matrix(f, companion_matrix(modulus))) == spectrum
             )
-    return "30 split moduli, norms and spectra"
+    return "30 split moduli, both norm routes and spectra"
 
 
 def check_constant_term(rng: Random) -> str:
@@ -180,8 +183,8 @@ def check_constant_term(rng: Random) -> str:
 
 def check_resultant_symmetry(rng: Random) -> str:
     for _ in range(40):
-        p = random_monic(ZZ, rng, rng.randint(1, 4), -5, 5)
-        q = random_monic(ZZ, rng, rng.randint(1, 4), -5, 5)
+        p = random_monic(ZZ, rng, rng.randint(1, 4))
+        q = random_monic(ZZ, rng, rng.randint(1, 4))
         _check(resultant_symmetry_check(p, q))
         lhs = norm(q, p)
         _check(lhs == sylvester_resultant(p, q))
@@ -198,9 +201,13 @@ def check_push_norm(rng: Random) -> str:
     for hom in homs:
         for _ in range(10):
             modulus = random_monic(ZZ, rng, rng.randint(1, 4))
-            f = random_poly(ZZ, rng, 3)
+            f = random_poly(ZZ, rng, 4)
             a, b = push_norm(hom, f, modulus)
             _check(a == b)
+            # the per-coefficient claim, recomputed outside push_norm
+            upstairs = mult_char_poly(f, modulus).signed_coeffs
+            downstairs = mult_char_poly(hom.map_poly(f), hom.map_monic(modulus))
+            _check(tuple(map(hom, upstairs)) == downstairs.signed_coeffs)
     src = Zmod(12)
     hom = RingHom.mod_reduce(src, Zmod(4))
     for _ in range(10):
@@ -217,32 +224,45 @@ def check_push_norm(rng: Random) -> str:
             random_monic(tower, rng, 2, -3, 3),
         )
         _check(a == b)
-    return "identity, integer/mod reduction, and tower evaluation"
+    return (
+        "identity and integer reduction, per coefficient too; "
+        "mod reduction and tower evaluation"
+    )
+
+
+def _criterion_sweep(rings, degrees, gen_degree: int) -> str:
+    """is_free_quotient against free_quotient_oracle on every monic F of
+    the given degrees and every nonzero g of degree <= gen_degree."""
+    pairs = 0
+    for ring in rings:
+        gens = list(_all_polys(ring, gen_degree))
+        for deg in degrees:
+            for modulus in _all_monic(ring, deg):
+                for g in gens:
+                    mult_set = MultSet.generated(g)
+                    _check(
+                        is_free_quotient(modulus, mult_set)
+                        == free_quotient_oracle(modulus, mult_set)
+                    )
+                    pairs += 1
+    names = " and ".join(ring.name for ring in rings)
+    return f"{pairs} exhaustive (F, g) pairs over {names}"
 
 
 def check_criterion_oracle_agreement(rng: Random) -> str:
-    pairs = 0
-    for ring in (Zmod(4), GF(3)):
-        for modulus in _all_monic(ring, 2):
-            for g in _all_polys(ring, 1):
-                mult_set = MultSet.generated(g)
-                _check(
-                    is_free_quotient(modulus, mult_set)
-                    == free_quotient_oracle(modulus, mult_set)
-                )
-                pairs += 1
-    return f"{pairs} exhaustive (F, g) pairs over Zmod:4 and GF:3"
+    return _criterion_sweep((Zmod(4), GF(3)), (2,), 1)
 
 
 def check_recover_similarity(rng: Random) -> str:
     for ring in (ZZ, GF(5)):
         for _ in range(10):
-            n = rng.randint(1, 3)
+            n = rng.randint(1, 4)
             modulus = random_monic(ring, rng, n)
             s, s_inv = random_unimodular(ring, n, rng)
             theta = s * companion_matrix(modulus) * s_inv
             _check(recover_monic(theta) == modulus)
-    return "20 conjugated companion matrices over ZZ and GF:5"
+            _check(poly_at_matrix(modulus, theta) == SquareMatrix.zero(ring, n))
+    return "20 conjugated companion matrices over ZZ and GF:5, F(theta) = 0"
 
 
 def check_companion_roundtrip(rng: Random) -> str:
@@ -271,6 +291,8 @@ def check_section_identity(rng: Random) -> str:
         for i in range(1, n):
             e = SymPoly1.from_symelem(SymElem.e(i, n, ZZ))
             _check(section_map(apply_addition(e)) == e)
+        x = SymPoly1.x(ZZ, n)
+        _check(section_map(apply_addition(x)) == x)
         top = SymPoly1.from_symelem(SymElem.e(n, n, ZZ))
         roundtrip = section_map(apply_addition(top))
         _check(roundtrip.mod_monic(generic) == top.mod_monic(generic))
@@ -278,7 +300,7 @@ def check_section_identity(rng: Random) -> str:
     for _ in range(15):
         n = rng.randint(1, 4)
         generic = sym_char_poly(Poly.gen(ZZ), n)
-        s = random_symelem(ZZ, n, rng, max_weight=4, lo=-4, hi=4)
+        s = random_symelem(ZZ, n, rng, max_weight=5)
         t = SymPoly1.from_symelem(s)
         back = section_map(apply_addition(t))
         _check(back.mod_monic(generic) == t.mod_monic(generic))
@@ -296,13 +318,14 @@ def check_section_partial(rng: Random) -> str:
 def check_addition_kernel(rng: Random) -> str:
     for n in range(1, 5):
         _check(addition_kernel_check(n))
+        _check(apply_addition(sym_char_poly(Poly.gen(ZZ), n)).is_zero)
     return "generic monic polynomial killed for n=1..4"
 
 
 def check_addition_diagonal(rng: Random) -> str:
     for _ in range(20):
         n = rng.choice((2, 3))
-        f = random_poly(ZZ, rng, 3, -5, 5)
+        f = random_poly(ZZ, rng, 3)
         _check(addition_diagonal_check(f, n))
     return "20 random f, n in {2, 3}"
 
@@ -330,30 +353,45 @@ def check_closure_insensitivity(rng: Random) -> str:
     return "adding g^2 to the generators never changes the census"
 
 
-def check_census_counts(rng: Random) -> str:
-    for q in (2, 3):
+_CENSUS_FAMILIES = ("trivial", "local-at", "all-nonzero", "gens")
+
+
+def _census_sweep(qs, ns, families=_CENSUS_FAMILIES) -> str:
+    """count_points over GF(q) for each q and n and each named family:
+    trivial = q^n, local-at = 1, all-nonzero = 0, and gens:X,X^2+X+1
+    equal to a count of free_quotient_oracle verdicts over the same
+    candidates."""
+    for q in qs:
         ring = GF(q)
-        for n in (1, 2):
-            _check(count_points(q, n, MultSet.trivial(ring)) == q**n)
-            _check(count_points(q, n, MultSet.local_at(ring.zero)) == 1)
-            _check(count_points(q, n, MultSet.all_nonzero(ring)) == 0)
         x = Poly.gen(ring)
         gens = MultSet.generated(x, x * x + x + Poly.constant(ring, 1))
-        for n in (1, 2, 3):
-            admitted = sum(
-                free_quotient_oracle(modulus, gens) for modulus in _all_monic(ring, n)
-            )
-            _check(count_points(q, n, gens) == admitted)
-    return (
-        "trivial = q^n, local-at = 1, all-nonzero = 0; "
-        "gens:X,X^2+X+1 agrees with the oracle for n <= 3"
-    )
+        expected = {
+            "trivial": (MultSet.trivial(ring), lambda n: q**n),
+            "local-at": (MultSet.local_at(ring.zero), lambda n: 1),
+            "all-nonzero": (MultSet.all_nonzero(ring), lambda n: 0),
+            "gens": (
+                gens,
+                lambda n: sum(
+                    free_quotient_oracle(modulus, gens)
+                    for modulus in _all_monic(ring, n)
+                ),
+            ),
+        }
+        for n in ns:
+            for family in families:
+                mult_set, count = expected[family]
+                _check(count_points(q, n, mult_set) == count(n))
+    return f"q in {qs}, n in {ns}: {', '.join(families)} agree"
+
+
+def check_census_counts(rng: Random) -> str:
+    return _census_sweep((2, 3), (1, 2, 3))
 
 
 def check_symmetric_roundtrip(rng: Random) -> str:
     for _ in range(30):
-        n = rng.randint(1, 3)
-        s = random_symelem(ZZ, n, rng, max_weight=5, lo=-5, hi=5)
+        n = rng.randint(1, 4)
+        s = random_symelem(ZZ, n, rng, max_weight=6, max_terms=5)
         _check(decompose(s.expand()) == s)
     return "30 decompose(expand(s)) round-trips"
 

@@ -8,23 +8,23 @@ from pathlib import Path
 import pytest
 
 import symmline
-from symmline import _symbasis, matrices
+from symmline import _symbasis
 from symmline.errors import InvariantViolationError
 from symmline.matrices import SquareMatrix
 from symmline.oracles import bareiss_det
 from symmline.rings import ZZ
-from symmline.selftest import run_selftest
 
 SRC = str(Path(symmline.__file__).resolve().parent.parent)
 
-# prints the verdict of the thm24-equivalence check, with char_poly broken
-# when the first argument is "break"
+# prints how many checks ran and the names of those that failed, with
+# char_poly broken when the first argument is "break"
 SELFTEST_SCRIPT = """
 import sys
 import symmline.selftest as s
 if sys.argv[1] == "break":
     s.char_poly = lambda m: "wrong"
-print(dict((name, ok) for name, ok, _ in s.run_selftest())["thm24-equivalence"])
+results = s.run_selftest()
+print(len(results), *(name for name, ok, _ in results if not ok))
 """
 
 
@@ -45,11 +45,11 @@ def _run_optimized(mode):
 
 
 def test_selftest_catches_broken_route_under_optimize():
-    assert _run_optimized("break") == "False"
+    assert "thm24-equivalence" in _run_optimized("break").split()
 
 
 def test_selftest_passes_intact_route_under_optimize():
-    assert _run_optimized("keep") == "True"
+    assert _run_optimized("keep") == "23"
 
 
 def test_decompose_invariant_is_a_typed_error(monkeypatch):
@@ -65,33 +65,3 @@ def test_bareiss_invariant_is_a_typed_error(monkeypatch):
     monkeypatch.setattr(ZZ, "_exact_div", lambda a, b: 0 if a == 0 else None)
     with pytest.raises(InvariantViolationError):
         bareiss_det(SquareMatrix(ZZ, [[1, 2], [3, 4]]))
-
-
-def _failing_checks():
-    return [name for name, ok, _ in run_selftest() if not ok]
-
-
-def test_selftest_catches_broken_hessenberg_kernel(monkeypatch):
-    # one wrong coefficient of char_poly modulo a prime
-    hessenberg = matrices._hessenberg
-
-    def off_by_one(a, p):
-        coeffs = hessenberg(a, p)
-        coeffs[-1] = (coeffs[-1] + 1) % p
-        return coeffs
-
-    monkeypatch.setattr(matrices, "_hessenberg", off_by_one)
-    assert _failing_checks()
-
-
-def test_selftest_catches_broken_rational_mult_matrix(monkeypatch):
-    # one wrong entry of mult_matrix over QQ
-    columns = matrices._rational_columns
-
-    def off_by_one(rem, fc):
-        cols = columns(rem, fc)
-        cols[0][0] += 1
-        return cols
-
-    monkeypatch.setattr(matrices, "_rational_columns", off_by_one)
-    assert _failing_checks()

@@ -6,7 +6,7 @@ import pytest
 from symmline.multipoly import MultiPoly, apply_permutation, elementary, is_symmetric
 from symmline.poly import PolyRing
 from symmline.rings import GF, QQ, Zmod, ZZ
-from symmline.sampling import random_permutation, random_symelem, random_value
+from symmline.sampling import random_symelem, random_value
 from symmline.symmetric import SymElem
 from test_matrices import ORACLE_RINGS
 
@@ -21,6 +21,12 @@ def random_multipoly(ring, n, rng, terms=4, deg=3):
         expo = tuple(rng.randint(0, deg) for _ in range(n))
         out[expo] = random_value(ring, rng)
     return MultiPoly(ring, n, out)
+
+
+def random_permutation(n, rng):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return tuple(perm)
 
 
 def test_swap_relabels():

@@ -1,0 +1,96 @@
+"""Every production route has an oracle that bites.
+
+Each row perturbs one route (adds one, negates, or flips the verdict)
+in every symmline namespace that binds it, then runs the selftest
+checks the row names, under their selftest seeds; every one of them must
+fail.  Intact, every check passes under those seeds (run_selftest, in
+test_invariants).  A row naming a single check is a route with a single
+detector.
+"""
+
+import sys
+from random import Random
+
+import pytest
+
+from symmline import _symbasis, matrices, norms, quotients, symmetric
+from symmline.matrices import SquareMatrix
+from symmline.poly import MonicPoly, Poly
+from symmline.selftest import CHECKS, DEFAULT_SEED
+
+
+def _plus_one_last(coeffs, a, one, zero=0, modulus=0):
+    coeffs[-1] = (coeffs[-1] + one) % modulus if modulus else coeffs[-1] + one
+    return coeffs
+
+
+def _plus_one_corner(cols, rem, fc):
+    cols[0][0] += 1
+    return cols
+
+
+# (module, route, perturbation of (result, *arguments), checks that fail)
+ROWS = [
+    (matrices, "_bareiss_int", lambda d, a: d + 1,
+     "det-routes norm-multiplicativity norm-oracle sylvester-oracle "
+     "split-root-oracle norm-constant-term resultant-symmetry push-norm"),
+    (matrices, "_berkowitz", _plus_one_last,
+     "thm24-equivalence det-routes norm-multiplicativity norm-oracle "
+     "split-root-oracle norm-constant-term push-norm "
+     "criterion-oracle-agreement recover-similarity companion-roundtrip"),
+    (matrices, "_hessenberg", lambda c, a, p: _plus_one_last(c, a, 1, modulus=p),
+     "thm24-equivalence split-root-oracle push-norm criterion-oracle-agreement "
+     "recover-similarity companion-roundtrip coprimality census-counts"),
+    (matrices, "_rational_columns", _plus_one_corner,
+     "thm24-equivalence norm-multiplicativity"),
+    (matrices, "mult_matrix",
+     lambda m, f, F: m + SquareMatrix.identity(m.ring, m.n),
+     "thm24-equivalence norm-multiplicativity norm-oracle sylvester-oracle "
+     "split-root-oracle norm-constant-term resultant-symmetry "
+     "criterion-oracle-agreement recover-similarity companion-roundtrip "
+     "coprimality closure-insensitivity census-counts"),
+    (norms, "norm_symmetric", lambda v, f, F: v + 1,
+     "norm-oracle split-root-oracle"),
+    (_symbasis, "decompose_rep",
+     lambda out, rep, n, ring: {mu: ring._neg(c) for mu, c in out.items()},
+     "thm24-equivalence norm-oracle split-root-oracle section-identity "
+     "addition-kernel addition-diagonal symmetric-roundtrip sym-ops-specialize"),
+    (quotients, "is_free_quotient", lambda ok, F, u: not ok,
+     "criterion-oracle-agreement census-counts"),
+    (quotients, "count_points", lambda k, *args: k + 1, "census-counts"),
+    (quotients, "addition_map", lambda t, s: -t,
+     "addition-homomorphism section-identity section-partial addition-diagonal"),
+    (quotients, "section_map", lambda t, s: -t, "section-identity section-partial"),
+    (quotients, "recover_monic",
+     lambda F, theta: MonicPoly(F + Poly(F.ring, [1])),
+     "recover-similarity companion-roundtrip"),
+    (norms, "push_norm", lambda ab, *args: (ab[0] + 1, ab[1]), "push-norm"),
+    (symmetric, "sym_ops_of", lambda ops, f, n: [-s for s in ops],
+     "thm24-equivalence section-identity addition-kernel addition-diagonal "
+     "sym-ops-specialize"),
+]
+
+
+def _passes(name):
+    try:
+        dict(CHECKS)[name](Random(f"{DEFAULT_SEED}:{name}"))
+    except Exception:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "module, route, perturb, checks", ROWS, ids=[row[1] for row in ROWS]
+)
+def test_route_has_an_oracle(monkeypatch, module, route, perturb, checks):
+    original = getattr(module, route)
+
+    def perturbed(*args, **kwargs):
+        return perturb(original(*args, **kwargs), *args, **kwargs)
+
+    for name, namespace in list(sys.modules.items()):
+        if name.partition(".")[0] == "symmline":
+            for attr, value in list(vars(namespace).items()):
+                if value is original:
+                    monkeypatch.setattr(namespace, attr, perturbed)
+    assert [name for name in checks.split() if _passes(name)] == []
