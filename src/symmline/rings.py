@@ -31,7 +31,7 @@ import threading
 import weakref
 from fractions import Fraction
 
-from .errors import RingMismatchError, UnsupportedRingError
+from .errors import RingMismatchError
 
 _INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _INTERN_LOCK = threading.Lock()
@@ -121,10 +121,6 @@ class Ring:
     @property
     def one(self) -> RingValue:
         return self.value(1)
-
-    def elements(self):
-        """All values of a finite ring, in a fixed order."""
-        raise UnsupportedRingError(f"{self.name} is not finite")
 
     @property
     def name(self) -> str:
@@ -363,9 +359,6 @@ class ZmodRing(Ring):
             return None
         inv = self._inv(b)
         return None if inv is None else a * inv % self.modulus
-
-    def elements(self):
-        return (RingValue(self, i) for i in range(self.modulus))
 
     @property
     def name(self):

@@ -5,14 +5,18 @@ assert so that the checks still run under python -O; run_selftest
 collects the outcomes, counting any other exception a check raises,
 such as an InvariantViolationError from the library or an error from a
 route that returns garbage, as a failure too.  CHECKS is the one place
-a release property is written: the pytest acceptance suite runs these
-same functions, each as many times over fresh seeds as its release
-criterion needs, and runs the exhaustive sweeps behind
-criterion-oracle-agreement and census-counts over wider ranges.
+a randomized or exhaustive release property is written: the pytest
+acceptance suite runs these same functions through run_check, each as
+many times over fresh seeds as its REPETITIONS table says, and runs the
+exhaustive sweeps behind criterion-oracle-agreement and census-counts
+over wider ranges.  The unit tests that name one of these properties
+call run_check or a sweep too, over seeds of their own, rather than
+assert the property again.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from random import Random
 
 from .quotients import (
@@ -44,9 +48,10 @@ from .norms import (
     resultant_symmetry_check,
     push_norm,
 )
+from .multipoly import elementary
 from .oracles import sylvester_resultant
 from .poly import MonicPoly, Poly, PolyRing, poly_gcd
-from .rings import GF, QQ, Zmod, ZZ, PrimeField
+from .rings import GF, QQ, Zmod, ZZ
 from .sampling import (
     random_monic,
     random_nonzero_poly,
@@ -66,15 +71,11 @@ def _check(ok: bool) -> None:
 
 
 def _all_monic(ring, deg):
-    from itertools import product
-
     for tail in product(range(ring.modulus), repeat=deg):
         yield MonicPoly(Poly(ring, list(tail) + [1]))
 
 
 def _all_polys(ring, max_deg):
-    from itertools import product
-
     for coeffs in product(range(ring.modulus), repeat=max_deg + 1):
         p = Poly(ring, list(coeffs))
         if not p.is_zero:
@@ -82,7 +83,7 @@ def _all_polys(ring, max_deg):
 
 
 def check_ring_axioms(rng: Random) -> str:
-    rings = [ZZ, QQ, Zmod(12), GF(7), PolyRing(ZZ, "T")]
+    rings = [ZZ, QQ, Zmod(12), GF(7), PolyRing(ZZ, "T"), PolyRing(GF(5), "T")]
     for ring in rings:
         for _ in range(20):
             a, b, c = (random_value(ring, rng) for _ in range(3))
@@ -133,12 +134,12 @@ def check_norm_multiplicativity(rng: Random) -> str:
 
 
 def check_norm_oracle(rng: Random) -> str:
-    for ring in (ZZ, Zmod(6)):
+    for ring in (ZZ, Zmod(6), GF(5)):
         for _ in range(15):
             modulus = random_monic(ring, rng, rng.randint(1, 4))
             f = random_poly(ring, rng, 4)
             norm_checked(f, modulus)
-    return "30 values, symmetric and matrix routes equal"
+    return "45 values over ZZ, Zmod:6 and GF:5, symmetric and matrix routes equal"
 
 
 def check_sylvester_oracle(rng: Random) -> str:
@@ -186,9 +187,9 @@ def check_resultant_symmetry(rng: Random) -> str:
         p = random_monic(ZZ, rng, rng.randint(1, 4))
         q = random_monic(ZZ, rng, rng.randint(1, 4))
         _check(resultant_symmetry_check(p, q))
-        lhs = norm(q, p)
-        _check(lhs == sylvester_resultant(p, q))
-    return "40 monic pairs, sign law and Sylvester agree"
+        _check(norm(q, p) == sylvester_resultant(p, q))
+        _check(norm(p, q) == sylvester_resultant(q, p))
+    return "40 monic pairs, sign law and Sylvester both ways agree"
 
 
 def check_push_norm(rng: Random) -> str:
@@ -209,19 +210,20 @@ def check_push_norm(rng: Random) -> str:
             downstairs = mult_char_poly(hom.map_poly(f), hom.map_monic(modulus))
             _check(tuple(map(hom, upstairs)) == downstairs.signed_coeffs)
     src = Zmod(12)
-    hom = RingHom.mod_reduce(src, Zmod(4))
-    for _ in range(10):
-        a, b = push_norm(
-            hom, random_poly(src, rng, 3), random_monic(src, rng, rng.randint(1, 3))
-        )
-        _check(a == b)
+    for target in (Zmod(4), Zmod(3)):
+        hom = RingHom.mod_reduce(src, target)
+        for _ in range(10):
+            a, b = push_norm(
+                hom, random_poly(src, rng, 3), random_monic(src, rng, rng.randint(1, 3))
+            )
+            _check(a == b)
     tower = PolyRing(ZZ, "T")
     hom = RingHom.eval_tower(tower, ZZ.value(rng.randint(-3, 3)))
     for _ in range(5):
         a, b = push_norm(
             hom,
-            random_poly(tower, rng, 2, -3, 3),
-            random_monic(tower, rng, 2, -3, 3),
+            random_poly(tower, rng, 3, -4, 4),
+            random_monic(tower, rng, rng.randint(1, 3), -4, 4),
         )
         _check(a == b)
     return (
@@ -259,10 +261,11 @@ def check_recover_similarity(rng: Random) -> str:
             n = rng.randint(1, 4)
             modulus = random_monic(ring, rng, n)
             s, s_inv = random_unimodular(ring, n, rng)
+            _check(s * s_inv == SquareMatrix.identity(ring, n))
             theta = s * companion_matrix(modulus) * s_inv
             _check(recover_monic(theta) == modulus)
             _check(poly_at_matrix(modulus, theta) == SquareMatrix.zero(ring, n))
-    return "20 conjugated companion matrices over ZZ and GF:5, F(theta) = 0"
+    return "20 conjugated companion matrices over ZZ and GF:5, F(theta) = 0, S S^-1 = I"
 
 
 def check_companion_roundtrip(rng: Random) -> str:
@@ -312,13 +315,16 @@ def check_section_partial(rng: Random) -> str:
         for i in range(1, n):
             e = SymPoly1.from_symelem(SymElem.e(i, n - 1, ZZ))
             _check(apply_addition(section_map(e)) == e)
-    return "e_i fixed by addition after section, n=1..4"
+    for _ in range(15):
+        n = rng.randint(1, 4)
+        t = SymPoly1.from_symelem(random_symelem(ZZ, n - 1, rng, max_weight=4))
+        _check(apply_addition(section_map(t)) == t)
+    return "e_i for n=1..4 and 15 random elements fixed by addition after section"
 
 
 def check_addition_kernel(rng: Random) -> str:
     for n in range(1, 5):
         _check(addition_kernel_check(n))
-        _check(apply_addition(sym_char_poly(Poly.gen(ZZ), n)).is_zero)
     return "generic monic polynomial killed for n=1..4"
 
 
@@ -330,27 +336,42 @@ def check_addition_diagonal(rng: Random) -> str:
     return "20 random f, n in {2, 3}"
 
 
-def check_coprimality(rng: Random) -> str:
+def _coprimality_sweep(qs, degrees, gen_degree: int) -> str:
+    """Over GF(q), N_F(g) is a unit exactly when gcd(F, g) = 1, for
+    every monic F of the given degrees and every nonzero g of degree <=
+    gen_degree; and count_points(q, 2, gens:g) is the number of monic
+    quadratics coprime to g, so degrees must include 2."""
     pairs = 0
-    for q in (2, 3):
+    for q in qs:
         ring = GF(q)
-        for modulus in _all_monic(ring, 2):
-            for g in _all_polys(ring, 1):
-                unit = norm(g, modulus).is_unit()
-                coprime = poly_gcd(modulus, g).degree == 0
-                _check(unit == coprime)
-                pairs += 1
-    return f"{pairs} pairs: nonzero norm iff coprime"
+        gens = list(_all_polys(ring, gen_degree))
+        coprime_quadratics = [0] * len(gens)
+        for deg in degrees:
+            for modulus in _all_monic(ring, deg):
+                for i, g in enumerate(gens):
+                    coprime = poly_gcd(modulus, g).degree == 0
+                    _check(norm(g, modulus).is_unit() == coprime)
+                    if deg == 2:
+                        coprime_quadratics[i] += coprime
+                    pairs += 1
+        for g, expected in zip(gens, coprime_quadratics):
+            _check(count_points(q, 2, MultSet.generated(g)) == expected)
+    return f"{pairs} (F, g) pairs, q in {qs}: nonzero norm iff coprime, census agrees"
+
+
+def check_coprimality(rng: Random) -> str:
+    return _coprimality_sweep((2, 3), (2,), 1)
 
 
 def check_closure_insensitivity(rng: Random) -> str:
     ring = GF(3)
     x = Poly.gen(ring)
-    for g in (x, x + Poly.constant(ring, 1), x * x + Poly.constant(ring, 1)):
+    one, two = Poly.constant(ring, 1), Poly.constant(ring, 2)
+    for g in (x, x + one, x + two, x * x + one, x * x + x + two):
         a = count_points(3, 2, MultSet.generated(g))
-        b = count_points(3, 2, MultSet.generated(g, g * g))
-        _check(a == b)
-    return "adding g^2 to the generators never changes the census"
+        _check(count_points(3, 2, MultSet.generated(g, g * g)) == a)
+        _check(count_points(3, 2, MultSet.generated(g, g, g)) == a)
+    return "adding g^2, or g twice, to the generators never changes the census"
 
 
 _CENSUS_FAMILIES = ("trivial", "local-at", "all-nonzero", "gens")
@@ -402,8 +423,6 @@ def check_sym_ops_specialize(rng: Random) -> str:
         f = random_poly(ZZ, rng, 3, -4, 4)
         points = [random_value(ZZ, rng, -4, 4) for _ in range(n)]
         values = [f(a) for a in points]
-        from .multipoly import elementary
-
         elems = [
             elementary(i, n, ZZ).evaluate(points) for i in range(1, n + 1)
         ]
@@ -438,6 +457,15 @@ CHECKS = [
     ("symmetric-roundtrip", check_symmetric_roundtrip),
     ("sym-ops-specialize", check_sym_ops_specialize),
 ]
+
+
+def run_check(name: str, runs: int = 1, seed=DEFAULT_SEED) -> str:
+    """Run the named check runs times, the i-th over Random(f"{seed}:{name}:{i}"),
+    and return the last run's detail; a name not in CHECKS raises KeyError."""
+    check = dict(CHECKS)[name]
+    for i in range(runs):
+        detail = check(Random(f"{seed}:{name}:{i}"))
+    return detail
 
 
 def run_selftest(seed: int = DEFAULT_SEED):

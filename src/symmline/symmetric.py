@@ -46,7 +46,7 @@ import operator
 from functools import partial
 
 from . import _symbasis
-from .errors import NotSymmetricError
+from .errors import NotSymmetricError, UnsupportedRingError
 from .multipoly import (
     MultiPoly,
     _sparse_eval,
@@ -157,8 +157,8 @@ class SymRing(Ring):
     zero."""
 
     def __new__(cls, base: Ring, arity: int):
-        if arity < 0:
-            raise ValueError("arity must be >= 0")
+        if not isinstance(arity, int) or arity < 0:
+            raise ValueError("arity must be an int >= 0")
         zero = SymElem._from_payloads(base, arity, {})
         one = SymElem._from_payloads(base, arity, {(0,) * arity: base._from_int(1)})
         return _intern(
@@ -182,6 +182,9 @@ class SymRing(Ring):
             _check_rings(SymRing(payload.ring, payload.arity), self)
             return payload
         return super()._canon(payload)
+
+    def _is_unit(self, a):
+        raise UnsupportedRingError(f"unit test in {self.name} is not supported")
 
     @property
     def name(self):

@@ -1,17 +1,21 @@
 """Acceptance suite: every selftest check at release size.
 
-The properties live in symmline.selftest.CHECKS; this module only says
-how many times each runs, over fresh seeds, and over which ranges the
-exhaustive sweeps run.  Each test prints one PASS line, visible
-under `pytest -s` or `pytest -v -rA`.
+The properties live in symmline.selftest.CHECKS, and this module runs
+them at release size: it says how many times each runs, over fresh
+seeds, and over which ranges the exhaustive sweeps behind
+criterion-oracle-agreement and census-counts run.  The coprimality
+sweep runs at full range as tests/test_quotients.py::
+test_coprimality_exhaustive.  Unit tests elsewhere keep worked examples,
+error paths, routing guards and oracles that no check uses; a unit test
+named for a check's property runs that check through run_check, over
+seeds of its own.  Each test here prints one PASS line, visible under
+`pytest -s` or `pytest -v -rA`.
 """
-
-from random import Random
 
 import pytest
 
 from symmline.rings import GF, Zmod
-from symmline.selftest import CHECKS, DEFAULT_SEED, _census_sweep, _criterion_sweep
+from symmline.selftest import CHECKS, _census_sweep, _criterion_sweep, run_check
 
 # check name -> runs, each with its own seed; a check not named runs once.
 # The release criteria behind the counts: 1 thm24-equivalence (1000
@@ -19,8 +23,14 @@ from symmline.selftest import CHECKS, DEFAULT_SEED, _census_sweep, _criterion_sw
 # per reduction), 5 recover-similarity (100 per ring), 6
 # section-identity (50 random elements) with section-partial and
 # addition-kernel, 7 addition-diagonal (100 cases), 10 split-root-oracle
-# (150 per ring), 11 symmetric-roundtrip (500 elements).
+# (150 per ring), 11 symmetric-roundtrip (500 elements).  The x2 rows
+# give 40 ring-axiom triples per ring, 30 constant-term moduli per
+# ring, 40 addition-homomorphism pairs and 30 sym-ops specializations.
 REPETITIONS = {
+    "ring-axioms": 2,
+    "norm-constant-term": 2,
+    "addition-homomorphism": 2,
+    "sym-ops-specialize": 2,
     "thm24-equivalence": 25,
     "resultant-symmetry": 13,
     "push-norm": 20,
@@ -34,10 +44,8 @@ REPETITIONS = {
 
 @pytest.mark.parametrize("name", sorted({n for n, _ in CHECKS} | set(REPETITIONS)))
 def test_check(name):
-    check = dict(CHECKS)[name]  # a name the table invents fails here
     runs = REPETITIONS.get(name, 1)
-    for i in range(runs):
-        detail = check(Random(f"{DEFAULT_SEED}:{name}:{i}"))
+    detail = run_check(name, runs)  # a name the table invents fails here
     print(f"{name} x{runs} ({detail}): PASS")
 
 

@@ -16,6 +16,7 @@ from symmline.oracles import _parity, charpoly_cofactor, leibniz_det
 from symmline.poly import MonicPoly, Poly, PolyRing, poly_divmod, poly_mod
 from symmline.rings import GF, QQ, Zmod, ZZ
 from symmline.sampling import random_monic, random_poly, random_value
+from symmline.selftest import run_check
 
 RINGS = [ZZ, QQ, Zmod(12), GF(7)]
 
@@ -194,16 +195,9 @@ def test_cayley_hamilton():
 
 
 def test_spectral_mapping():
-    # split modulus: char poly of f(M) is the product over mapped roots
-    rng = Random(20)
-    for ring in (ZZ, GF(7)):
-        for _ in range(25):
-            n = rng.randint(1, 4)
-            roots = [random_value(ring, rng, -5, 5) for _ in range(n)]
-            m = companion_matrix(MonicPoly.from_roots(ring, roots))
-            f = random_poly(ring, rng, 3)
-            expected = MonicPoly.from_roots(ring, [f(a) for a in roots])
-            assert char_poly(poly_at_matrix(f, m)) == expected
+    # split modulus: char poly of f(M) is the product over mapped roots;
+    # 30 per ring over ZZ and GF:7
+    run_check("split-root-oracle", 2, seed="test_spectral_mapping")
 
 
 def test_mult_matrix_agrees_with_value_built_matrix():

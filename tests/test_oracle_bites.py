@@ -57,7 +57,7 @@ ROWS = [
      "addition-kernel addition-diagonal symmetric-roundtrip sym-ops-specialize"),
     (quotients, "is_free_quotient", lambda ok, F, u: not ok,
      "criterion-oracle-agreement census-counts"),
-    (quotients, "count_points", lambda k, *args: k + 1, "census-counts"),
+    (quotients, "count_points", lambda k, *args: k + 1, "coprimality census-counts"),
     (quotients, "addition_map", lambda t, s: -t,
      "addition-homomorphism section-identity section-partial addition-diagonal"),
     (quotients, "section_map", lambda t, s: -t, "section-identity section-partial"),

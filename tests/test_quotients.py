@@ -14,46 +14,28 @@ from symmline.errors import (
 from symmline.quotients import (
     MultSet,
     addition_diagonal_check,
-    addition_kernel_check,
     addition_map,
-    apply_addition,
     count_points,
     free_quotient_oracle,
     is_free_quotient,
     recover_monic,
     section_map,
 )
-from symmline.matrices import companion_matrix, poly_at_matrix, SquareMatrix
+from symmline.matrices import SquareMatrix
 from symmline.norms import norm
 from symmline.poly import MonicPoly, Poly, PolyRing, poly_gcd
 from symmline.rings import GF, QQ, Zmod, ZZ
-from symmline.sampling import (
-    random_monic,
-    random_poly,
-    random_symelem,
-    random_unimodular,
+from symmline.sampling import random_monic
+from symmline.selftest import (
+    _all_monic,
+    _all_polys,
+    _census_sweep,
+    _coprimality_sweep,
+    run_check,
 )
-from symmline.symmetric import (
-    SymElem,
-    SymPoly1,
-    diagonal_tensor,
-    sym_char_poly,
-    sym_ops_of,
-)
+from symmline.symmetric import SymElem, SymPoly1, diagonal_tensor
 
 RUNNING = MonicPoly(Poly(ZZ, [2, -3, 1]))
-
-
-def all_monic(ring, deg):
-    for tail in product(range(ring.modulus), repeat=deg):
-        yield MonicPoly(Poly(ring, list(tail) + [1]))
-
-
-def all_nonzero_polys(ring, max_deg):
-    for coeffs in product(range(ring.modulus), repeat=max_deg + 1):
-        f = Poly(ring, list(coeffs))
-        if not f.is_zero:
-            yield f
 
 
 # ---------------------------------------------------------------- MultSet
@@ -121,7 +103,7 @@ def test_membership_local_at_shifted_point():
     u = MultSet.local_at(a)
     only = MonicPoly.from_roots(ring, [a, a])
     assert is_free_quotient(only, u)
-    count = sum(is_free_quotient(f, u) for f in all_monic(ring, 2))
+    count = sum(is_free_quotient(f, u) for f in _all_monic(ring, 2))
     assert count == 1
 
 
@@ -129,11 +111,11 @@ def test_membership_local_at_exhaustive():
     # the coefficient test against the from_roots reference
     for q in (2, 3, 5, 7):
         ring = GF(q)
-        for a in ring.elements():
+        for a in map(ring.value, range(q)):
             u = MultSet.local_at(a)
             for deg in (1, 2, 3):
                 target = MonicPoly.from_roots(ring, [a] * deg)
-                for f in all_monic(ring, deg):
+                for f in _all_monic(ring, deg):
                     assert is_free_quotient(f, u) == (f == target)
 
 
@@ -261,8 +243,8 @@ def test_oracle_agrees_with_criterion_small():
     branches = set()
     for ring in (Zmod(4), GF(3), Zmod(6), Zmod(8)):
         for deg in (1, 2):
-            gens = list(all_nonzero_polys(ring, 3 - deg))
-            for modulus in all_monic(ring, deg):
+            gens = list(_all_polys(ring, 3 - deg))
+            for modulus in _all_monic(ring, deg):
                 for g in gens:
                     u = MultSet.generated(g)
                     assert is_free_quotient(modulus, u) == free_quotient_oracle(
@@ -282,11 +264,7 @@ def test_oracle_agrees_with_criterion_small():
 
 
 def test_recover_companion_roundtrip():
-    rng = Random(74)
-    for ring in (ZZ, Zmod(12), GF(5)):
-        for _ in range(10):
-            modulus = random_monic(ring, rng, rng.randint(1, 5))
-            assert recover_monic(companion_matrix(modulus)) == modulus
+    run_check("companion-roundtrip", seed="test_recover_companion_roundtrip")
 
 
 def test_recover_scalar():
@@ -294,19 +272,8 @@ def test_recover_scalar():
 
 
 def test_recover_similarity_invariant():
-    rng = Random(75)
-    for ring in (ZZ, GF(5)):
-        for _ in range(15):
-            n = rng.randint(1, 4)
-            modulus = random_monic(ring, rng, n)
-            s, s_inv = random_unimodular(ring, n, rng)
-            assert s * s_inv == SquareMatrix.identity(ring, n)
-            theta = s * companion_matrix(modulus) * s_inv
-            recovered = recover_monic(theta)
-            assert recovered == modulus
-            assert poly_at_matrix(recovered.poly, theta) == SquareMatrix.zero(
-                ring, n
-            )
+    # 20 per ring over ZZ and GF:5
+    run_check("recover-similarity", 2, seed="test_recover_similarity_invariant")
 
 
 # --------------------------------------------------------- addition map
@@ -333,13 +300,8 @@ def test_addition_n1_sends_e1_to_x():
 
 
 def test_addition_is_ring_homomorphism():
-    rng = Random(76)
-    for _ in range(25):
-        n = rng.randint(1, 4)
-        s = random_symelem(ZZ, n, rng, max_weight=4, lo=-4, hi=4)
-        t = random_symelem(ZZ, n, rng, max_weight=4, lo=-4, hi=4)
-        assert addition_map(s + t) == addition_map(s) + addition_map(t)
-        assert addition_map(s * t) == addition_map(s) * addition_map(t)
+    # 40 pairs
+    run_check("addition-homomorphism", 2, seed="test_addition_is_ring_homomorphism")
 
 
 def test_section_basis_example():
@@ -350,50 +312,29 @@ def test_section_basis_example():
 
 
 def test_section_after_addition_fixes_low_generators():
-    for n in range(1, 5):
-        for i in range(1, n):
-            t = SymPoly1.from_symelem(SymElem.e(i, n, ZZ))
-            assert section_map(apply_addition(t)) == t
-        x = SymPoly1.x(ZZ, n)
-        assert section_map(apply_addition(x)) == x
+    run_check(
+        "section-identity", seed="test_section_after_addition_fixes_low_generators"
+    )
 
 
 def test_section_after_addition_top_generator_mod_kernel():
-    for n in range(1, 5):
-        generic = sym_char_poly(Poly.gen(ZZ), n)
-        top = SymPoly1.from_symelem(SymElem.e(n, n, ZZ))
-        back = section_map(apply_addition(top))
-        assert (back - top).mod_monic(generic).is_zero
+    run_check(
+        "section-identity",
+        seed="test_section_after_addition_top_generator_mod_kernel",
+    )
 
 
 def test_section_roundtrip_random_mod_kernel():
-    rng = Random(77)
-    for _ in range(25):
-        n = rng.randint(1, 4)
-        generic = sym_char_poly(Poly.gen(ZZ), n)
-        t = SymPoly1.from_symelem(random_symelem(ZZ, n, rng, max_weight=4))
-        back = section_map(apply_addition(t))
-        assert back.mod_monic(generic) == t.mod_monic(generic)
+    # 30 random elements
+    run_check("section-identity", 2, seed="test_section_roundtrip_random_mod_kernel")
 
 
 def test_addition_after_section_is_identity():
-    rng = Random(78)
-    for n in range(1, 5):
-        for i in range(1, n):
-            t = SymPoly1.from_symelem(SymElem.e(i, n - 1, ZZ))
-            assert apply_addition(section_map(t)) == t
-    for _ in range(15):
-        n = rng.randint(1, 4)
-        t = SymPoly1.from_symelem(random_symelem(ZZ, n - 1, rng, max_weight=4))
-        assert apply_addition(section_map(t)) == t
+    run_check("section-partial", seed="test_addition_after_section_is_identity")
 
 
 def test_addition_kernel():
-    for n in range(1, 5):
-        assert addition_kernel_check(n)
-    # explicit n = 2 expansion: a(X^2 - e1 X + e2) = X^2 - (e1'+X)X + e1'X
-    generic = sym_char_poly(Poly.gen(ZZ), 2)
-    assert apply_addition(generic).is_zero
+    run_check("addition-kernel", seed="test_addition_kernel")
 
 
 def test_addition_diagonal_worked_example():
@@ -409,11 +350,8 @@ def test_addition_diagonal_constant():
 
 
 def test_addition_diagonal_random():
-    rng = Random(79)
-    for _ in range(25):
-        n = rng.choice((2, 3))
-        f = random_poly(ZZ, rng, 3, -5, 5)
-        assert addition_diagonal_check(f, n)
+    # 40 random f
+    run_check("addition-diagonal", 2, seed="test_addition_diagonal_random")
 
 
 def test_addition_diagonal_arity_check():
@@ -425,9 +363,7 @@ def test_addition_diagonal_arity_check():
 
 
 def test_count_trivial_is_affine_space():
-    for q in (2, 3, 5):
-        for n in (1, 2, 3):
-            assert count_points(q, n, MultSet.trivial(GF(q))) == q**n
+    _census_sweep((2, 3, 5), (1, 2, 3), ("trivial",))
 
 
 def test_count_worked_example_gf3():
@@ -436,11 +372,11 @@ def test_count_worked_example_gf3():
     assert count_points(3, 2, u) == 6
     # cross-checks: N_F(X) = (-1)^n F(0) nonzero, and gcd coprimality
     by_constant = sum(
-        1 for f in all_monic(ring, 2) if not f.poly(ring.zero).is_zero
+        1 for f in _all_monic(ring, 2) if not f.poly(ring.zero).is_zero
     )
     by_gcd = sum(
         1
-        for f in all_monic(ring, 2)
+        for f in _all_monic(ring, 2)
         if poly_gcd(f.poly, Poly.gen(ring)).degree == 0
     )
     assert by_constant == 6
@@ -448,42 +384,20 @@ def test_count_worked_example_gf3():
 
 
 def test_count_local_at_origin_is_one():
-    for q in (2, 3, 5):
-        for n in (1, 2, 3):
-            assert count_points(q, n, MultSet.local_at(GF(q).zero)) == 1
+    _census_sweep((2, 3, 5), (1, 2, 3), ("local-at",))
 
 
 def test_count_all_nonzero_is_zero():
-    for q in (2, 3):
-        for n in (1, 2, 3):
-            assert count_points(q, n, MultSet.all_nonzero(GF(q))) == 0
+    _census_sweep((2, 3, 5), (1, 2, 3), ("all-nonzero",))
 
 
 def test_count_matches_gcd_oracle():
-    # over a field: unit norm for all generators iff coprime to each
-    rng = Random(80)
-    for q in (2, 3, 5):
-        ring = GF(q)
-        for _ in range(4):
-            g = random_poly(ring, rng, 2)
-            if g.is_zero:
-                continue
-            u = MultSet.generated(g)
-            expected = sum(
-                1
-                for f in all_monic(ring, 2)
-                if poly_gcd(f.poly, g).degree == 0
-            )
-            assert count_points(q, 2, u) == expected
+    # every nonzero g of degree <= 2 against the monic quadratics
+    _coprimality_sweep((2, 3, 5), (2,), 2)
 
 
 def test_count_closure_insensitive():
-    ring = GF(3)
-    x = Poly.gen(ring)
-    for g in (x, x + Poly(ring, [2]), x**2 + x + Poly(ring, [2])):
-        base = count_points(3, 2, MultSet.generated(g))
-        assert count_points(3, 2, MultSet.generated(g, g * g)) == base
-        assert count_points(3, 2, MultSet.generated(g, g, g)) == base
+    run_check("closure-insensitivity", seed="test_count_closure_insensitive")
 
 
 def test_count_workers_deterministic():
@@ -517,14 +431,9 @@ def test_count_requires_matching_field():
 
 
 def test_coprimality_exhaustive():
-    for q in (2, 3, 5):
-        ring = GF(q)
-        moduli = [f for d in (1, 2, 3) for f in all_monic(ring, d)]
-        for modulus in moduli:
-            for g in all_nonzero_polys(ring, 2):
-                unit = norm(g, modulus).is_unit()
-                coprime = poly_gcd(modulus.poly, g).degree == 0
-                assert unit == coprime
+    # a unit norm exactly when coprime, for every monic F of degree 1..3
+    # and every g of degree <= 2 over GF(q), q in {2, 3, 5}: 20,332 pairs
+    _coprimality_sweep((2, 3, 5), (1, 2, 3), 2)
 
 
 def _census_sets(ring):

@@ -5,11 +5,16 @@ from random import Random
 import pytest
 
 from symmline import _symbasis
-from symmline.errors import NotSymmetricError, RingMismatchError
+from symmline.errors import (
+    NotSymmetricError,
+    RingMismatchError,
+    UnsupportedRingError,
+)
 from symmline.multipoly import MultiPoly, elementary, is_symmetric
 from symmline.poly import Poly, PolyRing, poly_divmod, poly_mod
 from symmline.rings import GF, QQ, Zmod, ZmodRing, ZZ
 from symmline.sampling import random_poly, random_symelem, random_value
+from symmline.selftest import run_check
 from symmline.symmetric import (
     SymElem,
     SymPoly1,
@@ -261,16 +266,9 @@ def test_diagonal_tensor_multiplicative():
 
 def test_sym_ops_specialize_to_values():
     # substituting concrete elementary values turns s_i(f) into the
-    # elementary symmetric polynomials of the values f(a_1)..f(a_n)
-    rng = Random(38)
-    for _ in range(20):
-        n = rng.randint(1, 3)
-        f = random_poly(ZZ, rng, 3, -4, 4)
-        points = [random_value(ZZ, rng, -4, 4) for _ in range(n)]
-        elems = [elementary(i, n, ZZ).evaluate(points) for i in range(1, n + 1)]
-        values = [f(a) for a in points]
-        for i, s in enumerate(sym_ops_of(f, n), start=1):
-            assert s.substitute(elems) == elementary(i, n, ZZ).evaluate(values)
+    # elementary symmetric polynomials of the values f(a_1)..f(a_n);
+    # 30 specializations
+    run_check("sym-ops-specialize", 2, seed="test_sym_ops_specialize_to_values")
 
 
 def test_substitute_agrees_with_expand_then_evaluate():
@@ -393,6 +391,21 @@ def test_sympoly1_mixing_arities_raises():
         SymPoly1(ZZ, 2, [SymElem.e(1, 3, ZZ)])
     with pytest.raises(RingMismatchError):
         SymPoly1(ZZ, 2, [SymElem.e(1, 2, QQ)])
+
+
+def test_symring_errors_are_typed():
+    # Poly's constructors pass a ring where SymPoly1 takes an arity
+    for build in (
+        lambda: SymPoly1.gen(ZZ),
+        lambda: SymPoly1.constant(SymRing(ZZ, 2), 1),
+        lambda: SymPoly1.from_roots(ZZ, [1]),
+        lambda: SymRing(ZZ, 2.5),
+        lambda: SymRing(ZZ, -1),
+    ):
+        with pytest.raises(ValueError, match="arity must be"):
+            build()
+    with pytest.raises(UnsupportedRingError):
+        SymPoly1.x(ZZ, 2).leading.is_unit()
 
 
 def test_sympoly1_never_equals_a_poly():
