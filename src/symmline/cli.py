@@ -5,6 +5,11 @@ with stable field names {verb, inputs, result, oracle, elapsed_ms}
 under --json.  Exit status: 0 success, 1 domain error (the library
 error class name is printed), 2 parse error.
 
+A verb declares its flags once, in _new_parser; run reads their names
+from the parsed Namespace to fill --json's inputs and to refuse a bare
+'--' value.  run parses --ring before the handler runs, which takes
+(args, ring).
+
 A process has one argument parser, built by the first build_parser()
 call and returned by every later one; nothing builds it at import.
 parse_args never mutates it, so each call's state lives only in the
@@ -45,7 +50,7 @@ from .parsing import (
     parse_sympoly1,
 )
 from .poly import MonicPoly, PolyRing
-from .rings import PrimeField, ZmodRing
+from .rings import PrimeField, ZmodRing, ZZ
 from .selftest import DEFAULT_SEED, run_selftest
 from .symmetric import decompose, sym_ops_of
 
@@ -90,8 +95,7 @@ def _parse_matrix(text: str, ring) -> SquareMatrix:
     return SquareMatrix(ring, rows)
 
 
-def _cmd_norm(args):
-    ring = parse_ring(args.ring)
+def _cmd_norm(args, ring):
     modulus = _monic(args.F, ring)
     value = str(norm_checked(parse_poly(args.f, ring), modulus))
     return (
@@ -101,8 +105,7 @@ def _cmd_norm(args):
     )
 
 
-def _cmd_charpoly(args):
-    ring = parse_ring(args.ring)
+def _cmd_charpoly(args, ring):
     modulus = _monic(args.F, ring)
     f = parse_poly(args.f, ring)
     symbolic = mult_char_poly(f, modulus)
@@ -119,8 +122,7 @@ def _cmd_charpoly(args):
     )
 
 
-def _cmd_sym_ops(args):
-    ring = parse_ring(args.ring)
+def _cmd_sym_ops(args, ring):
     f = parse_poly(args.f, ring)
     ops = sym_ops_of(f, args.n)
     result = [str(s) for s in ops]
@@ -128,8 +130,7 @@ def _cmd_sym_ops(args):
     return result, None, lines
 
 
-def _cmd_decompose(args):
-    ring = parse_ring(args.ring)
+def _cmd_decompose(args, ring):
     m = parse_multipoly(args.expr, ring, args.n)
     s = decompose(m)
     expanded_back = s.expand() == m
@@ -142,8 +143,7 @@ def _cmd_decompose(args):
     )
 
 
-def _cmd_resultant_check(args):
-    ring = parse_ring(args.ring)
+def _cmd_resultant_check(args, ring):
     first = _monic(args.P, ring)
     second = _monic(args.Q, ring)
     # the determinants below grow like n^3 (ZZ, QQ) or n^4 in the degrees
@@ -173,11 +173,9 @@ def _make_hom(args, ring) -> RingHom:
     if args.to is None:
         raise SymmlineError("push-norm needs --to RING or --eval POINT")
     target = parse_ring(args.to)
-    if target == ring:
+    if target is ring:
         return RingHom.identity(ring)
-    from .rings import ZZ
-
-    if ring == ZZ and isinstance(target, ZmodRing):
+    if ring is ZZ and isinstance(target, ZmodRing):
         return RingHom.int_reduce(target)
     if isinstance(ring, ZmodRing) and isinstance(target, ZmodRing):
         return RingHom.mod_reduce(ring, target)
@@ -186,8 +184,7 @@ def _make_hom(args, ring) -> RingHom:
     )
 
 
-def _cmd_push_norm(args):
-    ring = parse_ring(args.ring)
+def _cmd_push_norm(args, ring):
     hom = _make_hom(args, ring)
     modulus = _monic(args.F, ring)
     f = parse_poly(args.f, ring)
@@ -207,8 +204,7 @@ def _cmd_push_norm(args):
     )
 
 
-def _cmd_membership(args):
-    ring = parse_ring(args.ring)
+def _cmd_membership(args, ring):
     modulus = _monic(args.F, ring)
     _check_arity(modulus.degree, "deg F")
     mult_set = parse_multset(args.multset, ring)
@@ -228,8 +224,7 @@ def _cmd_membership(args):
     return member, oracle, lines
 
 
-def _cmd_recover(args):
-    ring = parse_ring(args.ring)
+def _cmd_recover(args, ring):
     theta = _parse_matrix(args.matrix, ring)
     result = recover_monic(theta)
     oracle = None
@@ -244,22 +239,19 @@ def _cmd_recover(args):
     return str(result), oracle, lines
 
 
-def _cmd_addition(args):
-    ring = parse_ring(args.ring)
+def _cmd_addition(args, ring):
     s = parse_symelem(args.expr, ring, args.n)
     image = addition_map(s)
     return str(image), None, [f"image = {image}"]
 
 
-def _cmd_section(args):
-    ring = parse_ring(args.ring)
+def _cmd_section(args, ring):
     t = parse_sympoly1(args.expr, ring, args.n)
     image = section_map(t)
     return str(image), None, [f"image = {image}"]
 
 
-def _cmd_count(args):
-    ring = parse_ring(args.ring)
+def _cmd_count(args, ring):
     if not isinstance(ring, PrimeField):
         raise UnsupportedRingError(
             f"count needs a prime field GF:q, got {ring.name}"
@@ -282,7 +274,7 @@ def _cmd_count(args):
     return record, None, lines
 
 
-def _cmd_selftest(args):
+def _cmd_selftest(args, _ring):
     results = run_selftest(args.seed)
     failures = [name for name, ok, _ in results if not ok]
     lines = [
@@ -304,10 +296,6 @@ def _bool(b: bool) -> str:
     return "true" if b else "false"
 
 
-_INPUT_FLAGS = ("ring", "F", "f", "P", "Q", "n", "expr", "multset", "matrix",
-                "to", "eval", "seed")
-
-
 _PARSER = None
 
 
@@ -327,86 +315,80 @@ def _new_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name, fn, summary, **flags):
+    def add(name, fn, summary,
+            ring=(str, True, "ring spec, e.g. ZZ, QQ, Zmod:12, GF:5, Poly:ZZ:T"),
+            **flags):
+        if ring is not None:
+            flags = {"ring": ring, **flags}
         p = sub.add_parser(name, help=summary, description=summary)
         for flag, (kind, required, help_text) in flags.items():
             p.add_argument(
                 f"--{flag}", type=kind, required=required, help=help_text
             )
         p.add_argument("--json", action="store_true", help="emit one JSON object")
-        p.set_defaults(handler=fn)
+        p.set_defaults(handler=fn, flags=tuple(flags))
         return p
 
-    ring_flag = (str, True, "ring spec, e.g. ZZ, QQ, Zmod:12, GF:5, Poly:ZZ:T")
     add("norm", _cmd_norm,
         "norm of f on the quotient by F, both routes compared",
-        ring=ring_flag,
         F=(str, True, "monic modulus"), f=(str, True, "argument polynomial"))
     add("charpoly", _cmd_charpoly,
         "characteristic polynomial of multiplication-by-f modulo F",
-        ring=ring_flag,
         F=(str, True, "monic modulus"), f=(str, True, "argument polynomial"))
     add("sym-ops", _cmd_sym_ops,
         "symmetric operators s_1..s_n of f in the elementary basis",
-        ring=ring_flag,
         f=(str, True, "polynomial"), n=(int, True, "arity"))
     add("decompose", _cmd_decompose,
         "write a symmetric polynomial in the elementary basis",
-        ring=ring_flag,
         n=(int, True, "number of variables"),
         expr=(str, True, "symmetric polynomial in X1..Xn"))
     add("resultant-check", _cmd_resultant_check,
         "verify the sign law relating the two norms of a monic pair",
-        ring=ring_flag,
         P=(str, True, "monic polynomial"), Q=(str, True, "monic polynomial"))
     add("push-norm", _cmd_push_norm,
         "compare the norm pushed through a homomorphism with the norm "
         "after base change",
-        ring=ring_flag,
         F=(str, True, "monic modulus"), f=(str, True, "argument polynomial"),
         to=(str, False, "target ring for a reduction rule"),
         eval=(str, False, "evaluation point for a tower variable"))
     add("membership", _cmd_membership,
         "decide whether F generates a free quotient of the localization",
-        ring=ring_flag,
         F=(str, True, "monic modulus"),
         multset=(str, True, "trivial | gens:p[,p..] | local-at:a | all-nonzero"))
     add("recover", _cmd_recover,
         "recover the monic generator from the matrix of the X-action",
-        ring=ring_flag,
         matrix=(str, True, "rows 'a,b;c,d' acting as X"))
     add("addition", _cmd_addition,
         "apply the addition map, lowering the symmetric arity by one",
-        ring=ring_flag,
         n=(int, True, "source arity"),
         expr=(str, True, "element in e1..en"))
     add("section", _cmd_section,
         "apply the section of the addition map, raising the arity",
-        ring=ring_flag,
         n=(int, True, "source arity"),
         expr=(str, True, "polynomial in e1..en and X"))
     add("count", _cmd_count,
         "count monic degree-n polynomials generating free quotients",
-        ring=ring_flag,
         n=(int, True, "number of points"),
         multset=(str, True, "trivial | gens:p[,p..] | local-at:a | all-nonzero"))
-    add("selftest", _cmd_selftest,
-        "run every named invariant check with a fixed seed",
-        seed=(int, False, f"RNG seed (default {DEFAULT_SEED})"))
+    selftest = add("selftest", _cmd_selftest,
+                   "run every named invariant check with a fixed seed",
+                   ring=None, seed=(int, False, f"RNG seed (default {DEFAULT_SEED})"))
+    selftest.set_defaults(seed=DEFAULT_SEED)
     return parser
 
 
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if [] in (getattr(args, flag, None) for flag in _INPUT_FLAGS):
+    values = vars(args)
+    inputs = {f: values[f] for f in args.flags if values[f] is not None}
+    if [] in inputs.values():
         # argparse (Python 3.11 at least) stores --flag=-- as an empty list
         parser.error("an option value may not be '--'")
-    if args.verb == "selftest" and args.seed is None:
-        args.seed = DEFAULT_SEED
     started = time.perf_counter()
     try:
-        outcome = args.handler(args)
+        ring = parse_ring(args.ring) if "ring" in args.flags else None
+        outcome = args.handler(args, ring)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -417,11 +399,6 @@ def run(argv=None) -> int:
     result, oracle, lines = outcome[0], outcome[1], outcome[2]
     failed = outcome[3] if len(outcome) > 3 else False
     if args.json:
-        inputs = {
-            flag: getattr(args, flag)
-            for flag in _INPUT_FLAGS
-            if getattr(args, flag, None) is not None
-        }
         print(
             json.dumps(
                 {

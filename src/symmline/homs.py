@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import RingMismatchError
 from .poly import MonicPoly, Poly, PolyRing
-from .rings import Ring, RingValue, ZmodRing, _check_rings
+from .rings import Ring, RingValue, ZmodRing, ZZ, _check_rings
 
 
 class RingHom:
@@ -31,8 +31,6 @@ class RingHom:
     @classmethod
     def int_reduce(cls, target: ZmodRing) -> RingHom:
         """ZZ -> Zmod(m) or ZZ -> GF(p)."""
-        from .rings import ZZ
-
         if not isinstance(target, ZmodRing):
             raise ValueError(f"int_reduce target must be modular, got {target.name}")
         return cls(ZZ, target, "int-reduce")

@@ -362,7 +362,12 @@ def poly_mod(f: Poly, g: Poly) -> Poly:
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd over a field (zero when both inputs are zero)."""
-    return poly_ext_gcd(f, g)[0]
+    if not f.ring.is_field:
+        raise UnsupportedRingError(f"gcd needs a field base, got {f.ring.name}")
+    while not g.is_zero:
+        g = g.scale(g.leading.try_inverse())
+        f, g = g, poly_mod(f, g)
+    return f if f.is_zero else f.scale(f.leading.try_inverse())
 
 
 def poly_ext_gcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:

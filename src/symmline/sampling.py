@@ -18,7 +18,7 @@ from .symmetric import SymElem
 def random_value(ring: Ring, rng: Random, lo: int = -9, hi: int = 9) -> RingValue:
     if isinstance(ring, ZmodRing):
         return ring.value(rng.randrange(ring.modulus))
-    if ring == QQ:
+    if ring is QQ:
         return ring.value(Fraction(rng.randint(lo, hi), rng.randint(1, hi)))
     if isinstance(ring, PolyRing):
         deg = rng.randint(0, 2)

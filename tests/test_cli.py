@@ -486,11 +486,7 @@ def test_readme_cli_block_runs(capsys):
         capsys.readouterr()
         assert code == 0, line
     verbs = {line.split()[1] for line in lines}
-    sub = next(
-        a for a in build_parser()._actions
-        if isinstance(a, argparse._SubParsersAction)
-    )
-    assert verbs == set(sub.choices)
+    assert verbs == set(_verb_parsers())
 
 
 def _probe(script):
@@ -596,3 +592,73 @@ def test_readme_names_every_bound():
     assert "TERM_PRODUCT_BOUND" in bounds
     for name, value in bounds.items():
         assert f"`{name} = {value:_}`" in budgets, name
+
+
+# verb -> its flags besides --json, in declared order, as (name, required)
+DECLARED = {
+    "norm": [("ring", True), ("F", True), ("f", True)],
+    "charpoly": [("ring", True), ("F", True), ("f", True)],
+    "sym-ops": [("ring", True), ("f", True), ("n", True)],
+    "decompose": [("ring", True), ("n", True), ("expr", True)],
+    "resultant-check": [("ring", True), ("P", True), ("Q", True)],
+    "push-norm": [("ring", True), ("F", True), ("f", True),
+                  ("to", False), ("eval", False)],
+    "membership": [("ring", True), ("F", True), ("multset", True)],
+    "recover": [("ring", True), ("matrix", True)],
+    "addition": [("ring", True), ("n", True), ("expr", True)],
+    "section": [("ring", True), ("n", True), ("expr", True)],
+    "count": [("ring", True), ("n", True), ("multset", True)],
+    "selftest": [("seed", False)],
+}
+
+
+def _verb_parsers():
+    sub = next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    return sub.choices
+
+
+def test_each_verb_declares_its_flags():
+    parsers = _verb_parsers()
+    assert list(parsers) == list(DECLARED)
+    for verb, parser in parsers.items():
+        options = [a.option_strings for a in parser._actions]
+        assert options[0] == ["-h", "--help"] and options[-1] == ["--json"]
+        declared = [
+            (a.option_strings[0][2:], a.required) for a in parser._actions[1:-1]
+        ]
+        assert declared == DECLARED[verb], verb
+        assert parser.get_default("flags") == tuple(n for n, _ in declared)
+
+
+@pytest.mark.parametrize("argv, inputs", [
+    ("norm --ring ZZ --F X^2-3*X+2 --f X-4",
+     {"ring": "ZZ", "F": "X^2-3*X+2", "f": "X-4"}),
+    ("charpoly --ring Zmod:12 --F X^3+2*X+1 --f X^2-5",
+     {"ring": "Zmod:12", "F": "X^3+2*X+1", "f": "X^2-5"}),
+    ("sym-ops --ring ZZ --f X^2 --n 2", {"ring": "ZZ", "f": "X^2", "n": 2}),
+    ("decompose --ring ZZ --n 2 --expr X1^2+X2^2",
+     {"ring": "ZZ", "n": 2, "expr": "X1^2+X2^2"}),
+    ("resultant-check --ring ZZ --P X^2-3*X+2 --Q X-4",
+     {"ring": "ZZ", "P": "X^2-3*X+2", "Q": "X-4"}),
+    ("push-norm --ring ZZ --to Zmod:5 --F X^2-3*X+2 --f X",
+     {"ring": "ZZ", "F": "X^2-3*X+2", "f": "X", "to": "Zmod:5"}),
+    ("push-norm --ring Poly:ZZ:T --eval 0 --F X-T --f X",
+     {"ring": "Poly:ZZ:T", "F": "X-T", "f": "X", "eval": "0"}),
+    ("membership --ring GF:5 --F X^2 --multset local-at:0",
+     {"ring": "GF:5", "F": "X^2", "multset": "local-at:0"}),
+    ("recover --ring ZZ --matrix 0,-2;1,3", {"ring": "ZZ", "matrix": "0,-2;1,3"}),
+    ("addition --ring ZZ --n 2 --expr e1^2-2*e2",
+     {"ring": "ZZ", "n": 2, "expr": "e1^2-2*e2"}),
+    ("section --ring ZZ --n 1 --expr e1", {"ring": "ZZ", "n": 1, "expr": "e1"}),
+    ("count --ring GF:3 --n 2 --multset gens:X",
+     {"ring": "GF:3", "n": 2, "multset": "gens:X"}),
+    ("selftest --seed 3", {"seed": 3}),
+    ("selftest", {"seed": DEFAULT_SEED}),
+])
+def test_json_inputs_are_the_declared_flags_in_order(capsys, argv, inputs):
+    code, payload = invoke_json(capsys, *argv.split())
+    assert code == 0
+    assert list(payload["inputs"].items()) == list(inputs.items())

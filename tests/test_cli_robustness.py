@@ -14,6 +14,7 @@ census or of a large determinant is a matter of the work budgets, not
 of this contract.
 """
 
+import argparse
 import contextlib
 import io
 import time
@@ -25,7 +26,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
 from symmline import errors
-from symmline.cli import run
+from symmline.cli import build_parser, run
 from symmline.quotients import ARITY_BOUND
 
 TYPED = {
@@ -158,11 +159,27 @@ def test_every_verb_keeps_the_failure_contract(verb, data):
         assert code in (0, None), (argv, code, err)
 
 
-@pytest.mark.parametrize("argv", [
-    ["charpoly", "--ring=ZZ", "--F=--", "--f=X"],
-    ["norm", "--ring=--", "--F=X", "--f=X"],
-    ["sym-ops", "--ring=ZZ", "--f=X", "--n=--"],
-])
+def _bare_double_dash_calls():
+    """One call per flag of every verb, as build_parser() declares them:
+    that flag given as --flag=-- and every other flag as 1."""
+    sub = next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    calls = []
+    for verb, parser in sub.choices.items():
+        flags = [
+            a.option_strings[0] for a in parser._actions
+            if a.option_strings[0] not in ("-h", "--json")
+        ]
+        for bare in flags:
+            calls.append(
+                [verb] + [f"{flag}={'--' if flag == bare else '1'}" for flag in flags]
+            )
+    return calls
+
+
+@pytest.mark.parametrize("argv", _bare_double_dash_calls())
 def test_a_bare_double_dash_value_is_refused(argv):
     # argparse drops such a value and stores an empty list, which no
     # handler could read
