@@ -164,14 +164,14 @@ def _cmd_resultant_check(args, ring):
 
 
 def _make_hom(args, ring) -> RingHom:
+    if (args.eval is None) == (args.to is None):
+        raise SymmlineError("push-norm needs exactly one of --to RING and --eval POINT")
     if args.eval is not None:
         if not isinstance(ring, PolyRing):
             raise UnsupportedRingError(
                 f"--eval needs a polynomial coefficient ring, got {ring.name}"
             )
         return RingHom.eval_tower(ring, parse_scalar(args.eval, ring.base))
-    if args.to is None:
-        raise SymmlineError("push-norm needs --to RING or --eval POINT")
     target = parse_ring(args.to)
     if target is ring:
         return RingHom.identity(ring)

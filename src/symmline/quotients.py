@@ -20,7 +20,11 @@ determinant instead of an n x n one.  Every other generator (degree 0,
 a leading coefficient that is not a unit, or d >= n) keeps the norm
 N_F(g) itself.  Over GF(q) every nonconstant generator has a unit
 leading coefficient, so the census takes the generator side whenever
-d < n.
+d < n.  Over a field N_F(g) is a unit exactly when gcd(F, g) = 1, which
+depends only on F mod H, H the product of the monic associates: for
+deg H < n, G -> (X^n + G) mod H over deg G < n is onto with fibres of
+size q^(n - deg H), so count_points tests only the q^(deg H) candidates
+X^n + G with deg G < deg H, and multiplies by q^(n - deg H).
 
 free_quotient_oracle decides the same membership by exhaustive search
 for an inverse residue, touching neither norms nor determinants; it is
@@ -373,23 +377,31 @@ def addition_diagonal_check(f: Poly, n: int) -> bool:
     return True
 
 
+def _deciding_degree(n: int, mult_set: MultSet) -> int:
+    """How many low coefficients of a monic degree-n F decide membership."""
+    if mult_set.kind == "local-at":
+        return n
+    return min(n, sum(g.degree for g in mult_set.gens))
+
+
 def count_points(q: int, n: int, mult_set: MultSet, workers: int = 1) -> int:
     """Number of monic degree-n polynomials over GF(q) that generate a
     free rank-n quotient of the localization at the given set.
 
-    Candidates are X^n + c_(n-1) X^(n-1) + ... + c_0 with (c_0..c_(n-1))
-    running over itertools.product of GF(q)'s residues 0..q-1, so c_0
-    varies slowest and c_(n-1) fastest.  Each goes to is_free_quotient
-    in that order, in one serial loop.  A candidate is built by the
-    trusted MonicPoly._from_monic_payloads, since it is canonical by
-    construction: its payloads are the residues themselves followed by
-    GF(q)'s one, 1, so nothing needs coercing or stripping and it is
-    monic of degree n >= 1.  It equals MonicPoly(Poly(ring, ...)) under
-    ==, hash and str.  Generators with
-    a unit leading coefficient (every nonconstant one over GF(q)) and
-    degree below n are decided by a determinant of their own degree;
-    see is_free_quotient.  workers is accepted for existing callers and
-    ignored.
+    Membership in a generated set depends only on F mod H (module
+    docstring), H of degree D = sum of deg g; for D < n the q^D
+    candidates X^n + G, deg G < D, meet each residue class once, and
+    each class holds q^(n-D) monic F.  So with d = _deciding_degree
+    (n for local-at, 0 for trivial and all-nonzero) the count is q^(n-d)
+    times the admissible X^n + c_(d-1) X^(d-1) + ... + c_0, (c_0..c_(d-1))
+    running over itertools.product of residues 0..q-1, c_0 slowest, each
+    sent to is_free_quotient in that order in one serial loop.  Each is
+    built by the trusted MonicPoly._from_monic_payloads: its payloads
+    (the residues, n - d zeros, then GF(q)'s one, 1) are canonical and
+    it equals MonicPoly(Poly(ring, ...)) under ==, hash and str.
+    Generators with a unit leading coefficient and degree below n are
+    decided by a determinant of their own degree; see is_free_quotient.
+    workers is ignored.  CENSUS_BOUND caps q^n, not q^d.
     """
     ring = PrimeField(q)
     _check_rings(mult_set.ring, ring)
@@ -402,8 +414,9 @@ def count_points(q: int, n: int, mult_set: MultSet, workers: int = 1) -> int:
             f"{q}^{n} polynomials exceed the census bound {CENSUS_BOUND}"
         )
     monic = MonicPoly._from_monic_payloads
+    d = _deciding_degree(n, mult_set)
     count = 0
-    for low in product(range(q), repeat=n):
-        if is_free_quotient(monic(ring, low + (1,)), mult_set):
+    for low in product(range(q), repeat=d):
+        if is_free_quotient(monic(ring, low + (0,) * (n - d) + (1,)), mult_set):
             count += 1
-    return count
+    return count * q ** (n - d)

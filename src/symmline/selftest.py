@@ -406,7 +406,7 @@ def _census_sweep(qs, ns, families=_CENSUS_FAMILIES) -> str:
 
 
 def check_census_counts(rng: Random) -> str:
-    return _census_sweep((2, 3), (1, 2, 3))
+    return _census_sweep((2, 3), (1, 2, 3, 4))
 
 
 def check_symmetric_roundtrip(rng: Random) -> str:

@@ -186,3 +186,14 @@ def test_a_bare_double_dash_value_is_refused(argv):
     code, err, _ = _call(argv)
     assert code is None
     assert "an option value may not be '--'" in err
+
+
+@pytest.mark.parametrize(
+    "hom", [["--eval=2", "--to=Zmod:5"], []], ids=["both", "neither"]
+)
+def test_push_norm_takes_exactly_one_hom(hom):
+    code, err, _ = _call(["push-norm", "--ring=Poly:ZZ:T", "--F=X-T", "--f=X"] + hom)
+    assert code == 1
+    assert err == (
+        "SymmlineError: push-norm needs exactly one of --to RING and --eval POINT\n"
+    )

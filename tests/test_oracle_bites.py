@@ -58,6 +58,7 @@ ROWS = [
     (quotients, "is_free_quotient", lambda ok, F, u: not ok,
      "criterion-oracle-agreement census-counts"),
     (quotients, "count_points", lambda k, *args: k + 1, "coprimality census-counts"),
+    (quotients, "_deciding_degree", lambda d, *args: max(d - 1, 0), "census-counts"),
     (quotients, "addition_map", lambda t, s: -t,
      "addition-homomorphism section-identity section-partial addition-diagonal"),
     (quotients, "section_map", lambda t, s: -t, "section-identity section-partial"),

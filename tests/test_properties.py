@@ -1,6 +1,7 @@
 """Property tests: the two norm routes against the Sylvester oracle,
-lifting to symmetric coefficients against Poly arithmetic, and the
-membership criterion against exhaustive search, on random inputs.
+lifting to symmetric coefficients against Poly arithmetic, the
+membership criterion against exhaustive search, and the census against
+a count over every monic candidate, on random inputs.
 
 The examples are drawn under the derandomized profile of conftest.py.
 """
@@ -11,12 +12,18 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from test_quotients import _reference_count
 
 from symmline.norms import norm, norm_symmetric
 from symmline.oracles import sylvester_resultant
 from symmline.poly import MonicPoly, Poly, PolyRing, poly_divmod
-from symmline.quotients import MultSet, free_quotient_oracle, is_free_quotient
+from symmline.quotients import (
+    MultSet,
+    count_points,
+    free_quotient_oracle,
+    is_free_quotient,
+)
 from symmline.rings import GF, QQ, Zmod, ZZ
 from symmline.symmetric import SymPoly1
 
@@ -120,3 +127,48 @@ def test_criterion_matches_oracle(inputs):
     assert is_free_quotient(modulus, mult_set) == free_quotient_oracle(
         modulus, mult_set
     )
+
+
+@st.composite
+def census_inputs(draw):
+    """GF(q) with q^n <= 625 and 1-3 generators of degree 0-3: fresh,
+    a repeat of an earlier one, or a common linear factor times a
+    cofactor of degree 0-2."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, {2: 9, 3: 5, 5: 4}[q]))
+    ring = GF(q)
+
+    def poly(degree):
+        low = draw(st.lists(st.integers(0, q - 1), min_size=degree, max_size=degree))
+        return Poly(ring, low + [draw(st.integers(1, q - 1))])
+
+    factor = poly(1)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        kinds = ["fresh", "repeat", "shared"] if gens else ["fresh"]
+        how = draw(st.sampled_from(kinds))
+        if how == "fresh":
+            gens.append(poly(draw(st.integers(0, 3))))
+        elif how == "repeat":
+            gens.append(draw(st.sampled_from(gens)))
+        else:
+            gens.append(factor * poly(draw(st.integers(0, 2))))
+    return q, n, gens
+
+
+def _gens(q, *coeffs):
+    return [Poly(GF(q), cs) for cs in coeffs]
+
+
+@given(census_inputs())
+# sum of deg g below n (with a constant), equal to n, equal to n again
+# (a repeat and a shared factor X + 1), and above n (a generator of
+# degree >= n)
+@example((2, 5, _gens(2, [1, 1], [1])))
+@example((3, 3, _gens(3, [1, 1], [2, 0, 1])))
+@example((3, 4, _gens(3, [1, 1], [1, 1], [1, 2, 1])))
+@example((5, 2, _gens(5, [1, 1, 0, 1])))
+def test_count_matches_every_candidate(inputs):
+    q, n, gens = inputs
+    mult_set = MultSet.generated(*gens)
+    assert count_points(q, n, mult_set) == _reference_count(q, n, mult_set)

@@ -479,20 +479,23 @@ def test_count_candidate_stream(monkeypatch):
     monkeypatch.setattr(quotients, "is_free_quotient", record)
     for q in (2, 3, 5):
         ring = GF(q)
-        for n in (1, 2, 3):
-            # c_0 slowest, c_(n-1) fastest
-            expected = [
-                MonicPoly(Poly(ring, list(low) + [1]))
-                for low in product(range(q), repeat=n)
-            ]
-            for mult_set in _census_sets(ring):
+        for n in (1, 2, 3, 4):
+            # the low d coefficients decide: none for trivial, min(n, 1 + 2)
+            # for the generators of degree 1 and 2, all n for local-at, and
+            # none for all-nonzero
+            for mult_set, d in zip(_census_sets(ring), (0, min(n, 3), n, 0)):
+                # c_0 slowest, c_(d-1) fastest, the rest zero
+                expected = [
+                    MonicPoly(Poly(ring, list(low) + [0] * (n - d) + [1]))
+                    for low in product(range(q), repeat=d)
+                ]
                 seen.clear()
                 count = count_points(q, n, mult_set)
                 assert all(type(c) is MonicPoly for c in seen)
                 assert seen == expected
                 assert list(map(hash, seen)) == list(map(hash, expected))
                 assert list(map(str, seen)) == list(map(str, expected))
-                assert [c.degree for c in seen] == [n] * q**n
+                assert [c.degree for c in seen] == [n] * q**d
                 assert count == _reference_count(q, n, mult_set)
 
 
