@@ -7,7 +7,6 @@ powers, and finite-field censuses of the admissible monic polynomials.
 
 from .errors import (
     InvariantViolationError,
-    NotInvertibleError,
     NotSymmetricError,
     OracleInfeasibleError,
     ParseError,
@@ -39,7 +38,6 @@ from .matrices import (
 from .multipoly import MultiPoly, apply_permutation, elementary, is_symmetric
 from .norms import (
     EvalMap,
-    difference_product,
     mult_char_poly,
     norm,
     norm_checked,
@@ -51,8 +49,6 @@ from .poly import (
     MonicPoly,
     Poly,
     PolyRing,
-    QuotientElem,
-    invert_mod,
     poly_divmod,
     poly_gcd,
     poly_mod,
@@ -74,14 +70,12 @@ __all__ = [
     "MonicPoly",
     "MultSet",
     "MultiPoly",
-    "NotInvertibleError",
     "NotSymmetricError",
     "OracleInfeasibleError",
     "ParseError",
     "Poly",
     "PolyRing",
     "QQ",
-    "QuotientElem",
     "RingHom",
     "RingMismatchError",
     "RingValue",
@@ -103,10 +97,8 @@ __all__ = [
     "decompose",
     "det",
     "diagonal_tensor",
-    "difference_product",
     "elementary",
     "free_quotient_oracle",
-    "invert_mod",
     "is_free_quotient",
     "is_prime",
     "is_symmetric",

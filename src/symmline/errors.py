@@ -17,10 +17,6 @@ class UnsupportedRingError(SymmlineError, ValueError):
     """The requested operation is not defined over this ring kind."""
 
 
-class NotInvertibleError(SymmlineError, ArithmeticError):
-    """An inverse was requested but does not exist."""
-
-
 class NotSymmetricError(SymmlineError, ValueError):
     """decompose() was given a polynomial that is not symmetric."""
 

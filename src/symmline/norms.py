@@ -21,9 +21,8 @@ from __future__ import annotations
 from .errors import InvariantViolationError
 from .homs import RingHom
 from .matrices import det, mult_matrix
-from .multipoly import MultiPoly
 from .poly import MonicPoly, Poly, poly_mod
-from .rings import Ring, RingValue, ZZ, _check_rings
+from .rings import RingValue, _check_rings
 from .symmetric import SymElem, SymPoly1, diagonal_tensor, sym_char_poly
 
 
@@ -87,19 +86,6 @@ def norm_checked(f: Poly, modulus: MonicPoly) -> RingValue:
             f" symmetric {b}"
         )
     return a
-
-
-def difference_product(p: int, q: int, ring: Ring = ZZ) -> MultiPoly:
-    """prod_{i<=p} prod_{j<=q} (X_i - X_{p+j}) in p+q variables."""
-    if p < 1 or q < 1:
-        raise ValueError("block sizes must be >= 1")
-    n = p + q
-    acc = MultiPoly.constant(ring, n, 1)
-    for i in range(1, p + 1):
-        xi = MultiPoly.variable(i, n, ring)
-        for j in range(1, q + 1):
-            acc = acc * (xi - MultiPoly.variable(p + j, n, ring))
-    return acc
 
 
 def resultant_symmetry_check(first: MonicPoly, second: MonicPoly) -> bool:

@@ -44,7 +44,7 @@ the ring's one and strips and checks nothing.
 
 from __future__ import annotations
 
-from .errors import NotInvertibleError, UnsupportedRingError
+from .errors import UnsupportedRingError
 from .rings import Ring, RingValue, _check_rings, _intern, _power
 
 
@@ -368,67 +368,6 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         g = g.scale(g.leading.try_inverse())
         f, g = g, poly_mod(f, g)
     return f if f.is_zero else f.scale(f.leading.try_inverse())
-
-
-def poly_ext_gcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
-    """(d, u, v) over a field with u*f + v*g = d, d monic or zero."""
-    if not f.ring.is_field:
-        raise UnsupportedRingError(f"gcd needs a field base, got {f.ring.name}")
-    ring = f.ring
-    r0, r1 = f, g
-    u0, u1 = Poly.constant(ring, 1), Poly.zero(ring)
-    v0, v1 = Poly.zero(ring), Poly.constant(ring, 1)
-    while not r1.is_zero:
-        lead_inv = r1.leading.try_inverse()
-        q, r = poly_divmod(r0, r1.scale(lead_inv))
-        q = q.scale(lead_inv)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if r0.is_zero:
-        return r0, u0, v0
-    c = r0.leading.try_inverse()
-    return r0.scale(c), u0.scale(c), v0.scale(c)
-
-
-class QuotientElem:
-    """A reduced residue class modulo a monic polynomial."""
-
-    __slots__ = ("modulus", "rep")
-
-    def __init__(self, modulus: MonicPoly, rep: Poly):
-        rep = poly_mod(rep, modulus)
-        self.modulus = modulus
-        self.rep = rep
-
-    def __eq__(self, other):
-        if not isinstance(other, QuotientElem):
-            return NotImplemented
-        return self.modulus == other.modulus and self.rep == other.rep
-
-    def __hash__(self):
-        return hash((self.modulus, self.rep))
-
-    def __str__(self):
-        return f"{self.rep} mod ({self.modulus})"
-
-    def __repr__(self):
-        return f"QuotientElem({self})"
-
-
-def invert_mod(f: Poly, F: MonicPoly) -> QuotientElem:
-    """Inverse of f modulo F over a field, via the extended Euclidean
-    algorithm; raises NotInvertibleError when gcd(f, F) != 1."""
-    _check_rings(f.ring, F.ring)
-    if not f.ring.is_field:
-        raise UnsupportedRingError(
-            f"invert_mod needs a field base, got {f.ring.name};"
-            " use the unit-norm membership test instead"
-        )
-    d, u, _ = poly_ext_gcd(f, F)
-    if d.is_zero or d.degree != 0:
-        raise NotInvertibleError(f"gcd({f}, {F}) = {d} is not 1")
-    return QuotientElem(F, u)
 
 
 class PolyRing(Ring):

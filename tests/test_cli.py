@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import os
 import shlex
@@ -487,6 +488,42 @@ def test_readme_cli_block_runs(capsys):
         assert code == 0, line
     verbs = {line.split()[1] for line in lines}
     assert verbs == set(_verb_parsers())
+
+
+def _readme_library_sketch():
+    """The Python code block under the README's ## Library sketch."""
+    section = README.read_text().split("\n## Library sketch\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def _rendering(value):
+    if isinstance(value, list):
+        return "[" + ", ".join(map(str, value)) + "]"
+    return str(value)
+
+
+def test_readme_library_sketch_runs():
+    # each commented line's value, an expression's or the name it binds,
+    # renders as the start of its comment
+    namespace = {}
+    commented = 0
+    for line in _readme_library_sketch().splitlines():
+        code, _, comment = (part.strip() for part in line.partition("#"))
+        if not code:
+            continue
+        statement = ast.parse(code).body[0]
+        if isinstance(statement, ast.Expr):
+            value = eval(code, namespace)
+        else:
+            exec(code, namespace)
+            binds = isinstance(statement, ast.Assign)
+            value = namespace[statement.targets[0].id] if binds else None
+        if comment:
+            text = _rendering(value)
+            rest = comment[len(text):len(text) + 1]
+            assert comment.startswith(text) and not rest.isalnum(), (line, text)
+            commented += 1
+    assert commented == 8
 
 
 def _probe(script):

@@ -3,8 +3,10 @@ from random import Random
 
 import pytest
 
+from symmline.errors import OracleInfeasibleError
 from symmline.multipoly import MultiPoly, apply_permutation, elementary, is_symmetric
 from symmline.poly import PolyRing
+from symmline.quotients import ARITY_BOUND
 from symmline.rings import GF, QQ, Zmod, ZZ
 from symmline.sampling import random_symelem, random_value
 from symmline.symmetric import SymElem
@@ -78,6 +80,8 @@ def test_elementary_bounds():
         elementary(4, 3, ZZ)
     with pytest.raises(ValueError):
         elementary(-1, 3, ZZ)
+    with pytest.raises(OracleInfeasibleError):
+        elementary(1, ARITY_BOUND + 1, ZZ)
 
 
 def test_elementary_monomial_count():

@@ -6,10 +6,8 @@ from symmline import matrices, oracles
 from symmline.errors import RingMismatchError
 from symmline.homs import RingHom
 from symmline.matrices import char_poly, mult_matrix
-from symmline.multipoly import MultiPoly, apply_permutation
 from symmline.norms import (
     EvalMap,
-    difference_product,
     mult_char_poly,
     norm,
     norm_checked,
@@ -241,40 +239,6 @@ def test_split_root_norm():
     run_check("split-root-oracle", 2, seed="test_split_root_norm")
 
 
-def test_difference_product_small():
-    assert difference_product(1, 1) == MultiPoly.variable(
-        1, 2, ZZ
-    ) - MultiPoly.variable(2, 2, ZZ)
-    x1, x2, x3 = (MultiPoly.variable(i, 3, ZZ) for i in (1, 2, 3))
-    assert difference_product(2, 1) == (x1 - x3) * (x2 - x3)
-
-
-def test_difference_product_block_symmetry():
-    for p, q in ((2, 2), (2, 1), (1, 3)):
-        n = p + q
-        r = difference_product(p, q)
-        for i in range(p - 1):
-            perm = list(range(n))
-            perm[i], perm[i + 1] = perm[i + 1], perm[i]
-            assert apply_permutation(perm, r) == r
-        for j in range(p, n - 1):
-            perm = list(range(n))
-            perm[j], perm[j + 1] = perm[j + 1], perm[j]
-            assert apply_permutation(perm, r) == r
-
-
-def test_difference_product_block_swap_sign():
-    for p, q in ((1, 1), (2, 1), (2, 2), (3, 1)):
-        n = p + q
-        # relabel X_i -> X_(q+i) for the first block, X_(p+j) -> X_j
-        perm = [q + i for i in range(p)] + [j for j in range(q)]
-        relabeled = apply_permutation(perm, difference_product(p, q))
-        swapped = difference_product(q, p)
-        if (p * q) % 2:
-            swapped = -swapped
-        assert relabeled == swapped
-
-
 def test_resultant_symmetry_worked_example():
     other = MonicPoly(Poly(ZZ, [-4, 1]))
     assert resultant_symmetry_check(RUNNING, other)
@@ -349,12 +313,6 @@ def test_ring_hom_validation():
     hom = RingHom.int_reduce(Zmod(5))
     with pytest.raises(RingMismatchError):
         hom(Zmod(5).value(1))
-
-
-def test_difference_product_other_rings():
-    r = difference_product(1, 2, Zmod(6))
-    assert r.ring == Zmod(6)
-    assert r.nvars == 3
 
 
 def test_push_norm_wrong_source_ring():

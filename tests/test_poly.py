@@ -2,19 +2,12 @@ from random import Random
 
 import pytest
 
-from symmline.errors import (
-    NotInvertibleError,
-    RingMismatchError,
-    UnsupportedRingError,
-)
+from symmline.errors import RingMismatchError
 from symmline.poly import (
     MonicPoly,
     Poly,
     PolyRing,
-    QuotientElem,
-    invert_mod,
     poly_divmod,
-    poly_ext_gcd,
     poly_gcd,
 )
 from symmline.rings import GF, QQ, Zmod, ZZ
@@ -137,45 +130,6 @@ def test_evaluate():
     assert f(ZZ.value(4)) == ZZ.value(6)
 
 
-def test_invert_mod_worked_example():
-    ring = GF(5)
-    modulus = MonicPoly(p(ring, 1, 0, 1))  # X^2 + 1
-    h = invert_mod(Poly.gen(ring), modulus)
-    assert h == QuotientElem(modulus, p(ring, 0, 4))
-    # X * 4X = 4X^2 = 4(X^2 + 1) - 4 = 1 mod X^2 + 1
-    product = poly_divmod(Poly.gen(ring) * h.rep, modulus)[1]
-    assert product == p(ring, 1)
-
-
-def test_invert_mod_one():
-    ring = GF(5)
-    modulus = MonicPoly(p(ring, 1, 0, 1))
-    assert invert_mod(p(ring, 1), modulus).rep == p(ring, 1)
-
-
-def test_invert_mod_common_factor():
-    ring = GF(5)
-    with pytest.raises(NotInvertibleError):
-        invert_mod(Poly.gen(ring), MonicPoly(p(ring, 0, 0, 1)))
-
-
-def test_invert_mod_needs_field():
-    with pytest.raises(UnsupportedRingError):
-        invert_mod(Poly.gen(ZZ), MonicPoly(p(ZZ, 1, 1)))
-
-
-def test_invert_mod_random_is_inverse():
-    rng = Random(5)
-    for ring in (GF(5), GF(7), QQ):
-        for _ in range(25):
-            modulus = random_monic(ring, rng, rng.randint(1, 4))
-            f = random_poly(ring, rng, 3)
-            if f.is_zero or poly_gcd(f, modulus.poly).degree != 0:
-                continue
-            h = invert_mod(f, modulus)
-            assert poly_divmod(f * h.rep, modulus)[1] == p(ring, 1)
-
-
 def test_gcd_basics():
     ring = GF(5)
     x = Poly.gen(ring)
@@ -183,23 +137,6 @@ def test_gcd_basics():
     g = (x - p(ring, 1)) * (x - p(ring, 3))
     assert poly_gcd(f, g) == x - p(ring, 1)
     assert poly_gcd(f, Poly.zero(ring)) == f.scale(f.leading.try_inverse())
-
-
-def test_ext_gcd_bezout_identity():
-    # u*f + v*g = d with d monic, or zero exactly when f and g both are;
-    # constants and zeros included, which the Euclid loop divides by as
-    # monic polynomials of degree 0
-    rng = Random(95)
-    for ring in (GF(5), GF(7), QQ):
-        for _ in range(300):
-            f, g = (random_poly(ring, rng, rng.choice((0, 1, 3, 6)), -4, 4) for _ in "fg")
-            d, u, v = poly_ext_gcd(f, g)
-            assert u * f + v * g == d
-            assert d.is_zero == (f.is_zero and g.is_zero)
-            if not d.is_zero:
-                assert d.is_monic()
-                assert poly_divmod(f, d)[1].is_zero and poly_divmod(g, d)[1].is_zero
-            assert poly_gcd(f, g) == d
 
 
 def test_tower_integers_cost_linear_in_depth(monkeypatch):
@@ -235,13 +172,6 @@ def test_render_descending():
     assert str(p(ZZ, 0, 1)) == "X"
     assert str(p(ZZ, -7)) == "-7"
     assert str(p(Zmod(12), 2, 9, 1)) == "X^2 + 9*X + 2"
-
-
-def test_quotient_elem_reduces_representative():
-    g = MonicPoly(p(ZZ, 2, -3, 1))
-    q = QuotientElem(g, Poly.gen(ZZ) ** 5)
-    assert q.rep.degree < g.degree
-    assert q == QuotientElem(g, poly_divmod(Poly.gen(ZZ) ** 5, g)[1])
 
 
 def test_monic_from_signed_definition():

@@ -1,11 +1,12 @@
-"""sympy as a third, test-only oracle for resultants and characteristic
-polynomials.  The library does not depend on sympy; without it these
-tests are skipped.
+"""sympy as a third, test-only oracle for resultants, characteristic
+polynomials and gcds.  The library does not depend on sympy; without it
+these tests are skipped.
 
 Over Zmod and GF the integer residues are lifted to ZZ, where sympy
 computes, and its answer is reduced mod m.  This is exact: the Sylvester
 determinant and the characteristic polynomial are integer polynomials
-in the entries, and a monic F keeps its degree under the lift.
+in the entries, and a monic F keeps its degree under the lift.  A gcd
+is not, so sympy computes it in its own GF(p) and QQ domains.
 """
 
 from fractions import Fraction
@@ -17,7 +18,7 @@ sympy = pytest.importorskip("sympy")
 
 from symmline.matrices import SquareMatrix, char_poly, mult_matrix
 from symmline.norms import mult_char_poly, norm
-from symmline.poly import PolyRing
+from symmline.poly import PolyRing, poly_gcd
 from symmline.rings import GF, QQ, Zmod, ZmodRing, ZZ
 from symmline.sampling import random_monic, random_nonzero_poly, random_poly, random_value
 
@@ -115,3 +116,24 @@ def test_char_poly_matches_sympy_charpoly():
             assert len(ours) == len(expected)
             for a, b in zip(ours, expected):
                 assert agree(ring, a, b), (ring, m)
+
+
+def test_poly_gcd_matches_sympy_gcd():
+    # poly_gcd is the oracle of the coprimality check; zeros and
+    # constants occur, which its Euclid loop divides by as monic
+    # polynomials of degree 0
+    rng = Random(95)
+    for ring, domain in ((GF(5), sympy.GF(5)), (GF(7), sympy.GF(7)), (QQ, sympy.QQ)):
+        for _ in range(200):
+            f, g = (
+                random_poly(ring, rng, rng.choice((0, 1, 3, 6)), -4, 4) for _ in "fg"
+            )
+            ours = poly_gcd(f, g)
+            theirs = sympy.Poly(poly_expr(f, X), X, domain=domain).gcd(
+                sympy.Poly(poly_expr(g, X), X, domain=domain)
+            )
+            assert ours.degree == (None if theirs.is_zero else theirs.degree()), (f, g)
+            assert all(
+                agree(ring, ours.coeff(i), theirs.as_expr().coeff(X, i))
+                for i in range(len(ours.coeffs))
+            ), (ring, f, g, ours, theirs)
