@@ -14,13 +14,17 @@ affordable at desk scale.
 Two facts carry the module:
 
   * multiplying by an elementary symmetric polynomial e_i stays inside
-    the compressed form: the coefficient of the sorted monomial mu in
-    P*e_i is the sum of P's coefficients on sort(mu - 1_S) over the
-    size-i position subsets S;
+    the compressed form: the coefficient of nu in P*e_i is the sum of
+    P_lam * |lam| / |nu|, |lam| the size of lam's orbit, over the pairs
+    (lam, S) of a partition of P and a set S of i positions with
+    sort(lam + 1_S) = nu, since times |nu| both sides count the pairs
+    (alpha in the orbit of lam, S) with alpha + 1_S in the orbit of nu;
 
   * products of e-monomials have integer coefficients that do not
-    depend on the base ring, so their expansions are cached once,
-    globally, with plain int values and scaled into the ring on use.
+    depend on the base ring (they count (0,1)-matrices; Macdonald,
+    Symmetric Functions and Hall Polynomials, I.6), so their expansions
+    are cached once, globally, with plain int values and scaled into the
+    ring on use.
 
 decompose_rep is the textbook algorithm for writing a symmetric
 polynomial in the elementary basis: take the lex-leading partition lam,
@@ -40,10 +44,12 @@ implies lex order, so the loop is a forward substitution:
     the expansion led by lam is dominated by lam, so its largest part is
     at most lam1).
   * _ELEM_CACHE is the one cache of expansions, one entry per (n, mu),
-    each keyed by table index.  An expansion is checked when it is built:
-    no term may lie above its lead in the table, which is the
-    well-ordering argument.  decompose_rep checks on each use that it
-    leads with coefficient 1 at the lead's own index.
+    each keyed by table index: e^mu is e^(mu - 1_i) times the e_i with
+    the fewest position sets (the smallest C(n, i), ties to the larger
+    i, so e_n is a pure shift).  A product total that its orbit size
+    does not divide, or a term above the lead in the table (the
+    well-ordering argument), is an InvariantViolationError; decompose_rep
+    checks on each use that an expansion leads with 1 at its lead's index.
   * decompose_rep groups its input by degree, fills a dense remainder
     list per degree, and scans the indices downward from the input's
     top one.  Every expansion read at index j writes only below j, so
@@ -85,7 +91,8 @@ so each refuses an arity above quotients.ARITY_BOUND before any work.
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, groupby
+from math import comb, factorial, prod
 
 # quotients imports this module (through symmetric) before it defines
 # its bounds, so the arity check is looked up when a kernel runs
@@ -99,16 +106,17 @@ Partition = tuple  # descending ints, fixed length = number of variables
 
 class _Table:
     """The partitions of one degree into at most n parts whose largest
-    part is at most cap, in ascending lex order, with their positions
-    and their e-exponent tuples."""
+    part is at most cap, in ascending lex order, with their positions,
+    their e-exponent tuples and the sizes of their orbits."""
 
-    __slots__ = ("cap", "parts", "index", "mus")
+    __slots__ = ("cap", "parts", "index", "mus", "orbits")
 
     def __init__(self):
         self.cap = -1
         self.parts: list[Partition] = []
         self.index: dict[Partition, int] = {}
         self.mus: list[tuple[int, ...]] = []
+        self.orbits: list[int] = []
 
 
 # (n, degree) -> _Table; a table only ever grows, so an index, once
@@ -142,40 +150,38 @@ def _table(n: int, d: int, cap: int) -> _Table:
             table.index[lam] = len(table.parts)
             table.parts.append(lam)
             table.mus.append(tuple(a - b for a, b in zip(lam, lam[1:] + (0,))))
+            runs = (len(list(run)) for _, run in groupby(lam))
+            table.orbits.append(factorial(n) // prod(map(factorial, runs)))
         table.cap = cap
     return table
 
 
-def _mul_elementary_int(rep: dict[Partition, int], i: int, n: int) -> dict[Partition, int]:
-    """Compressed product rep * e_i with integer coefficients."""
-    subsets = list(combinations(range(n), i))
-    candidates = set()
-    for lam in rep:
+def _mul_elementary_int(low: dict[int, int], src: _Table, i: int, dst: _Table) -> dict:
+    """The expansion low, keyed by index in src, times e_i, keyed by
+    index in dst: each pair (lam, S) of a term and a size-i position set
+    adds low[lam] * |lam| at sort(lam + 1_S), and each total is then
+    divided by the size of its own orbit."""
+    parts, orbits = src.parts, src.orbits
+    subsets = list(combinations(range(len(parts[0])), i))
+    totals: dict[Partition, int] = {}
+    for j, c in low.items():
+        lam, w = parts[j], c * orbits[j]
         for sub in subsets:
             vec = list(lam)
             for pos in sub:
                 vec[pos] += 1
             vec.sort(reverse=True)
-            candidates.add(tuple(vec))
+            nu = tuple(vec)
+            totals[nu] = totals.get(nu, 0) + w
     out = {}
-    for mu in candidates:
-        total = 0
-        for sub in subsets:
-            vec = list(mu)
-            ok = True
-            for pos in sub:
-                vec[pos] -= 1
-                if vec[pos] < 0:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            vec.sort(reverse=True)
-            val = rep.get(tuple(vec))
-            if val:
-                total += val
-        if total:
-            out[mu] = total
+    index, orbits = dst.index, dst.orbits
+    for nu, total in totals.items():
+        k = index.get(nu)
+        if k is None:
+            raise InvariantViolationError(f"a product by e_{i} has {nu} beyond its table")
+        out[k], r = divmod(total, orbits[k])
+        if r:
+            raise InvariantViolationError(f"a product by e_{i} leaves {r} over on {nu}")
     return out
 
 
@@ -189,22 +195,18 @@ def elem_monomial(n: int, mu: tuple[int, ...]) -> dict[int, int]:
     # the lead lam has lam_k = mu_k + ... + mu_n
     lam = tuple(accumulate(reversed(mu)))[::-1]
     table = _table(n, sum(lam), lam[0] if n else 0)
-    if not any(mu):
-        res = {lam: 1}
-    else:
-        i = max(k for k in range(n) if mu[k])
-        smaller = mu[:i] + (mu[i] - 1,) + mu[i + 1 :]
-        low = elem_monomial(n, smaller)
-        parts = _TABLES[(n, sum(lam) - i - 1)].parts
-        res = _mul_elementary_int({parts[j]: k for j, k in low.items()}, i + 1, n)
     top = table.index[lam]
-    expansion = {}
-    for part, k in res.items():
-        j = table.index.get(part)
+    if not any(mu):
+        expansion = {top: 1}
+    else:
+        # peel the factor e_(i+1) with the fewest position sets
+        i = min((k for k in range(n) if mu[k]), key=lambda k: (comb(n, k + 1), -k))
+        low = elem_monomial(n, mu[:i] + (mu[i] - 1,) + mu[i + 1 :])
+        expansion = _mul_elementary_int(low, _TABLES[(n, sum(lam) - i - 1)], i + 1, table)
         # the well-ordering argument: no term lies above the lead
-        if j is None or j > top:
-            raise InvariantViolationError(f"e-monomial {mu} has {part} above {lam}")
-        expansion[j] = k
+        j = max(expansion)
+        if j > top:
+            raise InvariantViolationError(f"e-monomial {mu} has {table.parts[j]} above {lam}")
     _ELEM_CACHE[key] = expansion
     return expansion
 

@@ -32,8 +32,9 @@ own lift:
 mult_matrix reduces f mod F once and gets each next column from the
 monic recurrence col_(j+1) = X*col_j - top(col_j)*F, since multiplying
 by X and reducing mod a monic F needs one multiple of F per column.
-Over QQ it runs that recurrence on ints scaled by the denominators and
-forms one Fraction per entry (_rational_columns).
+Over QQ it runs that recurrence on ints scaled by the denominators
+(_rational_columns) and forms one Fraction per entry; rational_norm, the
+QQ norm, hands those int columns to Bareiss and forms one Fraction.
 Every container of the library stores one form, canonical payloads:
 a SquareMatrix its rows, a Poly its coefficients and a MultiPoly or
 SymElem its terms.  The SquareMatrix constructor checks each entry
@@ -321,7 +322,9 @@ def mult_matrix(f: Poly, modulus: MonicPoly) -> SquareMatrix:
     n = modulus.degree
     rem = poly_divmod(f, modulus)[1]._payload_coeffs
     if isinstance(ring, RationalRing):
-        cols = _rational_columns(rem, modulus._payload_coeffs[:n])
+        e, d, vs = _rational_columns(rem, modulus._payload_coeffs[:n])
+        dens = [e * d**j for j in range(n)]
+        cols = [[Fraction(x, den) for x in v] for den, v in zip(dens, vs)]
     else:
         add, mul, neg = ring._add, ring._mul, ring._neg
         zero = ring._from_int(0)
@@ -338,27 +341,34 @@ def mult_matrix(f: Poly, modulus: MonicPoly) -> SquareMatrix:
     return SquareMatrix._from_payloads(ring, zip(*cols))
 
 
-def _rational_columns(rem, fc):
-    """The columns of mult_matrix over QQ from the Fraction coefficients
-    of f mod F (rem) and of F below its leading one (fc), on ints.
+def rational_norm(f: Poly, modulus: MonicPoly) -> RingValue:
+    """det(mult_matrix(f, F)) over QQ, from the int columns v_j of
+    _rational_columns: column j is v_j / (e*d^j), so the determinant is
+    det(V) / (e^n * d^(n(n-1)/2)) and the result is the only Fraction."""
+    n = modulus.degree
+    rem = poly_divmod(f, modulus)[1]._payload_coeffs  # checks the rings
+    e, d, vs = _rational_columns(rem, modulus._payload_coeffs[:n])
+    return RingValue(f.ring, Fraction(_bareiss_int(vs), e**n * d ** (n * (n - 1) // 2)))
 
-    With d the lcm of fc's denominators and e that of rem's, column j
-    is v_j / (e*d^j) for the int vectors v_0 = e*rem and
-    v_(j+1) = d*shift(v_j) + top(v_j)*(-d*fc): the monic recurrence
-    scaled by e*d^(j+1), so each entry makes one Fraction.
-    """
+
+def _rational_columns(rem, fc):
+    """(e, d, [v_0, ..., v_(n-1)]) from the Fraction coefficients of
+    f mod F (rem) and of F below its leading one (fc), with e the lcm of
+    rem's denominators and d that of fc's: column j of mult_matrix over
+    QQ is v_j / (e*d^j) for the int vectors v_0 = e*rem and
+    v_(j+1) = d*shift(v_j) + top(v_j)*(-d*fc), the monic recurrence
+    scaled by e*d^(j+1)."""
     n = len(fc)
     d = math.lcm(*(c.denominator for c in fc))
     low = [-c.numerator * (d // c.denominator) for c in fc]
-    den = math.lcm(*(c.denominator for c in rem))
-    v = [c.numerator * (den // c.denominator) for c in rem] + [0] * (n - len(rem))
-    cols = [[Fraction(x, den) for x in v]]
+    e = math.lcm(*(c.denominator for c in rem))
+    v = [c.numerator * (e // c.denominator) for c in rem] + [0] * (n - len(rem))
+    vs = [v]
     for _ in range(n - 1):
         top = v[-1]
         v = [d * x + top * b for x, b in zip([0, *v[:-1]], low)]
-        den *= d
-        cols.append([Fraction(x, den) for x in v])
-    return cols
+        vs.append(v)
+    return e, d, vs
 
 
 def poly_at_matrix(f: Poly, m: SquareMatrix) -> SquareMatrix:

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from .errors import InvariantViolationError
 from .homs import RingHom
-from .matrices import det, mult_matrix
+from .matrices import det, mult_matrix, rational_norm
 from .poly import MonicPoly, Poly, poly_mod
-from .rings import RingValue, _check_rings
+from .rings import RationalRing, RingValue, _check_rings
 from .symmetric import SymElem, SymPoly1, diagonal_tensor, sym_char_poly
 
 
@@ -63,7 +63,10 @@ def mult_char_poly(f: Poly, modulus: MonicPoly) -> MonicPoly:
 
 def norm(f: Poly, modulus: MonicPoly) -> RingValue:
     """The norm of f with respect to F: the determinant of
-    multiplication-by-f on A[X]/(F), by matrices.det."""
+    multiplication-by-f on A[X]/(F), by matrices.det; over QQ by
+    matrices.rational_norm, which builds no Fraction matrix."""
+    if isinstance(modulus.ring, RationalRing):
+        return rational_norm(f, modulus)
     return det(mult_matrix(f, modulus))
 
 

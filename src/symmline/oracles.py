@@ -1,14 +1,12 @@
 """Independent brute-force routes used to cross-check the main paths.
 
 Nothing here touches the symmetric-function machinery: determinants
-come from cofactor expansion, Leibniz sums, or ring-generic Bareiss
-elimination, so results can be compared bit-exactly against the
-production determinants of multiplication matrices in matrices.
+come from cofactor expansion or ring-generic Bareiss elimination, so
+results can be compared bit-exactly against the production determinants
+of multiplication matrices in matrices.
 """
 
 from __future__ import annotations
-
-from itertools import permutations
 
 from .errors import InvariantViolationError
 from .matrices import SquareMatrix, det
@@ -46,31 +44,6 @@ def charpoly_cofactor(m: SquareMatrix) -> MonicPoly:
             row.append(x - c if i == j else -c)
         rows.append(row)
     return MonicPoly(cofactor_det(rows))
-
-
-def leibniz_det(m: SquareMatrix) -> RingValue:
-    """Sum over permutations; factorial cost, intended for n <= 4."""
-    ring = m.ring
-    total = ring.zero
-    for perm in permutations(range(m.n)):
-        prod = ring.one
-        for i, j in enumerate(perm):
-            prod = prod * m.entry(i, j)
-        if _parity(perm):
-            total = total - prod
-        else:
-            total = total + prod
-    return total
-
-
-def _parity(perm) -> bool:
-    """True for odd permutations."""
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return inv % 2 == 1
 
 
 def bareiss_det(m: SquareMatrix) -> RingValue | None:

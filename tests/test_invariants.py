@@ -60,6 +60,18 @@ def test_decompose_invariant_is_a_typed_error(monkeypatch):
         _symbasis.decompose_rep({(1, 0): 1}, 2, ZZ)
 
 
+def test_orbit_weight_invariant_is_a_typed_error(monkeypatch):
+    # e1*e2 = m_(2,1) + 3*m_(1,1,1) at n = 3: the product e1 * e2 puts
+    # weight 6 on (2, 1, 0), which its orbit of 6 terms divides; a wrong
+    # orbit size leaves a remainder
+    monkeypatch.setattr(_symbasis, "_TABLES", {})
+    monkeypatch.setattr(_symbasis, "_ELEM_CACHE", {})
+    table = _symbasis._table(3, 3, 2)
+    table.orbits[table.index[(2, 1, 0)]] = 4
+    with pytest.raises(InvariantViolationError):
+        _symbasis.decompose_rep({(2, 1, 0): 1}, 3, ZZ)
+
+
 def test_bareiss_invariant_is_a_typed_error(monkeypatch):
     # exact division that fails on every nonzero numerator
     monkeypatch.setattr(ZZ, "_exact_div", lambda a, b: 0 if a == 0 else None)

@@ -12,7 +12,8 @@ from symmline.matrices import (
     mult_matrix,
     poly_at_matrix,
 )
-from symmline.oracles import _parity, charpoly_cofactor, leibniz_det
+from symmline.norms import norm
+from symmline.oracles import charpoly_cofactor
 from symmline.poly import MonicPoly, Poly, PolyRing, poly_divmod, poly_mod
 from symmline.rings import GF, QQ, Zmod, ZZ
 from symmline.sampling import random_monic, random_poly, random_value
@@ -23,6 +24,31 @@ RINGS = [ZZ, QQ, Zmod(12), GF(7)]
 
 def mat(ring, rows):
     return SquareMatrix(ring, rows)
+
+
+def leibniz_det(m: SquareMatrix):
+    """Sum over permutations; factorial cost, intended for n <= 4."""
+    ring = m.ring
+    total = ring.zero
+    for perm in permutations(range(m.n)):
+        prod = ring.one
+        for i, j in enumerate(perm):
+            prod = prod * m.entry(i, j)
+        if _parity(perm):
+            total = total - prod
+        else:
+            total = total + prod
+    return total
+
+
+def _parity(perm) -> bool:
+    """True for odd permutations."""
+    inv = 0
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                inv += 1
+    return inv % 2 == 1
 
 
 def test_companion_worked_example():
@@ -386,7 +412,8 @@ def _qq(rng):
 
 def test_mult_matrix_over_qq_matches_definition():
     # column j is f*X^j mod F; F with fractional and with integer
-    # coefficients, deg f below, at and above deg F, and f = 0 mod F
+    # coefficients, deg f below, at and above deg F, and f = 0 mod F;
+    # the QQ norm, which skips the Fraction matrix, is its determinant
     rng = Random(37)
     x = Poly.gen(QQ)
     for n in range(1, 8):
@@ -403,3 +430,4 @@ def test_mult_matrix_over_qq_matches_definition():
                 for j in range(n):
                     col = poly_mod(f * x**j, modulus)
                     assert list(m.column(j)) == [col.coeff(i) for i in range(n)]
+                assert norm(f, modulus) == det(m) == _berkowitz_det(m)

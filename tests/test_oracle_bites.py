@@ -4,7 +4,8 @@ Each row perturbs one route (adds one, negates, or flips the verdict)
 in every symmline namespace that binds it, then runs the selftest
 checks the row names, under their selftest seeds; every one of them must
 fail.  Intact, every check passes under those seeds (run_selftest, in
-test_invariants).  A row naming a single check is a route with a single
+test_invariants).  Each row starts from empty _symbasis tables and
+expansion cache.  A row naming a single check is a route with a single
 detector.
 """
 
@@ -24,9 +25,15 @@ def _plus_one_last(coeffs, a, one, zero=0, modulus=0):
     return coeffs
 
 
-def _plus_one_corner(cols, rem, fc):
-    cols[0][0] += 1
-    return cols
+def _plus_one_lowest(expansion, n, mu):
+    j = min(expansion)
+    return {**expansion, j: expansion[j] + 1}
+
+
+def _plus_one_corner(columns, rem, fc):
+    e, d, vs = columns
+    vs[0][0] += 1
+    return columns
 
 
 # (module, route, perturbation of (result, *arguments), checks that fail)
@@ -51,6 +58,9 @@ ROWS = [
      "coprimality closure-insensitivity census-counts"),
     (norms, "norm_symmetric", lambda v, f, F: v + 1,
      "norm-oracle split-root-oracle"),
+    (_symbasis, "elem_monomial", _plus_one_lowest,
+     "thm24-equivalence norm-oracle split-root-oracle push-norm section-identity "
+     "addition-kernel addition-diagonal symmetric-roundtrip sym-ops-specialize"),
     (_symbasis, "decompose_rep",
      lambda out, rep, n, ring: {mu: ring._neg(c) for mu, c in out.items()},
      "thm24-equivalence norm-oracle split-root-oracle section-identity "
@@ -84,6 +94,10 @@ def _passes(name):
     "module, route, perturb, checks", ROWS, ids=[row[1] for row in ROWS]
 )
 def test_route_has_an_oracle(monkeypatch, module, route, perturb, checks):
+    # fresh expansion tables and cache: a warm cache would hide a
+    # perturbed expansion kernel, and must not keep what it builds
+    monkeypatch.setattr(_symbasis, "_TABLES", {})
+    monkeypatch.setattr(_symbasis, "_ELEM_CACHE", {})
     original = getattr(module, route)
 
     def perturbed(*args, **kwargs):

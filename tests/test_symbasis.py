@@ -1,4 +1,5 @@
-"""The indexed decomposition kernel against the lead-by-lead heap
+"""The e-monomial expansions against products of elementary polynomials,
+the indexed decomposition kernel against the lead-by-lead heap
 reduction it replaced, and the arity budget of the _symbasis kernels."""
 
 import heapq
@@ -11,8 +12,9 @@ import pytest
 
 from symmline import _symbasis, quotients
 from symmline.errors import InvariantViolationError, OracleInfeasibleError
-from symmline.multipoly import MultiPoly
-from symmline.poly import Poly, PolyRing
+from symmline.multipoly import MultiPoly, elementary
+from symmline.norms import norm, norm_symmetric
+from symmline.poly import MonicPoly, Poly, PolyRing
 from symmline.rings import GF, QQ, Zmod, ZmodRing, ZZ
 from symmline.sampling import random_value
 from symmline.symmetric import SymElem, decompose, diagonal_tensor, sym_ops_of
@@ -21,14 +23,58 @@ RINGS = [ZZ, QQ, Zmod(4), Zmod(8), Zmod(12), GF(3), PolyRing(ZZ, "T")]
 
 
 @lru_cache(maxsize=None)
-def _reference_expansion(n, mu):
-    """e_1^mu1 * ... * e_n^mun keyed by partition, built independently of
-    the kernel's tables and cache."""
+def _reference_product(n, mu):
+    """e_1^mu1 * ... * e_n^mun as a MultiPoly, a product of
+    multipoly.elementary polynomials."""
     if not any(mu):
-        return {(0,) * n: 1}
+        return MultiPoly.constant(ZZ, n, 1)
     i = max(k for k in range(n) if mu[k])
     smaller = mu[:i] + (mu[i] - 1,) + mu[i + 1 :]
-    return _symbasis._mul_elementary_int(_reference_expansion(n, smaller), i + 1, n)
+    return _reference_product(n, smaller) * elementary(i + 1, n, ZZ)
+
+
+@lru_cache(maxsize=None)
+def _reference_expansion(n, mu):
+    """e^mu keyed by partition: the coefficients of the full product at
+    its sorted exponents, built without the kernel's tables, cache or
+    product rule."""
+    return {
+        expo: c
+        for expo, c in _reference_product(n, mu)._payload_terms.items()
+        if list(expo) == sorted(expo, reverse=True)
+    }
+
+
+def _exponents(n, d):
+    """Every e-exponent tuple mu at arity n of degree sum k*mu_k <= d."""
+    if n == 0:
+        yield ()
+        return
+    for rest in _exponents(n - 1, d):
+        used = sum(k * m for k, m in enumerate(rest, 1))
+        for last in range((d - used) // n + 1):
+            yield rest + (last,)
+
+
+def _kernel_expansion(n, mu):
+    """elem_monomial(n, mu) keyed by partition."""
+    expansion = _symbasis.elem_monomial(n, mu)
+    parts = _symbasis._TABLES[(n, sum(k * m for k, m in enumerate(mu, 1)))].parts
+    return {parts[j]: c for j, c in expansion.items()}
+
+
+def test_expansions_match_products_of_elementary_polynomials(monkeypatch):
+    # fresh tables and cache, so the kernel builds every expansion here
+    monkeypatch.setattr(_symbasis, "_TABLES", {})
+    monkeypatch.setattr(_symbasis, "_ELEM_CACHE", {})
+    for n in range(1, 6):
+        for mu in _exponents(n, 8):
+            assert _kernel_expansion(n, mu) == _reference_expansion(n, mu), (n, mu)
+    rng = Random(2207)
+    for n, d in ((7, 9), (8, 8)):
+        mus = list(_exponents(n, d))
+        for mu in rng.sample(mus, 6) + [max(mus)]:
+            assert _kernel_expansion(n, mu) == _reference_expansion(n, mu), (n, mu)
 
 
 def reference_decompose_rep(rep, n, ring):
@@ -188,21 +234,34 @@ def test_arity_bound_is_checked_before_work(monkeypatch):
 def test_expansion_above_its_lead_is_a_typed_error(monkeypatch):
     monkeypatch.setattr(_symbasis, "_TABLES", {})
     monkeypatch.setattr(_symbasis, "_ELEM_CACHE", {})
+    # e1 * e1 has the term (2, 0, 0), beyond the (3, 2) table grown to cap 1
+    src, dst = _symbasis._table(3, 1, 1), _symbasis._table(3, 2, 1)
+    with pytest.raises(InvariantViolationError):
+        _symbasis._mul_elementary_int({0: 1}, src, 1, dst)
     # a product by e_2 that also has the term (3, 0, 0) breaks the
-    # well-ordering argument for e1*e2, which leads with (2, 1, 0)
+    # well-ordering argument for e1*e2, which peels e_2 and leads with
+    # (2, 1, 0)
     real = _symbasis._mul_elementary_int
 
-    def broken(rep, i, n):
-        out = real(rep, i, n)
-        return {**out, (3, 0, 0): 1} if i == 2 else out
+    def broken(low, src, i, dst):
+        out = real(low, src, i, dst)
+        return {**out, dst.index[(3, 0, 0)]: 1} if i == 2 else out
 
     monkeypatch.setattr(_symbasis, "_mul_elementary_int", broken)
-    # (3, 0, 0) lies beyond the cap of the (3, 3) table
-    with pytest.raises(InvariantViolationError):
-        _symbasis.decompose_rep({(2, 1, 0): 1}, 3, ZZ)
     # e1^3 = m_(3) + 3*m_(2,1) + 6*m_(1,1,1) grows the table to cap 3 and
     # leaves -3 at (2, 1, 0); the broken e1*e2 then has a term at an
     # index above its lead's
     with pytest.raises(InvariantViolationError):
         _symbasis.decompose_rep({(3, 0, 0): 1}, 3, ZZ)
     assert (3, (1, 1, 0)) not in _symbasis._ELEM_CACHE
+
+
+def test_cold_arity_7_norm_builds_a_pinned_number_of_expansions(monkeypatch):
+    # the peel order decides which e-monomials the cache holds; a cold
+    # norm_symmetric of this shape needs 1,630 of them
+    monkeypatch.setattr(_symbasis, "_TABLES", {})
+    monkeypatch.setattr(_symbasis, "_ELEM_CACHE", {})
+    F = MonicPoly(Poly(ZZ, [2, 1, 3, 0, 0, 0, 0, 1]))  # X^7 + 3X^2 + X + 2
+    f = Poly(ZZ, [5, 1, 0, 2, 0, 0, 1])  # X^6 + 2X^3 + X + 5
+    assert norm_symmetric(f, F) == norm(f, F) == ZZ.value(106176)
+    assert len(_symbasis._ELEM_CACHE) == 1630
