@@ -187,27 +187,34 @@ def _mul_elementary_int(low: dict[int, int], src: _Table, i: int, dst: _Table) -
 
 def elem_monomial(n: int, mu: tuple[int, ...]) -> dict[int, int]:
     """Expansion of e_1^mu1 * ... * e_n^mun, cached ring-independently,
-    keyed by index in the table of its degree."""
-    key = (n, mu)
-    got = _ELEM_CACHE.get(key)
-    if got is not None:
-        return got
-    # the lead lam has lam_k = mu_k + ... + mu_n
-    lam = tuple(accumulate(reversed(mu)))[::-1]
-    table = _table(n, sum(lam), lam[0] if n else 0)
-    top = table.index[lam]
-    if not any(mu):
-        expansion = {top: 1}
-    else:
+    keyed by index in the table of its degree.  mu is peeled one factor
+    at a time down to the first cached or empty e-monomial, and the
+    expansions are built back up from there in a loop, so a lead with a
+    large part costs no recursion depth."""
+    expansion = _ELEM_CACHE.get((n, mu))
+    if expansion is not None:
+        return expansion
+    peels = []  # (mu, the index i of its peeled factor e_(i+1)), outermost first
+    while expansion is None and any(mu):
         # peel the factor e_(i+1) with the fewest position sets
         i = min((k for k in range(n) if mu[k]), key=lambda k: (comb(n, k + 1), -k))
-        low = elem_monomial(n, mu[:i] + (mu[i] - 1,) + mu[i + 1 :])
-        expansion = _mul_elementary_int(low, _TABLES[(n, sum(lam) - i - 1)], i + 1, table)
+        peels.append((mu, i))
+        mu = mu[:i] + (mu[i] - 1,) + mu[i + 1 :]
+        expansion = _ELEM_CACHE.get((n, mu))
+    if expansion is None:
+        # the empty e-monomial, 1, leads with the zero partition mu itself
+        expansion = _ELEM_CACHE[(n, mu)] = {_table(n, 0, 0).index[mu]: 1}
+    for mu, i in reversed(peels):
+        # the lead lam has lam_k = mu_k + ... + mu_n
+        lam = tuple(accumulate(reversed(mu)))[::-1]
+        d = sum(lam)
+        table = _table(n, d, lam[0])
+        expansion = _mul_elementary_int(expansion, _TABLES[(n, d - i - 1)], i + 1, table)
         # the well-ordering argument: no term lies above the lead
         j = max(expansion)
-        if j > top:
+        if j > table.index[lam]:
             raise InvariantViolationError(f"e-monomial {mu} has {table.parts[j]} above {lam}")
-    _ELEM_CACHE[key] = expansion
+        _ELEM_CACHE[(n, mu)] = expansion
     return expansion
 
 

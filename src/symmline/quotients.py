@@ -22,9 +22,17 @@ N_F(g) itself.  Over GF(q) every nonconstant generator has a unit
 leading coefficient, so the census takes the generator side whenever
 d < n.  Over a field N_F(g) is a unit exactly when gcd(F, g) = 1, which
 depends only on F mod H, H the product of the monic associates: for
-deg H < n, G -> (X^n + G) mod H over deg G < n is onto with fibres of
-size q^(n - deg H), so count_points tests only the q^(deg H) candidates
-X^n + G with deg G < deg H, and multiplies by q^(n - deg H).
+deg H <= n, G -> (X^n + G) mod H over deg G < n is onto with fibres of
+size q^(n - deg H).  Group the generators into blocks, the connected
+components of "shares a factor"; the block products H_b are pairwise
+coprime, so by the Chinese remainder theorem (Rosen, Number Theory in
+Function Fields, ch. 1) F mod H is the tuple of the F mod H_b, and F
+is admissible exactly when it is admissible for each block.  On each
+block, R -> (X^n + R) mod H_b over deg R < deg H_b is a bijection onto
+the residues, so count_points tests the q^(deg H_b) candidates
+X^n + R of each block and multiplies the block counts by
+q^(n - deg H).  The local set at a admits exactly one monic F, (X - a)^n,
+so its count is 1.
 
 free_quotient_oracle decides the same membership by exhaustive search
 for an inverse residue, touching neither norms nor determinants; it is
@@ -51,7 +59,7 @@ from .errors import (
 from .matrices import SquareMatrix, char_poly, poly_at_matrix
 from .multipoly import _sparse_eval
 from .norms import norm
-from .poly import MonicPoly, Poly
+from .poly import MonicPoly, Poly, poly_gcd
 from .rings import PrimeField, Ring, RingValue, ZmodRing, ZZ, _check_rings
 from .symmetric import (
     SymElem,
@@ -377,31 +385,55 @@ def addition_diagonal_check(f: Poly, n: int) -> bool:
     return True
 
 
-def _deciding_degree(n: int, mult_set: MultSet) -> int:
-    """How many low coefficients of a monic degree-n F decide membership."""
-    if mult_set.kind == "local-at":
-        return n
-    return min(n, sum(g.degree for g in mult_set.gens))
+def _coprime_blocks(mult_set: MultSet) -> list[MultSet]:
+    """The generators split into blocks, the connected components of
+    "shares a factor" (a poly_gcd of positive degree), each a generated
+    MultSet; [mult_set] itself when it is a single block, found without
+    a gcd when it has fewer than two generators."""
+    if len(mult_set.gens) < 2:
+        return [mult_set]
+    blocks: list[list[Poly]] = []
+    for g in mult_set.gens:
+        shares = [any(poly_gcd(g, h).degree for h in block) for block in blocks]
+        merged = [h for block, s in zip(blocks, shares) if s for h in block]
+        blocks = [block for block, s in zip(blocks, shares) if not s]
+        blocks.append(merged + [g])
+    if len(blocks) == 1:
+        return [mult_set]
+    return [MultSet.generated(*block) for block in blocks]
+
+
+def _admitted(ring: PrimeField, n: int, d: int, mult_set: MultSet) -> int:
+    """How many X^n + c_(d-1) X^(d-1) + ... + c_0 are admissible for
+    mult_set, (c_0..c_(d-1)) running over itertools.product of residues
+    0..q-1, c_0 slowest, each sent to is_free_quotient in that order."""
+    monic = MonicPoly._from_monic_payloads
+    top = (0,) * (n - d) + (1,)
+    return sum(
+        is_free_quotient(monic(ring, low + top), mult_set)
+        for low in product(range(ring.modulus), repeat=d)
+    )
 
 
 def count_points(q: int, n: int, mult_set: MultSet, workers: int = 1) -> int:
     """Number of monic degree-n polynomials over GF(q) that generate a
     free rank-n quotient of the localization at the given set.
 
-    Membership in a generated set depends only on F mod H (module
-    docstring), H of degree D = sum of deg g; for D < n the q^D
-    candidates X^n + G, deg G < D, meet each residue class once, and
-    each class holds q^(n-D) monic F.  So with d = _deciding_degree
-    (n for local-at, 0 for trivial and all-nonzero) the count is q^(n-d)
-    times the admissible X^n + c_(d-1) X^(d-1) + ... + c_0, (c_0..c_(d-1))
-    running over itertools.product of residues 0..q-1, c_0 slowest, each
-    sent to is_free_quotient in that order in one serial loop.  Each is
+    local-at counts 1: it admits (X - a)^n alone.  Otherwise membership
+    depends only on F mod H (module docstring), H of degree D = sum of
+    deg g, 0 for trivial and all-nonzero.  For D > n every monic F is a
+    candidate.  For D <= n the set is split into _coprime_blocks, of
+    degrees D_b, and the count is q^(n-D) times the product over the
+    blocks of the admissible X^n + R, deg R < D_b: sum_b q^(D_b)
+    candidates in place of q^n.  A single block is the set itself, so
+    one generator, or generators that all share factors, test the q^D
+    candidates X^n + R, deg R < D, against mult_set.  Each candidate is
     built by the trusted MonicPoly._from_monic_payloads: its payloads
-    (the residues, n - d zeros, then GF(q)'s one, 1) are canonical and
-    it equals MonicPoly(Poly(ring, ...)) under ==, hash and str.
+    (the residues, zeros, then GF(q)'s one, 1) are canonical and it
+    equals MonicPoly(Poly(ring, ...)) under ==, hash and str.
     Generators with a unit leading coefficient and degree below n are
     decided by a determinant of their own degree; see is_free_quotient.
-    workers is ignored.  CENSUS_BOUND caps q^n, not q^d.
+    workers is ignored.  CENSUS_BOUND caps q^n, not the candidates.
     """
     ring = PrimeField(q)
     _check_rings(mult_set.ring, ring)
@@ -413,10 +445,12 @@ def count_points(q: int, n: int, mult_set: MultSet, workers: int = 1) -> int:
         raise OracleInfeasibleError(
             f"{q}^{n} polynomials exceed the census bound {CENSUS_BOUND}"
         )
-    monic = MonicPoly._from_monic_payloads
-    d = _deciding_degree(n, mult_set)
-    count = 0
-    for low in product(range(q), repeat=d):
-        if is_free_quotient(monic(ring, low + (0,) * (n - d) + (1,)), mult_set):
-            count += 1
-    return count * q ** (n - d)
+    if mult_set.kind == "local-at":
+        return 1
+    total = sum(g.degree for g in mult_set.gens)
+    if total > n:
+        return _admitted(ring, n, n, mult_set)
+    count = q ** (n - total)
+    for block in _coprime_blocks(mult_set):
+        count *= _admitted(ring, n, sum(g.degree for g in block.gens), block)
+    return count

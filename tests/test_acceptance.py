@@ -63,6 +63,9 @@ def test_criterion_8_census_trivial():
 
 def test_criterion_9_census_local_and_generic():
     # criterion 9: one point at the origin, none at the generic point;
-    # the gens:X,X^2+X+1 family against the oracle rides along
-    detail = _census_sweep((2, 3, 5), (1, 2, 3), ("local-at", "all-nonzero", "gens"))
+    # the gens:X,X^2+X+1 (coprime) and gens:X+1,X^2+X (sharing X+1)
+    # families against the oracle ride along
+    detail = _census_sweep(
+        (2, 3, 5), (1, 2, 3), ("local-at", "all-nonzero", "gens", "gens-shared")
+    )
     print(f"census sweep ({detail}): PASS")

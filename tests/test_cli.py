@@ -402,6 +402,23 @@ def test_count_refuses_a_huge_degree_before_the_power(capsys):
         assert f"2^{n} polynomials exceed the census bound" in err
 
 
+def test_count_local_at_is_constant_time(capsys):
+    # local-at admits only (X - a)^n, so even the largest admitted census
+    # enumerates nothing; the census bound still refuses 2^20
+    start = time.perf_counter()
+    code, payload = invoke_json(
+        capsys, "count", "--ring", "GF:2", "--n", "19", "--multset", "local-at:1"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert payload["result"]["count"] == 1
+    code, out, err = invoke(
+        capsys, "count", "--ring", "GF:2", "--n", "20", "--multset", "local-at:1"
+    )
+    assert code == 1
+    assert "2^20 polynomials exceed the census bound" in err
+
+
 def _matrix_text(n):
     return ";".join(
         ",".join(str((i * n + j) % 7 - 3) for j in range(n)) for i in range(n)

@@ -17,6 +17,7 @@ import pytest
 from symmline import _symbasis, matrices, norms, quotients, symmetric
 from symmline.matrices import SquareMatrix
 from symmline.poly import MonicPoly, Poly
+from symmline.quotients import MultSet
 from symmline.selftest import CHECKS, DEFAULT_SEED
 
 
@@ -68,7 +69,14 @@ ROWS = [
     (quotients, "is_free_quotient", lambda ok, F, u: not ok,
      "criterion-oracle-agreement census-counts"),
     (quotients, "count_points", lambda k, *args: k + 1, "coprimality census-counts"),
-    (quotients, "_deciding_degree", lambda d, *args: max(d - 1, 0), "census-counts"),
+    (quotients, "_coprime_blocks",
+     lambda blocks, u: [MultSet.generated(g) for b in blocks for g in b.gens],
+     "closure-insensitivity census-counts"),
+    (quotients, "_coprime_blocks", lambda blocks, u: blocks[1:],
+     "coprimality closure-insensitivity census-counts"),
+    # a single detector: only census-counts sends every monic F to a
+    # local-at set, and no oracle covers local-at membership
+    (quotients, "_is_power_of_linear", lambda ok, F, a: not ok, "census-counts"),
     (quotients, "addition_map", lambda t, s: -t,
      "addition-homomorphism section-identity section-partial addition-diagonal"),
     (quotients, "section_map", lambda t, s: -t, "section-identity section-partial"),

@@ -1,6 +1,6 @@
 import threading
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
 from random import Random
 
 import pytest
@@ -468,35 +468,93 @@ def _reference_count(q, n, mult_set):
     return total
 
 
-def test_count_candidate_stream(monkeypatch):
+def _record_candidates(monkeypatch):
+    """The (candidate, set) pairs count_points sends to is_free_quotient,
+    collected in a list that the caller clears."""
     seen = []
     real = quotients.is_free_quotient
 
     def record(modulus, mult_set):
-        seen.append(modulus)
+        seen.append((modulus, mult_set))
         return real(modulus, mult_set)
 
     monkeypatch.setattr(quotients, "is_free_quotient", record)
+    return seen
+
+
+def test_count_candidate_stream(monkeypatch):
+    seen = _record_candidates(monkeypatch)
     for q in (2, 3, 5):
         ring = GF(q)
         for n in (1, 2, 3, 4):
-            # the low d coefficients decide: none for trivial, min(n, 1 + 2)
-            # for the generators of degree 1 and 2, all n for local-at, and
-            # none for all-nonzero
-            for mult_set, d in zip(_census_sets(ring), (0, min(n, 3), n, 0)):
-                # c_0 slowest, c_(d-1) fastest, the rest zero
+            trivial, gens, local, nonzero = _census_sets(ring)
+            # each block's low d coefficients decide: none for trivial and
+            # all-nonzero; the coprime generators of degree 1 and 2 are a
+            # block each once their degrees fit in n, and below that all n
+            # coefficients decide for the set as a whole; local-at tests none
+            if n >= 3:
+                blocks = [(MultSet.generated(g), g.degree) for g in gens.gens]
+            else:
+                blocks = [(gens, n)]
+            for mult_set, plan in (
+                (trivial, [(trivial, 0)]),
+                (gens, blocks),
+                (local, []),
+                (nonzero, [(nonzero, 0)]),
+            ):
+                # per block, c_0 slowest, c_(d-1) fastest, the rest zero
                 expected = [
-                    MonicPoly(Poly(ring, list(low) + [0] * (n - d) + [1]))
+                    (MonicPoly(Poly(ring, list(low) + [0] * (n - d) + [1])), u)
+                    for u, d in plan
                     for low in product(range(q), repeat=d)
                 ]
                 seen.clear()
                 count = count_points(q, n, mult_set)
-                assert all(type(c) is MonicPoly for c in seen)
-                assert seen == expected
-                assert list(map(hash, seen)) == list(map(hash, expected))
-                assert list(map(str, seen)) == list(map(str, expected))
-                assert [c.degree for c in seen] == [n] * q**d
+                got = [c for c, _ in seen]
+                want = [c for c, _ in expected]
+                assert all(type(c) is MonicPoly for c in got)
+                assert got == want
+                assert list(map(hash, got)) == list(map(hash, want))
+                assert list(map(str, got)) == list(map(str, want))
+                assert [c.degree for c in got] == [n] * len(want)
+                assert [u.describe() for _, u in seen] == [
+                    u.describe() for _, u in expected
+                ]
                 assert count == _reference_count(q, n, mult_set)
+
+
+def test_count_candidates_per_block(monkeypatch):
+    seen = _record_candidates(monkeypatch)
+    ring = GF(5)
+    x = Poly.gen(ring)
+    g, h = x + Poly(ring, [1]), x * x + x.scale(3) + Poly(ring, [4])
+
+    def runs(mult_set):
+        """(set, candidates) per run of one set in the stream, n = 3."""
+        seen.clear()
+        assert count_points(5, 3, mult_set) == _reference_count(5, 3, mult_set)
+        return [(u, len(list(group))) for u, group in groupby(u for _, u in seen)]
+
+    # coprime: a block each, 5 + 25 candidates in place of 125
+    coprime = runs(MultSet.generated(g, h))
+    assert [(u.describe(), k) for u, k in coprime] == [
+        (f"gens:{g}", 5), (f"gens:{h}", 25)
+    ]
+    # X+1 and X^2+X share X+1: one block, the set itself, 125 candidates
+    linked = MultSet.generated(g, x * x + x)
+    assert runs(linked) == [(linked, 125)]
+    # local-at tests no candidate
+    assert runs(MultSet.local_at(ring.value(2))) == []
+
+    # one generator, and a degree sum above n, take no gcd
+    def refuse(f, g):
+        raise AssertionError("poly_gcd called")
+
+    monkeypatch.setattr(quotients, "poly_gcd", refuse)
+    single = MultSet.generated(h)
+    assert runs(single) == [(single, 25)]
+    over = MultSet.generated(g, h, x + Poly(ring, [2]))
+    assert runs(over) == [(over, 125)]
 
 
 def test_count_requires_prime_q():

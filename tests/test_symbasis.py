@@ -3,7 +3,9 @@ the indexed decomposition kernel against the lead-by-lead heap
 reduction it replaced, and the arity budget of the _symbasis kernels."""
 
 import heapq
+import inspect
 import operator
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
@@ -265,3 +267,19 @@ def test_cold_arity_7_norm_builds_a_pinned_number_of_expansions(monkeypatch):
     f = Poly(ZZ, [5, 1, 0, 2, 0, 0, 1])  # X^6 + 2X^3 + X + 5
     assert norm_symmetric(f, F) == norm(f, F) == ZZ.value(106176)
     assert len(_symbasis._ELEM_CACHE) == 1630
+
+
+def test_cold_expansion_needs_no_recursion_depth(monkeypatch):
+    # a cold e_1^k peels k factors; built in a loop, it fits in a stack
+    # far shallower than k
+    monkeypatch.setattr(_symbasis, "_TABLES", {})
+    monkeypatch.setattr(_symbasis, "_ELEM_CACHE", {})
+    k = 200
+    p = MultiPoly(ZZ, 2, {(k, 0): 1, (0, k): 1})
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        s = decompose(p)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert s.expand() == p
