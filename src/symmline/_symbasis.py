@@ -86,7 +86,7 @@ matrices._berkowitz states too:
     before dropping the zeros.  All outputs are canonical and nonzero.
 
 The three kernels are what grows the process-global tables and cache,
-so each refuses an arity above quotients.ARITY_BOUND before any work.
+so each refuses an arity above errors.ARITY_BOUND before any work.
 """
 
 from __future__ import annotations
@@ -94,10 +94,7 @@ from __future__ import annotations
 from itertools import accumulate, combinations, groupby
 from math import comb, factorial, prod
 
-# quotients imports this module (through symmetric) before it defines
-# its bounds, so the arity check is looked up when a kernel runs
-from . import quotients
-from .errors import InvariantViolationError
+from .errors import InvariantViolationError, _check_arity
 from .poly import PolyRing
 from .rings import ZmodRing
 
@@ -230,7 +227,7 @@ def decompose_rep(rep: dict[Partition, object], n: int, ring) -> dict[tuple, obj
     Returns a map from e-exponent tuples (length n) to nonzero canonical
     payloads.
     """
-    quotients._check_arity(n)
+    _check_arity(n)
     m = _modulus(ring)
     embed = ring._from_int if isinstance(ring, PolyRing) else None
     zero = ring._from_int(0)
@@ -312,7 +309,7 @@ def _extend(prev_reps: dict[int, dict], k: int, fterms, ring) -> dict[int, dict]
 
 def sym_ops_reps(fpayloads, n: int, ring) -> list[dict[Partition, object]]:
     """Compressed reps of the signed coefficients of prod_i (Y - f(X_i))."""
-    quotients._check_arity(n)
+    _check_arity(n)
     fterms = _nonzero_terms(fpayloads, ring)
     reps: dict[int, dict] = {0: {(): ring._from_int(1)}}
     for k in range(1, n + 1):
@@ -322,7 +319,7 @@ def sym_ops_reps(fpayloads, n: int, ring) -> list[dict[Partition, object]]:
 
 def diagonal_rep(fpayloads, n: int, ring) -> dict[Partition, object]:
     """Compressed rep of f(X_1) * ... * f(X_n)."""
-    quotients._check_arity(n)
+    _check_arity(n)
     m = _modulus(ring)
     zero = ring._from_int(0)
     fterms = _nonzero_terms(fpayloads, ring)

@@ -23,10 +23,9 @@ import json
 import sys
 import time
 
-from .errors import ParseError, SymmlineError
+from .errors import ParseError, SymmlineError, _check_arity
 from .quotients import (
     MultSet,
-    _check_arity,
     addition_map,
     count_points,
     free_quotient_oracle,

@@ -28,9 +28,7 @@ from __future__ import annotations
 import operator
 from itertools import combinations
 
-# quotients imports this module before it defines its bounds, so the
-# arity check is looked up when elementary runs
-from . import quotients
+from .errors import _check_arity
 from .poly import _render_sum, _signed_text
 from .rings import Ring, RingValue, _check_rings, _power
 
@@ -240,7 +238,7 @@ def elementary(i: int, n: int, ring: Ring) -> MultiPoly:
     It has C(n, i) terms, so an n above ARITY_BOUND is refused first."""
     if not 0 <= i <= n:
         raise ValueError(f"elementary index {i} out of range 0..{n}")
-    quotients._check_arity(n)
+    _check_arity(n)
     if i == 0:
         return MultiPoly.constant(ring, n, 1)
     terms = {}

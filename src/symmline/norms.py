@@ -23,7 +23,7 @@ from .homs import RingHom
 from .matrices import det, mult_matrix, rational_norm
 from .poly import MonicPoly, Poly, poly_mod
 from .rings import RationalRing, RingValue, _check_rings
-from .symmetric import SymElem, SymPoly1, diagonal_tensor, sym_char_poly
+from .symmetric import SymElem, diagonal_tensor, sym_ops_of
 
 
 class EvalMap:
@@ -45,10 +45,6 @@ class EvalMap:
             )
         return s.substitute(self.images)
 
-    def apply_poly1(self, t: SymPoly1) -> Poly:
-        """Evaluate the coefficients of a polynomial in the outer X."""
-        return Poly(self.ring, [self(c) for c in t.coeffs])
-
     def __repr__(self):
         return f"EvalMap({self.modulus})"
 
@@ -58,7 +54,8 @@ def mult_char_poly(f: Poly, modulus: MonicPoly) -> MonicPoly:
     computed through the symmetric operators of f mod F."""
     f = poly_mod(f, modulus)  # checks the rings
     u = EvalMap(modulus)
-    return MonicPoly(u.apply_poly1(sym_char_poly(f, modulus.degree)))
+    ops = sym_ops_of(f, modulus.degree)
+    return MonicPoly.from_signed_coeffs(modulus.ring, [u(s) for s in ops])
 
 
 def norm(f: Poly, modulus: MonicPoly) -> RingValue:

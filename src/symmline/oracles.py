@@ -1,17 +1,21 @@
 """Independent brute-force routes used to cross-check the main paths.
 
 Nothing here touches the symmetric-function machinery: determinants
-come from cofactor expansion or ring-generic Bareiss elimination, so
-results can be compared bit-exactly against the production determinants
-of multiplication matrices in matrices.
+come from cofactor expansion or from Bareiss elimination on an int lift
+of the matrix, run by this module's own kernel, so results can be
+compared bit-exactly against the production determinants of
+multiplication matrices in matrices.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 from .errors import InvariantViolationError
 from .matrices import SquareMatrix, det
 from .poly import MonicPoly, Poly
-from .rings import RingValue, ZmodRing, ZZ
+from .rings import IntegerRing, RationalRing, RingValue, ZmodRing
 
 
 def cofactor_det(rows):
@@ -47,39 +51,53 @@ def charpoly_cofactor(m: SquareMatrix) -> MonicPoly:
 
 
 def bareiss_det(m: SquareMatrix) -> RingValue | None:
-    """Fraction-free elimination; None when the ring lacks exact division."""
-    ring = m.ring
-    if ring._exact_div(ring._from_int(0), ring._from_int(1)) is None:
-        return None
-    n = m.n
-    a = [list(row) for row in m._payload_rows]
-    zero = ring._from_int(0)
-    sign = 1
-    prev = ring._from_int(1)
+    """Determinant by Bareiss elimination on an int lift of m; None over
+    towers and the symmetric ring, which have none.
+
+    ZZ entries are lifted as they are.  Zmod and GF residues are lifted
+    to ints and the determinant is reduced mod m at the end: it is an
+    integer polynomial in the entries and reduction mod m is a ring map.
+    Each QQ row is scaled by the lcm d_i of its own denominators, and
+    det M = det(DM) / prod d_i.
+    """
+    ring, rows = m.ring, m._payload_rows
+    if isinstance(ring, (IntegerRing, ZmodRing)):
+        return ring.value(_bareiss(rows))
+    if isinstance(ring, RationalRing):
+        scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
+        lifted = [
+            [x.numerator * (d // x.denominator) for x in row]
+            for row, d in zip(rows, scales)
+        ]
+        return RingValue(ring, Fraction(_bareiss(lifted), math.prod(scales)))
+    return None
+
+
+def _bareiss(rows) -> int:
+    """Determinant of an int matrix by fraction-free elimination
+    (Bareiss, Math. Comp. 22, 1968); every step must divide exactly."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    sign, prev = 1, 1
     for k in range(n - 1):
-        if a[k][k] == zero:
-            pivot_row = next(
-                (r for r in range(k + 1, n) if a[r][k] != zero), None
-            )
+        if not a[k][k]:
+            pivot_row = next((r for r in range(k + 1, n) if a[r][k]), None)
             if pivot_row is None:
-                return ring.zero
+                return 0
             a[k], a[pivot_row] = a[pivot_row], a[k]
             sign = -sign
+        pivot, top = a[k][k], a[k]
         for i in range(k + 1, n):
+            row, c = a[i], a[i][k]
             for j in range(k + 1, n):
-                num = ring._add(
-                    ring._mul(a[i][j], a[k][k]),
-                    ring._neg(ring._mul(a[i][k], a[k][j])),
-                )
-                q = ring._exact_div(num, prev)
-                if q is None:
+                q, r = divmod(row[j] * pivot - c * top[j], prev)
+                if r:
                     raise InvariantViolationError(
-                        f"Bareiss step not divisible in {ring.name}"
+                        f"Bareiss step {k} not divisible by {prev}"
                     )
-                a[i][j] = q
-        prev = a[k][k]
-    result = RingValue(ring, a[n - 1][n - 1])
-    return result if sign == 1 else -result
+                row[j] = q
+        prev = pivot
+    return sign * a[n - 1][n - 1]
 
 
 def sylvester_matrix(big: MonicPoly, small: Poly) -> SquareMatrix:
@@ -108,16 +126,8 @@ def sylvester_matrix(big: MonicPoly, small: Poly) -> SquareMatrix:
 
 
 def sylvester_resultant(big: MonicPoly, small: Poly) -> RingValue:
-    """Resultant via the Sylvester determinant by fraction-free Bareiss
-    elimination.  Over Zmod:m with m composite, which lacks the exact
-    divisions, Bareiss runs on the residues lifted to ZZ and the result
-    is reduced mod m: the determinant is an integer polynomial in the
-    entries and reduction mod m is a ring map, as in matrices.char_poly.
-    Only tower rings fall back to the production Berkowitz det."""
+    """Resultant as the Sylvester determinant, by bareiss_det; only
+    tower rings fall back to the production Berkowitz det."""
     syl = sylvester_matrix(big, small)
-    ring = syl.ring
-    if isinstance(ring, ZmodRing) and not ring.is_domain:
-        lifted = SquareMatrix._from_payloads(ZZ, syl._payload_rows)
-        return ring.value(bareiss_det(lifted).payload)
     d = bareiss_det(syl)
     return det(syl) if d is None else d

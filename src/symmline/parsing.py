@@ -20,10 +20,10 @@ text, and the budgets bound the work.
 Exponents must be nonnegative integer literals.  Before anything is
 evaluated, the degree every subexpression can reach, counting every
 integer literal as degree 1 like a name (so that 2^k grows like X^k),
-must stay within quotients.DEGREE_BOUND; the term products (products of
-two coefficients) that evaluating the whole expression can make, within
-quotients.TERM_PRODUCT_BOUND; and the number of variables X1..Xn or
-e1..en, each a name bound before parsing, within quotients.ARITY_BOUND,
+must stay within DEGREE_BOUND; the term products (products of two
+coefficients) that evaluating the whole expression can make, within
+TERM_PRODUCT_BOUND; and the number of variables X1..Xn or e1..en, each
+a name bound before parsing, within ARITY_BOUND (all three in errors),
 as must the levels of a tower ring, which bind one name each.
 A larger one raises OracleInfeasibleError.  Which names resolve
 depends on the context: X for univariate polynomials, X1..Xn for
@@ -37,10 +37,15 @@ from __future__ import annotations
 import re
 from math import comb
 
-from .errors import OracleInfeasibleError, ParseError
+from .errors import (
+    DEGREE_BOUND,
+    TERM_PRODUCT_BOUND,
+    OracleInfeasibleError,
+    ParseError,
+    _check_arity,
+)
 from .multipoly import MultiPoly
 from .poly import Poly, PolyRing, tower_constants
-from .quotients import DEGREE_BOUND, TERM_PRODUCT_BOUND, _check_arity
 from .rings import GF, QQ, Ring, Zmod, ZZ, is_prime
 from .symmetric import SymElem, SymPoly1
 

@@ -52,6 +52,8 @@ from itertools import product
 from math import comb
 
 from .errors import (
+    CENSUS_BOUND,
+    ORACLE_SEARCH_BOUND,
     InvariantViolationError,
     OracleInfeasibleError,
     UnsupportedRingError,
@@ -69,24 +71,6 @@ from .symmetric import (
     sym_char_poly,
     sym_ops_of,
 )
-
-# work budgets, each checked before the work starts and raised as
-# OracleInfeasibleError: residues the membership oracle may try, monic
-# candidates the census may enumerate, the arity of the symmetric-basis
-# kernels (which grow process-global caches) and of parsed expressions,
-# the degree of every subexpression of a parsed expression, and the
-# term-by-term products its evaluation may make
-ORACLE_SEARCH_BOUND = 100_000
-CENSUS_BOUND = 1_000_000
-ARITY_BOUND = 10
-DEGREE_BOUND = 100
-TERM_PRODUCT_BOUND = 100_000
-
-
-def _check_arity(n: int, what: str = "arity") -> None:
-    if n > ARITY_BOUND:
-        raise OracleInfeasibleError(f"{what} {n} exceeds the arity bound {ARITY_BOUND}")
-
 
 class MultSet:
     """A multiplicatively closed subset of the polynomial ring.

@@ -90,10 +90,6 @@ class Ring:
         """Multiplicative inverse payload, or None when there is none."""
         return None
 
-    def _exact_div(self, a, b):
-        """Exact quotient a/b in the ring, or None when unsupported."""
-        return None
-
     def _render(self, a) -> str:
         return str(a)
 
@@ -281,10 +277,6 @@ class IntegerRing(Ring):
     def _inv(self, a):
         return a if a in (1, -1) else None
 
-    def _exact_div(self, a, b):
-        q, r = divmod(a, b)
-        return q if r == 0 else None
-
     def _sign_split(self, a):
         return (a < 0), abs(a)
 
@@ -313,9 +305,6 @@ class RationalRing(Ring):
 
     def _inv(self, a):
         return None if a == 0 else 1 / a
-
-    def _exact_div(self, a, b):
-        return None if b == 0 else a / b
 
     def _sign_split(self, a):
         return (a < 0), abs(a)
@@ -353,12 +342,6 @@ class ZmodRing(Ring):
             return pow(a, -1, self.modulus)
         except ValueError:
             return None
-
-    def _exact_div(self, a, b):
-        if not self.is_domain:
-            return None
-        inv = self._inv(b)
-        return None if inv is None else a * inv % self.modulus
 
     @property
     def name(self):

@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 import symmline
-from symmline import cli, quotients
+from symmline import cli, errors
 from symmline.cli import build_parser, run
-from symmline.quotients import ARITY_BOUND
+from symmline.errors import ARITY_BOUND
 from symmline.selftest import DEFAULT_SEED
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -640,7 +640,7 @@ def _readme_budget_list():
 def test_readme_names_every_bound():
     budgets = _readme_budget_list()
     bounds = {
-        name: value for name, value in vars(quotients).items()
+        name: value for name, value in vars(errors).items()
         if name.endswith("_BOUND") and isinstance(value, int)
     }
     assert "TERM_PRODUCT_BOUND" in bounds

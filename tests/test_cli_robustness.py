@@ -27,7 +27,7 @@ from hypothesis import given, strategies as st
 
 from symmline import errors
 from symmline.cli import build_parser, run
-from symmline.quotients import ARITY_BOUND
+from symmline.errors import ARITY_BOUND
 
 TYPED = {
     name for name, obj in vars(errors).items()

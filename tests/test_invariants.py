@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import symmline
-from symmline import _symbasis
+from symmline import _symbasis, oracles
 from symmline.errors import InvariantViolationError
 from symmline.matrices import SquareMatrix
 from symmline.oracles import bareiss_det
@@ -73,7 +73,9 @@ def test_orbit_weight_invariant_is_a_typed_error(monkeypatch):
 
 
 def test_bareiss_invariant_is_a_typed_error(monkeypatch):
-    # exact division that fails on every nonzero numerator
-    monkeypatch.setattr(ZZ, "_exact_div", lambda a, b: 0 if a == 0 else None)
+    # the oracle's int kernel checks every division it makes; a divmod
+    # that leaves each numerator whole as the remainder fails the first
+    # nonzero step
+    monkeypatch.setattr(oracles, "divmod", lambda a, b: (0, a), raising=False)
     with pytest.raises(InvariantViolationError):
         bareiss_det(SquareMatrix(ZZ, [[1, 2], [3, 4]]))

@@ -3,10 +3,9 @@ from random import Random
 
 import pytest
 
-from symmline.errors import OracleInfeasibleError
+from symmline.errors import ARITY_BOUND, OracleInfeasibleError
 from symmline.multipoly import MultiPoly, apply_permutation, elementary, is_symmetric
 from symmline.poly import PolyRing
-from symmline.quotients import ARITY_BOUND
 from symmline.rings import GF, QQ, Zmod, ZZ
 from symmline.sampling import random_symelem, random_value
 from symmline.symmetric import SymElem

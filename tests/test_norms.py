@@ -138,7 +138,8 @@ def test_sylvester_oracle_matches_norm():
 
 def test_sylvester_oracle_runs_its_own_kernel_over_composite_moduli(monkeypatch):
     # the oracle checks the production det, so it must never call it;
-    # over Zmod:m with m composite it runs Bareiss on a ZZ lift
+    # over Zmod:m with m composite, where Bareiss over the residues
+    # would divide by zero divisors, its int lift still eliminates
     def refuse(m):
         raise AssertionError("the Sylvester oracle called the production det")
 
@@ -154,28 +155,29 @@ def test_sylvester_oracle_runs_its_own_kernel_over_composite_moduli(monkeypatch)
 
 
 def test_sylvester_oracle_runs_without_the_production_bareiss_kernel(monkeypatch):
-    # over ZZ and QQ the production det eliminates an int lift of the
-    # multiplication matrix; the oracle keeps its own ring-generic
-    # Bareiss on the Sylvester matrix, so breaking the production kernel
-    # leaves the oracle's answers unchanged
+    # the production det runs Bareiss on an int lift over ZZ and QQ,
+    # Berkowitz over composite Zmod and Hessenberg reduction over GF;
+    # the oracle runs its own Bareiss kernel on an int lift of the
+    # matrix, so refusing every production kernel leaves its answers,
+    # on the Sylvester and on the multiplication matrix, unchanged
     rng = Random(63)
     cases = []
-    for ring in (ZZ, QQ):
+    for ring in (ZZ, QQ, Zmod(4), Zmod(12), GF(7), GF(10007)):
         for _ in range(12):
             modulus = random_monic(ring, rng, rng.randint(1, 6))
             f = random_nonzero_poly(ring, rng, 6)
             if f.degree >= 1:
                 cases.append((modulus, f, norm(f, modulus)))
 
-    def refuse(*args):
-        raise AssertionError("the oracle called the production kernel")
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called a production kernel")
 
-    monkeypatch.setattr(matrices, "_bareiss_int", refuse)
+    for name in ("_bareiss_int", "_berkowitz", "_hessenberg"):
+        monkeypatch.setattr(matrices, name, refuse)
     monkeypatch.setattr(oracles, "det", refuse)
-    modulus, f, _ = cases[0]
-    with pytest.raises(AssertionError):
-        norm(f, modulus)
     for modulus, f, expected in cases:
+        with pytest.raises(AssertionError):
+            norm(f, modulus)
         assert sylvester_resultant(modulus, f) == expected, (modulus, f)
         assert oracles.bareiss_det(sylvester_matrix(modulus, f)) == expected
         assert oracles.bareiss_det(mult_matrix(f, modulus)) == expected

@@ -5,7 +5,13 @@ from random import Random
 import pytest
 
 from symmline import parsing
-from symmline.errors import OracleInfeasibleError, ParseError
+from symmline.errors import (
+    ARITY_BOUND,
+    DEGREE_BOUND,
+    TERM_PRODUCT_BOUND,
+    OracleInfeasibleError,
+    ParseError,
+)
 from symmline.parsing import (
     parse_multipoly,
     parse_poly,
@@ -15,7 +21,6 @@ from symmline.parsing import (
     parse_sympoly1,
 )
 from symmline.poly import Poly, PolyRing, tower_constants
-from symmline.quotients import ARITY_BOUND, DEGREE_BOUND, TERM_PRODUCT_BOUND
 from symmline.rings import GF, QQ, Zmod, ZZ
 from symmline.sampling import random_poly, random_symelem
 from symmline.symmetric import SymElem, SymPoly1

@@ -12,8 +12,8 @@ from random import Random
 
 import pytest
 
-from symmline import _symbasis, quotients
-from symmline.errors import InvariantViolationError, OracleInfeasibleError
+from symmline import _symbasis
+from symmline.errors import ARITY_BOUND, InvariantViolationError, OracleInfeasibleError
 from symmline.multipoly import MultiPoly, elementary
 from symmline.norms import norm, norm_symmetric
 from symmline.poly import MonicPoly, Poly, PolyRing
@@ -216,7 +216,7 @@ def test_tables_grow_by_appending(monkeypatch):
 def test_arity_bound_is_checked_before_work(monkeypatch):
     monkeypatch.setattr(_symbasis, "_TABLES", {})
     monkeypatch.setattr(_symbasis, "_ELEM_CACHE", {})
-    over = quotients.ARITY_BOUND + 1
+    over = ARITY_BOUND + 1
     x = Poly.gen(ZZ)
     with pytest.raises(OracleInfeasibleError):
         sym_ops_of(x, over)
@@ -228,8 +228,8 @@ def test_arity_bound_is_checked_before_work(monkeypatch):
         decompose(MultiPoly(ZZ, over, {(0,) * over: 1}))
     assert _symbasis._TABLES == {} and _symbasis._ELEM_CACHE == {}
     # the bound itself is admitted, and so is the benchmark's arity 7
-    assert quotients.ARITY_BOUND >= 7
-    n = quotients.ARITY_BOUND
+    assert ARITY_BOUND >= 7
+    n = ARITY_BOUND
     assert sym_ops_of(x, n) == [SymElem.e(i, n, ZZ) for i in range(1, n + 1)]
 
 
