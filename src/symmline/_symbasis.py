@@ -48,12 +48,29 @@ implies lex order, so the loop is a forward substitution:
     the fewest position sets (the smallest C(n, i), ties to the larger
     i, so e_n is a pure shift).  A product total that its orbit size
     does not divide, or a term above the lead in the table (the
-    well-ordering argument), is an InvariantViolationError; decompose_rep
-    checks on each use that an expansion leads with 1 at its lead's index.
+    well-ordering argument), is an InvariantViolationError; _expansion,
+    the one place decompose_rep and evaluate_reps read an expansion
+    through, checks on each use that it leads with 1 at its lead's index.
   * decompose_rep groups its input by degree, fills a dense remainder
     list per degree, and scans the indices downward from the input's
     top one.  Every expansion read at index j writes only below j, so
     the value found at an index is final when the scan reaches it.
+
+evaluate_reps applies the evaluation map u: e_i -> images[i-1] without
+decomposing.  u is linear in the monomial basis, so u(s) is the sum of
+s_lam * u(m_lam), and the values u(m_lam) depend only on the images:
+one pass per call serves every rep it is given (the n symmetric
+operators of f share it).  The same unitriangular change of basis gives
+them by forward substitution, upward this time: per degree, for each
+index j up to the top one the reps use,
+
+    u(m_j) = u(e^mu_j) - sum over i < j of E_j[i] * u(m_i),
+
+where E_j is the expansion of e^mu_j and u(e^mu_j) is a product of
+powers of the images.  Nothing derived from the images outlives the
+call; _ELEM_CACHE stays the only cache.  The substitution reads the
+expansion at every index up to the top, not only at the nonzero leads
+that decompose_rep visits, so it may build a few more of them.
 
 sym_ops_reps expands prod_i (Y - f(X_i)) one variable at a time: if
 s_(i,k) denotes the i-th signed coefficient over the first k variables,
@@ -65,7 +82,7 @@ tuple pi is read off the single key (pi[:-1], pi[-1]), and keys whose
 X_k-degree exceeds the smallest prefix exponent are redundant, so they
 are never formed.  diagonal_rep runs the same step for f(X_1)...f(X_n).
 
-All three kernels run on raw payloads with their native + - *
+All four kernels run on raw payloads with their native + - *
 operators (ZZ ints, QQ Fractions, the Poly payloads of a tower), with no
 RingValue and no ring-method call per operation; this is the contract
 matrices._berkowitz states too:
@@ -80,12 +97,14 @@ matrices._berkowitz states too:
   * decompose_rep keeps unreduced ints in its remainder list and reduces
     an entry when the scan visits it; an entry that is zero mod m is
     skipped, which covers leads that cancel only mod m.
+  * evaluate_reps reduces each power of an image, each value u(m_lam)
+    and each image of a rep mod m as it is formed.
   * The int scalar k of an expansion multiplies a payload directly; only
     Poly payloads take ring._from_int(k), a choice made once per call.
   * sym_ops_reps and diagonal_rep reduce each coefficient of a step
     before dropping the zeros.  All outputs are canonical and nonzero.
 
-The three kernels are what grows the process-global tables and cache,
+The four kernels are what grows the process-global tables and cache,
 so each refuses an arity above errors.ARITY_BOUND before any work.
 """
 
@@ -93,6 +112,7 @@ from __future__ import annotations
 
 from itertools import accumulate, combinations, groupby
 from math import comb, factorial, prod
+from operator import getitem, mul
 
 from .errors import InvariantViolationError, _check_arity
 from .poly import PolyRing
@@ -221,6 +241,16 @@ def _modulus(ring) -> int:
     return ring.modulus if isinstance(ring, ZmodRing) else 0
 
 
+def _expansion(n: int, table: _Table, j: int) -> dict[int, int]:
+    """The expansion of e^mu for the j-th partition lam of table, mu its
+    e-exponents, checked to lead with 1 at j."""
+    mu = table.mus[j]
+    expansion = elem_monomial(n, mu)
+    if expansion.get(j) != 1:
+        raise InvariantViolationError(f"e-monomial {mu} does not lead with {table.parts[j]}")
+    return expansion
+
+
 def decompose_rep(rep: dict[Partition, object], n: int, ring) -> dict[tuple, object]:
     """e-basis coefficients of a compressed symmetric polynomial.
 
@@ -248,13 +278,8 @@ def decompose_rep(rep: dict[Partition, object], n: int, ring) -> dict[tuple, obj
                 c %= m
             if c == zero:
                 continue
-            mu = mus[j]
-            out[mu] = c
-            expansion = elem_monomial(n, mu)
-            if expansion.get(j) != 1:
-                raise InvariantViolationError(
-                    f"e-monomial {mu} does not lead with {table.parts[j]}"
-                )
+            out[mus[j]] = c
+            expansion = _expansion(n, table, j)
             neg_c = -c
             if embed is None:
                 for i, k in expansion.items():
@@ -262,6 +287,50 @@ def decompose_rep(rep: dict[Partition, object], n: int, ring) -> dict[tuple, obj
             else:
                 for i, k in expansion.items():
                     rem[i] += neg_c * embed(k)
+    return out
+
+
+def evaluate_reps(reps, n: int, ring, images) -> list:
+    """The image of each compressed rep under e_i -> images[i-1], as
+    payloads: sum over lam of rep[lam] * u(m_lam), with the values
+    u(m_lam) found once per call by forward substitution."""
+    _check_arity(n)
+    m = _modulus(ring)
+    embed = ring._from_int if isinstance(ring, PolyRing) else None
+    zero, one = ring._from_int(0), ring._from_int(1)
+    tops: dict[int, Partition] = {}  # degree -> its lex-largest partition
+    for rep in reps:
+        for d, lam in zip(map(sum, rep), rep):
+            if lam >= tops.get(d, lam):
+                tops[d] = lam
+    # rows[i][k] = images[i]^k, k up to the largest part of any input
+    # term, which bounds every e-exponent at or below it in its table
+    cap = max((lam[0] for lam in tops.values() if lam), default=0)
+    rows = []
+    for v in images:
+        row = [one]
+        for _ in range(cap):
+            p = row[-1] * v
+            row.append(p % m if m else p)
+        rows.append(row)
+    value_of: dict[Partition, object] = {}  # lam -> u(m_lam)
+    for d, top in tops.items():
+        table = _table(n, d, top[0] if n else 0)
+        # zeros stand for the values not yet found; an expansion read
+        # at j lies at or below j and leads with 1 at j
+        vals = [zero] * (table.index[top] + 1)
+        for j, mu in enumerate(table.mus[: len(vals)]):
+            expansion = _expansion(n, table, j)
+            ks = expansion.values() if embed is None else map(embed, expansion.values())
+            v = prod(map(getitem, rows, mu), start=one) - sum(
+                map(mul, ks, map(vals.__getitem__, expansion)), zero
+            )
+            vals[j] = v % m if m else v
+        value_of.update(zip(table.parts, vals))
+    out = []
+    for rep in reps:
+        v = sum(map(mul, rep.values(), map(value_of.__getitem__, rep)), zero)
+        out.append(v % m if m else v)
     return out
 
 

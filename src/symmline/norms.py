@@ -4,6 +4,11 @@ A monic F of degree n determines the evaluation map sending the basis
 symbol e_i to F's i-th signed coefficient.  Pushing the symmetric
 operators of f through it yields the characteristic polynomial of
 multiplication-by-f on A[X]/(F); its signed constant term is the norm.
+EvalMap applies it to a SymElem in the e-basis.  The norm routes,
+mult_char_poly and norm_symmetric, apply it to the monomial form of the
+operators and of the diagonal tensor instead (_symbasis.evaluate_reps),
+so they never decompose them; sym_ops_of followed by EvalMap is the
+decomposition route that selftest checks them against.
 
 norm() takes the production determinant route: O(n^3) over ZZ and QQ
 (Bareiss) and modulo a prime (Hessenberg), O(n^4) over composite Zmod
@@ -18,12 +23,13 @@ keeps their cost bounded by deg F instead of growing with deg f.
 
 from __future__ import annotations
 
+from ._symbasis import diagonal_rep, evaluate_reps, sym_ops_reps
 from .errors import InvariantViolationError
 from .homs import RingHom
 from .matrices import det, mult_matrix, rational_norm
 from .poly import MonicPoly, Poly, poly_mod
 from .rings import RationalRing, RingValue, _check_rings
-from .symmetric import SymElem, diagonal_tensor, sym_ops_of
+from .symmetric import SymElem
 
 
 class EvalMap:
@@ -49,13 +55,20 @@ class EvalMap:
         return f"EvalMap({self.modulus})"
 
 
+def _images(modulus: MonicPoly) -> list:
+    """The payloads of modulus's signed coefficients, e_i's images."""
+    return [c.payload for c in modulus.signed_coeffs]
+
+
 def mult_char_poly(f: Poly, modulus: MonicPoly) -> MonicPoly:
-    """Characteristic polynomial of multiplication-by-f on A[X]/(F),
-    computed through the symmetric operators of f mod F."""
+    """Characteristic polynomial of multiplication-by-f on A[X]/(F):
+    the evaluation map of F applied to the monomial form of the
+    symmetric operators of f mod F."""
     f = poly_mod(f, modulus)  # checks the rings
-    u = EvalMap(modulus)
-    ops = sym_ops_of(f, modulus.degree)
-    return MonicPoly.from_signed_coeffs(modulus.ring, [u(s) for s in ops])
+    ring, n = modulus.ring, modulus.degree
+    reps = sym_ops_reps(f._payload_coeffs, n, ring)
+    cs = evaluate_reps(reps, n, ring, _images(modulus))
+    return MonicPoly.from_signed_coeffs(ring, [RingValue(ring, c) for c in cs])
 
 
 def norm(f: Poly, modulus: MonicPoly) -> RingValue:
@@ -68,10 +81,13 @@ def norm(f: Poly, modulus: MonicPoly) -> RingValue:
 
 
 def norm_symmetric(f: Poly, modulus: MonicPoly) -> RingValue:
-    """The defining route: the evaluation map applied to the diagonal
-    tensor of f mod F, (f mod F)(X_1)*...*(f mod F)(X_n)."""
+    """The defining route: the evaluation map applied to the monomial
+    form of the diagonal tensor of f mod F,
+    (f mod F)(X_1)*...*(f mod F)(X_n)."""
     f = poly_mod(f, modulus)  # checks the rings
-    return EvalMap(modulus)(diagonal_tensor(f, modulus.degree))
+    ring, n = modulus.ring, modulus.degree
+    rep = diagonal_rep(f._payload_coeffs, n, ring)
+    return RingValue(ring, evaluate_reps([rep], n, ring, _images(modulus))[0])
 
 
 def norm_checked(f: Poly, modulus: MonicPoly) -> RingValue:

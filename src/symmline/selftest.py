@@ -41,6 +41,7 @@ from .matrices import (
     poly_at_matrix,
 )
 from .norms import (
+    EvalMap,
     mult_char_poly,
     norm,
     norm_checked,
@@ -50,7 +51,7 @@ from .norms import (
 )
 from .multipoly import elementary
 from .oracles import sylvester_resultant
-from .poly import MonicPoly, Poly, PolyRing, poly_gcd
+from .poly import MonicPoly, Poly, PolyRing, poly_gcd, poly_mod
 from .rings import GF, QQ, Zmod, ZZ
 from .sampling import (
     random_monic,
@@ -100,16 +101,20 @@ def check_ring_axioms(rng: Random) -> str:
 
 def check_thm24_equivalence(rng: Random) -> str:
     # GF:7 reaches char_poly's Hessenberg kernel and QQ mult_matrix's
-    # int lift; the symmetric route shares neither
+    # int lift; the symmetric route shares neither.  The decomposition
+    # route, EvalMap on the e-basis operators, checks mult_char_poly's
+    # evaluation of their monomial form.
     ranges = ((ZZ, 5, 6), (Zmod(12), 5, 6), (GF(7), 4, 4), (QQ, 4, 4))
     for ring, deg_modulus, deg_f in ranges:
         for _ in range(40):
             modulus = random_monic(ring, rng, rng.randint(1, deg_modulus))
             f = random_poly(ring, rng, deg_f)
-            _check(
-                mult_char_poly(f, modulus) == char_poly(mult_matrix(f, modulus))
-            )
-    return "160 (F, f) pairs over ZZ, Zmod:12, GF:7 and QQ"
+            chi = mult_char_poly(f, modulus)
+            _check(chi == char_poly(mult_matrix(f, modulus)))
+            u = EvalMap(modulus)
+            ops = sym_ops_of(poly_mod(f, modulus), modulus.degree)
+            _check(tuple(map(u, ops)) == chi.signed_coeffs)
+    return "160 (F, f) pairs over ZZ, Zmod:12, GF:7 and QQ, three routes each"
 
 
 def check_det_routes(rng: Random) -> str:

@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from symmline import matrices, oracles
+from symmline import _symbasis, matrices, oracles
 from symmline.errors import RingMismatchError
 from symmline.homs import RingHom
 from symmline.matrices import char_poly, mult_matrix
@@ -26,7 +26,7 @@ from symmline.sampling import (
     random_symelem,
     random_value,
 )
-from symmline.symmetric import SymElem
+from symmline.symmetric import SymElem, sym_ops_of
 
 RUNNING = MonicPoly(Poly(ZZ, [2, -3, 1]))  # X^2 - 3X + 2, roots 1 and 2
 
@@ -224,6 +224,26 @@ def test_symmetric_routes_reduce_high_degree_f():
             assert chi == char_poly(mult_matrix(f, modulus))
             constant = chi.poly.coeff(0)
             assert (constant if n % 2 == 0 else -constant) == expected
+
+
+def test_norm_routes_evaluate_without_decomposing(monkeypatch):
+    # the norm routes evaluate the monomial form of the operators and
+    # of the diagonal tensor: with the decomposition kernel and EvalMap
+    # both refusing, they still answer, while sym_ops_of cannot
+    def refuse(*args):
+        raise AssertionError("the decomposition route ran")
+
+    monkeypatch.setattr(_symbasis, "decompose_rep", refuse)
+    monkeypatch.setattr(EvalMap, "__call__", refuse)
+    rng = Random(66)
+    for ring in (ZZ, QQ, Zmod(12), PolyRing(ZZ, "T")):
+        for n in (1, 3, 5):
+            modulus = random_monic(ring, rng, n)
+            f = random_poly(ring, rng, n)
+            assert mult_char_poly(f, modulus) == char_poly(mult_matrix(f, modulus))
+            assert norm_symmetric(f, modulus) == norm(f, modulus)
+    with pytest.raises(AssertionError, match="decomposition"):
+        sym_ops_of(Poly(ZZ, [1, 1]), 3)
 
 
 def test_sylvester_matrix_shape():

@@ -1,8 +1,8 @@
 """Every production route has an oracle that bites.
 
-Each row perturbs one route (adds one, negates, or flips the verdict)
-in every symmline namespace that binds it, then runs the selftest
-checks the row names, under their selftest seeds; every one of them must
+Each row perturbs one route (adds one, negates, doubles, or flips the
+verdict) in every symmline namespace that binds it, then runs the
+selftest checks the row names, under their selftest seeds; every one of them must
 fail.  Intact, every check passes under those seeds (run_selftest, in
 test_invariants).  Each row starts from empty _symbasis tables and
 expansion cache.  A row naming a single check is a route with a single
@@ -37,6 +37,10 @@ def _plus_one_corner(columns, rem, fc):
     return columns
 
 
+def _doubled(rep):
+    return {lam: c + c for lam, c in rep.items()}
+
+
 # (module, route, perturbation of (result, *arguments), checks that fail)
 ROWS = [
     (matrices, "_bareiss_int", lambda d, a: d + 1,
@@ -64,8 +68,16 @@ ROWS = [
      "addition-kernel addition-diagonal symmetric-roundtrip sym-ops-specialize"),
     (_symbasis, "decompose_rep",
      lambda out, rep, n, ring: {mu: ring._neg(c) for mu, c in out.items()},
-     "thm24-equivalence norm-oracle split-root-oracle section-identity "
-     "addition-kernel addition-diagonal symmetric-roundtrip sym-ops-specialize"),
+     "thm24-equivalence section-identity addition-kernel addition-diagonal "
+     "symmetric-roundtrip sym-ops-specialize"),
+    (_symbasis, "evaluate_reps",
+     lambda values, reps, n, ring, images: [v + 1 for v in values],
+     "thm24-equivalence norm-oracle split-root-oracle push-norm"),
+    (_symbasis, "diagonal_rep", lambda rep, fp, n, ring: _doubled(rep),
+     "norm-oracle split-root-oracle"),
+    (_symbasis, "sym_ops_reps", lambda reps, fp, n, ring: list(map(_doubled, reps)),
+     "thm24-equivalence section-identity addition-kernel addition-diagonal "
+     "sym-ops-specialize"),
     (quotients, "is_free_quotient", lambda ok, F, u: not ok,
      "criterion-oracle-agreement census-counts"),
     (quotients, "count_points", lambda k, *args: k + 1, "coprimality census-counts"),

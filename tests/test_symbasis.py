@@ -1,6 +1,7 @@
 """The e-monomial expansions against products of elementary polynomials,
 the indexed decomposition kernel against the lead-by-lead heap
-reduction it replaced, and the arity budget of the _symbasis kernels."""
+reduction it replaced, the evaluation kernel against decomposition
+followed by EvalMap, and the arity budget of the _symbasis kernels."""
 
 import heapq
 import inspect
@@ -15,10 +16,10 @@ import pytest
 from symmline import _symbasis
 from symmline.errors import ARITY_BOUND, InvariantViolationError, OracleInfeasibleError
 from symmline.multipoly import MultiPoly, elementary
-from symmline.norms import norm, norm_symmetric
+from symmline.norms import EvalMap, norm, norm_symmetric
 from symmline.poly import MonicPoly, Poly, PolyRing
 from symmline.rings import GF, QQ, Zmod, ZmodRing, ZZ
-from symmline.sampling import random_value
+from symmline.sampling import random_monic, random_poly, random_value
 from symmline.symmetric import SymElem, decompose, diagonal_tensor, sym_ops_of
 
 RINGS = [ZZ, QQ, Zmod(4), Zmod(8), Zmod(12), GF(3), PolyRing(ZZ, "T")]
@@ -186,6 +187,33 @@ def test_decompose_rep_matches_reference_on_mod_m_cancellation():
     assert _symbasis.decompose_rep(rep, 3, ring) == want
 
 
+EVAL_RINGS = [ZZ, QQ, Zmod(12), Zmod(4), GF(7), PolyRing(ZZ, "T"), PolyRing(Zmod(6), "S")]
+
+
+@pytest.mark.parametrize("ring", EVAL_RINGS, ids=lambda r: r.name)
+def test_evaluate_reps_matches_decomposition_then_eval_map(ring):
+    # the operators and diagonal tensor of f mod F, the zero f among
+    # them, and reps spread over several degrees: each image equals
+    # EvalMap of its e-basis decomposition, as the same canonical payload
+    rng = Random(2611)
+    for n in range(1, 7):
+        for k in range(4):
+            F = random_monic(ring, rng, n)
+            f = Poly(ring, []) if k == 0 else random_poly(ring, rng, n - 1)
+            fp = f._payload_coeffs
+            reps = _symbasis.sym_ops_reps(fp, n, ring)
+            reps += [_symbasis.diagonal_rep(fp, n, ring), _random_rep(ring, n, rng), {}]
+            u = EvalMap(F)
+            want = [
+                u(SymElem._from_payloads(ring, n, _symbasis.decompose_rep(rep, n, ring)))
+                for rep in reps
+            ]
+            images = [c.payload for c in F.signed_coeffs]
+            got = _symbasis.evaluate_reps(reps, n, ring, images)
+            assert got == [v.payload for v in want], (n, F, f)
+            assert [type(v) for v in got] == [type(v.payload) for v in want]
+
+
 def test_tables_grow_by_appending(monkeypatch):
     # fresh, empty tables and cache, so earlier calls cannot pre-grow them
     monkeypatch.setattr(_symbasis, "_TABLES", {})
@@ -226,6 +254,8 @@ def test_arity_bound_is_checked_before_work(monkeypatch):
         _symbasis.decompose_rep({(1,) * over: 1}, over, ZZ)
     with pytest.raises(OracleInfeasibleError):
         decompose(MultiPoly(ZZ, over, {(0,) * over: 1}))
+    with pytest.raises(OracleInfeasibleError):
+        _symbasis.evaluate_reps([{(1,) * over: 1}], over, ZZ, [0] * over)
     assert _symbasis._TABLES == {} and _symbasis._ELEM_CACHE == {}
     # the bound itself is admitted, and so is the benchmark's arity 7
     assert ARITY_BOUND >= 7
@@ -260,13 +290,15 @@ def test_expansion_above_its_lead_is_a_typed_error(monkeypatch):
 
 def test_cold_arity_7_norm_builds_a_pinned_number_of_expansions(monkeypatch):
     # the peel order decides which e-monomials the cache holds; a cold
-    # norm_symmetric of this shape needs 1,630 of them
+    # norm_symmetric of this shape needs 1,673 of them, one for every
+    # partition at or below the top one of each degree of the diagonal
+    # tensor, since the forward substitution fills each of those indices
     monkeypatch.setattr(_symbasis, "_TABLES", {})
     monkeypatch.setattr(_symbasis, "_ELEM_CACHE", {})
     F = MonicPoly(Poly(ZZ, [2, 1, 3, 0, 0, 0, 0, 1]))  # X^7 + 3X^2 + X + 2
     f = Poly(ZZ, [5, 1, 0, 2, 0, 0, 1])  # X^6 + 2X^3 + X + 5
     assert norm_symmetric(f, F) == norm(f, F) == ZZ.value(106176)
-    assert len(_symbasis._ELEM_CACHE) == 1630
+    assert len(_symbasis._ELEM_CACHE) == 1673
 
 
 def test_cold_expansion_needs_no_recursion_depth(monkeypatch):
