@@ -23,7 +23,13 @@ import json
 import sys
 import time
 
-from .errors import ParseError, SymmlineError, _check_arity
+from .errors import (
+    ParseError,
+    SymmlineError,
+    UnsupportedRingError,
+    _agree,
+    _check_arity,
+)
 from .quotients import (
     MultSet,
     addition_map,
@@ -39,7 +45,6 @@ from .multipoly import MultiPoly
 # norm is bound here for the benchmark's tracer test, which reads cli.norm
 from .norms import _resultant_symmetry, mult_char_poly, norm, norm_checked, push_norm
 from .oracles import charpoly_cofactor, sylvester_resultant
-from .errors import InvariantViolationError, UnsupportedRingError
 from .parsing import (
     parse_multipoly,
     parse_poly,
@@ -108,12 +113,9 @@ def _cmd_charpoly(args, ring):
     modulus = _monic(args.F, ring)
     f = parse_poly(args.f, ring)
     symbolic = mult_char_poly(f, modulus)
-    via_matrix = char_poly(mult_matrix(f, modulus))
-    if symbolic != via_matrix:
-        raise InvariantViolationError(
-            f"characteristic polynomial routes disagree:"
-            f" {symbolic} vs {via_matrix}"
-        )
+    via_matrix = _agree(
+        char_poly(mult_matrix(f, modulus)), symbolic, "characteristic polynomial routes"
+    )
     return (
         str(symbolic),
         {"matrix": str(via_matrix)},
@@ -132,9 +134,7 @@ def _cmd_sym_ops(args, ring):
 def _cmd_decompose(args, ring):
     m = parse_multipoly(args.expr, ring, args.n)
     s = decompose(m)
-    expanded_back = s.expand() == m
-    if not expanded_back:
-        raise InvariantViolationError("expansion of the result differs")
+    _agree(s.expand(), m, "the expanded decomposition and the input")
     return (
         str(s),
         {"expand_back_equal": True},
@@ -188,11 +188,7 @@ def _cmd_push_norm(args, ring):
     modulus = _monic(args.F, ring)
     f = parse_poly(args.f, ring)
     pushed, recomputed = push_norm(hom, f, modulus)
-    equal = pushed == recomputed
-    if not equal:
-        raise InvariantViolationError(
-            f"push_norm components differ: {pushed} vs {recomputed}"
-        )
+    _agree(recomputed, pushed, "pushed norm and norm after base change")
     return (
         {"pushed": str(pushed), "recomputed": str(recomputed)},
         {"equal": True},
@@ -211,11 +207,11 @@ def _cmd_membership(args, ring):
     oracle = None
     if isinstance(ring, ZmodRing) and mult_set.kind == "generated":
         if ring.modulus ** modulus.degree <= 4096:
-            agreed = free_quotient_oracle(modulus, mult_set)
-            if agreed != member:
-                raise InvariantViolationError(
-                    "membership criterion and exhaustive oracle disagree"
-                )
+            agreed = _agree(
+                free_quotient_oracle(modulus, mult_set),
+                member,
+                "membership criterion and exhaustive oracle",
+            )
             oracle = {"exhaustive_search": agreed}
     lines = [f"free quotient: {_bool(member)}"]
     if oracle is not None:
@@ -228,11 +224,7 @@ def _cmd_recover(args, ring):
     result = recover_monic(theta)
     oracle = None
     if theta.n <= 4:
-        cross = charpoly_cofactor(theta)
-        if cross != result:
-            raise InvariantViolationError(
-                "cofactor characteristic polynomial differs"
-            )
+        cross = _agree(charpoly_cofactor(theta), result, "cofactor and char_poly")
         oracle = {"cofactor": str(cross)}
     lines = [f"monic generator = {result}"]
     return str(result), oracle, lines

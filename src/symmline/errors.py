@@ -1,9 +1,11 @@
-"""Exception types shared across the library, and the work budgets
-whose excess raises OracleInfeasibleError.
+"""Exception types shared across the library, the work budgets whose
+excess raises OracleInfeasibleError, and the agreement rule.
 
 The CLI maps ParseError to exit status 2 and every other SymmlineError
 (or ValueError) to exit status 1, printing the class name.  The budgets
-live here, below every module that checks them.
+live here, below every module that checks them.  _agree is the one
+place where two routes to the same answer are compared: it returns the
+first answer, or raises InvariantViolationError naming both.
 """
 
 # work budgets, each checked before the work starts and raised as
@@ -41,6 +43,13 @@ class OracleInfeasibleError(SymmlineError, RuntimeError):
 
 class InvariantViolationError(SymmlineError, RuntimeError):
     """Two routes that must agree disagreed; indicates a library bug."""
+
+
+def _agree(value, expected, what: str):
+    """value, when it equals expected; else InvariantViolationError."""
+    if value != expected:
+        raise InvariantViolationError(f"{what} disagree: {value} vs {expected}")
+    return value
 
 
 class ParseError(SymmlineError, ValueError):

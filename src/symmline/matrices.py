@@ -38,8 +38,8 @@ QQ norm, hands those int columns to Bareiss and forms one Fraction.
 Every container of the library stores one form, canonical payloads:
 a SquareMatrix its rows, a Poly its coefficients and a MultiPoly or
 SymElem its terms.  The SquareMatrix constructor checks each entry
-through ring.value and keeps its payload; rows, entry and column wrap
-payloads in ring values when read; +, -, * and scale run on payloads
+through ring.value and keeps its payload; rows and entry wrap payloads
+in ring values when read; +, -, * and scale run on payloads
 with the ring's _add, _neg and _mul.  So norm = det(mult_matrix(f, F))
 hands the payloads of f and F straight through to det's kernels.
 """
@@ -57,8 +57,8 @@ from .rings import IntegerRing, RationalRing, Ring, RingValue, ZmodRing
 
 
 class SquareMatrix:
-    """An n x n matrix stored as rows of canonical payloads; rows, entry
-    and column wrap them in ring values each time they are read."""
+    """An n x n matrix stored as rows of canonical payloads; rows and
+    entry wrap them in ring values each time they are read."""
 
     __slots__ = ("ring", "n", "_payload_rows")
 
@@ -100,9 +100,6 @@ class SquareMatrix:
 
     def entry(self, i: int, j: int) -> RingValue:
         return RingValue(self.ring, self._payload_rows[i][j])
-
-    def column(self, j: int) -> tuple[RingValue, ...]:
-        return tuple(RingValue(self.ring, row[j]) for row in self._payload_rows)
 
     def _check(self, other: SquareMatrix):
         if self.ring != other.ring:

@@ -17,10 +17,10 @@ constructors validate every exponent and coefficient.  _sparse_eval
 evaluates a map of payloads with one power table per value.  It takes
 the algebra to work in as arguments, so MultiPoly.evaluate and
 SymElem.substitute run it on payloads, and SymElem.expand,
-SymPoly1.expand and the addition and section maps of quotients run it
-on polynomials.  MultiPoly names its arithmetic and evaluate in its own
-class body because perfbench/tracer.py spans those methods by reading
-MultiPoly.__dict__; its arity is also nvars.
+SymPoly1.expand and quotients._substitute (the addition and section
+maps) run it on polynomials.  MultiPoly names its arithmetic and
+evaluate in its own class body because perfbench/tracer.py spans those
+methods by reading MultiPoly.__dict__; its arity is also nvars.
 """
 
 from __future__ import annotations

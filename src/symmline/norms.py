@@ -24,7 +24,7 @@ keeps their cost bounded by deg F instead of growing with deg f.
 from __future__ import annotations
 
 from ._symbasis import diagonal_rep, evaluate_reps, sym_ops_reps
-from .errors import InvariantViolationError
+from .errors import _agree
 from .homs import RingHom
 from .matrices import det, mult_matrix, rational_norm
 from .poly import MonicPoly, Poly, poly_mod
@@ -94,14 +94,8 @@ def norm_checked(f: Poly, modulus: MonicPoly) -> RingValue:
     """Both norm routes, compared; disagreement is a library bug.  The
     symmetric route runs first: it refuses a deg F over ARITY_BOUND
     before the determinant route does O(n^3) or O(n^4) work."""
-    b = norm_symmetric(f, modulus)
-    a = norm(f, modulus)
-    if a != b:
-        raise InvariantViolationError(
-            f"norm routes disagree for f={f}, F={modulus}: matrix {a},"
-            f" symmetric {b}"
-        )
-    return a
+    symmetric = norm_symmetric(f, modulus)
+    return _agree(norm(f, modulus), symmetric, "matrix and symmetric norms")
 
 
 def resultant_symmetry_check(first: MonicPoly, second: MonicPoly) -> bool:
@@ -133,10 +127,9 @@ def push_norm(hom: RingHom, f: Poly, modulus: MonicPoly) -> tuple[RingValue, Rin
 
     upstairs = mult_char_poly(f, modulus)
     downstairs = mult_char_poly(f_img, modulus_img)
-    pushed = [hom(c) for c in upstairs.signed_coeffs]
-    if tuple(pushed) != downstairs.signed_coeffs:
-        raise InvariantViolationError(
-            f"coefficient base change failed for f={f}, F={modulus},"
-            f" hom={hom.describe()}"
-        )
+    _agree(
+        tuple(map(hom, upstairs.signed_coeffs)),
+        downstairs.signed_coeffs,
+        "pushed and base-changed charpoly coefficients",
+    )
     return hom(norm(f, modulus)), norm(f_img, modulus_img)

@@ -42,7 +42,10 @@ The addition map sends the symmetric ring on n letters to the symmetric
 ring on n-1 letters tensored with one polynomial factor, on the basis
 symbols e_i -> e_i + e_(i-1)*X (with e_0 = 1 and e_n = 0 downstairs).
 Its section recovers e_i upstairs recursively, and its kernel contains
-the generic monic polynomial of sym_char_poly(X, n).
+the generic monic polynomial of sym_char_poly(X, n).  Both are ring
+maps given by their images of e_1, e_2, ..., extended X-linearly;
+_substitute applies such a map, and addition_map, apply_addition and
+section_map each build their images and call it once.
 """
 
 from __future__ import annotations
@@ -54,9 +57,9 @@ from math import comb
 from .errors import (
     CENSUS_BOUND,
     ORACLE_SEARCH_BOUND,
-    InvariantViolationError,
     OracleInfeasibleError,
     UnsupportedRingError,
+    _agree,
 )
 from .matrices import SquareMatrix, char_poly, poly_at_matrix
 from .multipoly import _sparse_eval
@@ -262,12 +265,25 @@ def recover_monic(theta: SquareMatrix) -> MonicPoly:
     map onto a free rank-n quotient whose X-action is theta: its
     characteristic polynomial.  Verifies F(theta) = 0 before returning."""
     result = char_poly(theta)
-    value = poly_at_matrix(result, theta)
-    if value != SquareMatrix.zero(theta.ring, theta.n):
-        raise InvariantViolationError(
-            f"characteristic polynomial does not annihilate {theta}"
-        )
+    zero = SquareMatrix.zero(theta.ring, theta.n)
+    _agree(poly_at_matrix(result, theta), zero, "F(theta) and the zero matrix")
     return result
+
+
+def _substitute(coeffs, images, sym: SymRing) -> SymPoly1:
+    """sum_j coeffs[j](e_i -> images[i-1]) * X^j over sym, for SymElem
+    coeffs and SymPoly1 images over sym: the ring map e_i -> images[i-1]
+    extended X-linearly."""
+    def lift(c):
+        return SymPoly1._from_payloads(sym, (sym._const(c),))
+
+    acc = SymPoly1._from_payloads(sym, ())
+    for j, c in enumerate(coeffs):
+        term = _sparse_eval(
+            sym.base, c._payload_terms, images, lift, operator.add, operator.mul
+        )
+        acc = acc + term.shift(j)
+    return acc
 
 
 def _addition_images(sym: SymRing) -> list[SymPoly1]:
@@ -286,26 +302,16 @@ def _addition_images(sym: SymRing) -> list[SymPoly1]:
 def addition_map(s: SymElem) -> SymPoly1:
     """Apply the addition homomorphism to an arity-n symmetric element;
     the result has symmetric coefficients of arity n-1."""
-    n = s.arity
-    if n < 1:
+    if s.arity < 1:
         raise ValueError("arity must be >= 1")
-    sym = SymRing(s.ring, n - 1)
-    return _sparse_eval(
-        s.ring,
-        s._payload_terms,
-        _addition_images(sym),
-        lambda c: SymPoly1._from_payloads(sym, (sym._const(c),)),
-        operator.add,
-        operator.mul,
-    )
+    sym = SymRing(s.ring, s.arity - 1)
+    return _substitute((s,), _addition_images(sym), sym)
 
 
 def apply_addition(t: SymPoly1) -> SymPoly1:
     """Extend the addition map X-linearly to polynomials in the outer X."""
-    acc = SymPoly1.zero(t.ring.base, t.arity - 1)
-    for j, c in enumerate(t.coeffs):
-        acc = acc + addition_map(c).shift(j)
-    return acc
+    sym = SymRing(t.ring.base, t.arity - 1)
+    return _substitute(t.coeffs, _addition_images(sym), sym)
 
 
 def section_map(t: SymPoly1) -> SymPoly1:
@@ -315,22 +321,10 @@ def section_map(t: SymPoly1) -> SymPoly1:
     ring = t.ring.base
     sym = SymRing(ring, k + 1)
     images = [SymPoly1._from_payloads(sym, (sym._one,))]
-    x = SymPoly1._from_payloads(sym, (sym._zero, sym._one))
     for i in range(1, k + 1):
         upstairs = SymPoly1._from_payloads(sym, (SymElem.e(i, k + 1, ring),))
-        images.append(upstairs - images[i - 1] * x)
-    acc = SymPoly1._from_payloads(sym, ())
-    for j, c in enumerate(t.coeffs):
-        term = _sparse_eval(
-            ring,
-            c._payload_terms,
-            images[1:],
-            lambda v: SymPoly1._from_payloads(sym, (sym._const(v),)),
-            operator.add,
-            operator.mul,
-        )
-        acc = acc + term.shift(j)
-    return acc
+        images.append(upstairs - images[i - 1].shift(1))
+    return _substitute(t.coeffs, images[1:], sym)
 
 
 def addition_kernel_check(n: int, ring: Ring = ZZ) -> bool:

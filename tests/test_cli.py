@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import symmline
-from symmline import cli, errors
+from symmline import cli, errors, matrices, norms
 from symmline.cli import build_parser, run
 from symmline.errors import ARITY_BOUND
+from symmline.poly import MonicPoly, Poly
 from symmline.selftest import DEFAULT_SEED
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -210,17 +211,68 @@ def test_section_verb(capsys):
     assert payload["result"] == "-X + e1"
 
 
-def test_norm_routes_disagreeing_is_an_invariant_violation(capsys, monkeypatch):
-    # norm runs norm_checked, so a wrong symmetric route seen through the
-    # norms module is caught
-    monkeypatch.setattr(
-        symmline.norms, "norm_symmetric", lambda f, F: F.ring.value(7)
-    )
-    code, _, err = invoke(
-        capsys, "norm", "--ring", "ZZ", "--F", "X^2-3*X+2", "--f", "X-4"
-    )
+def _unit_bump(p):
+    return MonicPoly(p + Poly(p.ring, [1]))
+
+
+# (argv, namespace whose binding the verb calls, route, wrong answer made
+# from the right one); membership's oracle runs when q^deg F <= 4096 and
+# recover's when the matrix has at most 4 rows
+CROSS_CHECKED = [
+    (("norm", "--ring", "ZZ", "--F", "X^2-3*X+2", "--f", "X-4"),
+     norms, "norm", lambda v: v + 1),
+    (("charpoly", "--ring", "ZZ", "--F", "X^2-3*X+2", "--f", "X-4"),
+     cli, "mult_char_poly", _unit_bump),
+    (("decompose", "--ring", "ZZ", "--n", "2", "--expr", "X1^2+X2^2"),
+     cli, "decompose", lambda s: -s),
+    (("push-norm", "--ring", "ZZ", "--to", "Zmod:5", "--F", "X^2-3*X+2",
+      "--f", "X-4"),
+     cli, "push_norm", lambda ab: (ab[0] + 1, ab[1])),
+    (("membership", "--ring", "GF:5", "--F", "X^2+1", "--multset", "gens:X+1"),
+     cli, "is_free_quotient", lambda ok: not ok),
+    (("recover", "--ring", "ZZ", "--matrix", "1,2;3,4"),
+     cli, "recover_monic", _unit_bump),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, namespace, route, wrong",
+    CROSS_CHECKED,
+    ids=[row[0][0] for row in CROSS_CHECKED],
+)
+def test_cross_check_disagreement_fails_closed(
+    capsys, monkeypatch, argv, namespace, route, wrong
+):
+    original = getattr(namespace, route)
+    monkeypatch.setattr(namespace, route, lambda *args: wrong(original(*args)))
+    code, out, err = invoke(capsys, *argv)
     assert code == 1
     assert "InvariantViolationError" in err
+    assert out == ""
+
+
+def test_symmetric_route_refuses_before_the_determinant_route(capsys, monkeypatch):
+    # the symmetric route refuses deg F > ARITY_BOUND at once; a
+    # determinant route run first would do O(n^3) or O(n^4) work
+    def ran(*args):
+        raise AssertionError("a determinant route ran")
+
+    routes = (matrices.char_poly, matrices.det)
+    for name, namespace in list(sys.modules.items()):
+        if name.partition(".")[0] == "symmline":
+            for attr, value in list(vars(namespace).items()):
+                if any(value is route for route in routes):
+                    monkeypatch.setattr(namespace, attr, ran)
+    F = f"(X+1)^{ARITY_BOUND + 1}"
+    for argv in (
+        ("norm", "--ring", "ZZ", "--F", F, "--f", "X+2"),
+        ("charpoly", "--ring", "ZZ", "--F", F, "--f", "X+2"),
+        ("push-norm", "--ring", "ZZ", "--to", "Zmod:5", "--F", F, "--f", "X+2"),
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1, argv
+        assert f"OracleInfeasibleError: arity {ARITY_BOUND + 1} exceeds" in err
+        assert out == ""
 
 
 def test_parse_error_exit_code(capsys):

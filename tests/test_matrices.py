@@ -159,7 +159,7 @@ def _assert_columns(g, f):
     n = f.degree
     for j in range(n):
         col = poly_divmod(g * x**j, f)[1]
-        assert list(m.column(j)) == [col.coeff(i) for i in range(n)]
+        assert [r[j] for r in m.rows] == [col.coeff(i) for i in range(n)]
 
 
 def test_mult_matrix_columns_definition():
@@ -429,5 +429,5 @@ def test_mult_matrix_over_qq_matches_definition():
                 m = mult_matrix(f, modulus)
                 for j in range(n):
                     col = poly_mod(f * x**j, modulus)
-                    assert list(m.column(j)) == [col.coeff(i) for i in range(n)]
+                    assert [r[j] for r in m.rows] == [col.coeff(i) for i in range(n)]
                 assert norm(f, modulus) == det(m) == _berkowitz_det(m)

@@ -89,8 +89,13 @@ ROWS = [
     # a single detector: only census-counts sends every monic F to a
     # local-at set, and no oracle covers local-at membership
     (quotients, "_is_power_of_linear", lambda ok, F, a: not ok, "census-counts"),
+    # negating the shared substitution cancels in section-identity and
+    # section-partial, which compose the section with the addition map
+    (quotients, "_substitute", lambda t, *args: -t,
+     "addition-homomorphism addition-diagonal"),
     (quotients, "addition_map", lambda t, s: -t,
-     "addition-homomorphism section-identity section-partial addition-diagonal"),
+     "addition-homomorphism addition-diagonal"),
+    (quotients, "apply_addition", lambda t, s: -t, "section-identity section-partial"),
     (quotients, "section_map", lambda t, s: -t, "section-identity section-partial"),
     (quotients, "recover_monic",
      lambda F, theta: MonicPoly(F + Poly(F.ring, [1])),

@@ -15,6 +15,7 @@ from symmline.quotients import (
     MultSet,
     addition_diagonal_check,
     addition_map,
+    apply_addition,
     count_points,
     free_quotient_oracle,
     is_free_quotient,
@@ -22,10 +23,11 @@ from symmline.quotients import (
     section_map,
 )
 from symmline.matrices import SquareMatrix
-from symmline.norms import norm
+from symmline.norms import EvalMap, norm
+from symmline.parsing import parse_ring
 from symmline.poly import MonicPoly, Poly, PolyRing, poly_gcd
 from symmline.rings import GF, QQ, Zmod, ZZ
-from symmline.sampling import random_monic
+from symmline.sampling import random_monic, random_symelem, random_value
 from symmline.selftest import (
     _all_monic,
     _all_polys,
@@ -335,6 +337,42 @@ def test_addition_after_section_is_identity():
 
 def test_addition_kernel():
     run_check("addition-kernel", seed="test_addition_kernel")
+
+
+def _at(t, G, a):
+    """t at (e' -> c(G), X -> a): EvalMap(G) on each coefficient, then
+    Horner in a."""
+    at_g = EvalMap(G)
+    acc = a.ring.zero
+    for c in reversed(t.coeffs):
+        acc = acc * a + at_g(c)
+    return acc
+
+
+def _random_sympoly1(ring, arity, rng):
+    coeffs = [random_symelem(ring, arity, rng, max_weight=4) for _ in range(3)]
+    return SymPoly1(ring, arity, coeffs[: rng.randint(1, 3)])
+
+
+@pytest.mark.parametrize("spec", ["ZZ", "QQ", "Zmod:12", "GF:7", "Poly:ZZ:T"])
+def test_addition_and_section_specialize_at_a_split_root(spec):
+    # the roots of H = G*(Y - a) are those of G and a, so e_i at H's
+    # roots is e_i + e_(i-1)*a at G's: at (e' -> c(G), X -> a) the
+    # addition map is EvalMap(H) and the section map undoes it.  The
+    # oracle is EvalMap, not the substitution the maps share.
+    ring = parse_ring(spec)
+    rng = Random(f"split-root:{spec}")
+    for _ in range(20):
+        k = rng.randint(1, 3)
+        G = random_monic(ring, rng, k)
+        a = random_value(ring, rng)
+        H = MonicPoly(G * Poly(ring, [-a, ring.one]))
+        s = random_symelem(ring, k + 1, rng, max_weight=5)
+        assert _at(addition_map(s), G, a) == EvalMap(H)(s)
+        u = _random_sympoly1(ring, k + 1, rng)
+        assert _at(apply_addition(u), G, a) == _at(u, H, a)
+        t = _random_sympoly1(ring, k, rng)
+        assert _at(section_map(t), H, a) == _at(t, G, a)
 
 
 def test_addition_diagonal_worked_example():
