@@ -48,9 +48,13 @@ implies lex order, so the loop is a forward substitution:
     the fewest position sets (the smallest C(n, i), ties to the larger
     i, so e_n is a pure shift).  A product total that its orbit size
     does not divide, or a term above the lead in the table (the
-    well-ordering argument), is an InvariantViolationError; _expansion,
-    the one place decompose_rep and evaluate_reps read an expansion
-    through, checks on each use that it leads with 1 at its lead's index.
+    well-ordering argument), is an InvariantViolationError.
+  * A table refers to the expansion led by its j-th partition from a
+    list parallel to parts, filled on the first read: the very dict
+    _ELEM_CACHE holds under (n, mu), not a copy, so the expansions are
+    stored once and a read by index hashes no (n, mu).  _expansion, the
+    one place decompose_rep and evaluate_reps read an expansion through,
+    checks on every read that it leads with 1 at its lead's index.
   * decompose_rep groups its input by degree, fills a dense remainder
     list per degree, and scans the indices downward from the input's
     top one.  Every expansion read at index j writes only below j, so
@@ -72,15 +76,21 @@ call; _ELEM_CACHE stays the only cache.  The substitution reads the
 expansion at every index up to the top, not only at the nonzero leads
 that decompose_rep visits, so it may build a few more of them.
 
-sym_ops_reps expands prod_i (Y - f(X_i)) one variable at a time: if
-s_(i,k) denotes the i-th signed coefficient over the first k variables,
-then s_(i,k) = s_(i,k-1) + s_(i-1,k-1) * f(X_k).  A polynomial that is
-symmetric in the first k-1 variables times a polynomial in X_k alone is
-stored as a map (partition, X_k-degree) -> coefficient; once the sum is
-known to be fully symmetric, the compressed coefficient of a sorted
-tuple pi is read off the single key (pi[:-1], pi[-1]), and keys whose
-X_k-degree exceeds the smallest prefix exponent are redundant, so they
-are never formed.  diagonal_rep runs the same step for f(X_1)...f(X_n).
+sym_ops_reps writes down the signed coefficients of prod_k (Y - f(X_k)),
+s_i = e_i(f(X_1), ..., f(X_n)), in closed form (Macdonald, Symmetric
+Functions and Hall Polynomials, I.2): with l the number of nonzero parts
+of lam,
+
+    s_i[lam] = C(n - l, i - l) * f_0^(i - l) * prod_{p in lam, p > 0} f_p.
+
+Proof: s_i sums prod_{k in S} f(X_k) over the i-sets S, and the monomial
+X^lam arises exactly from the C(n - l, i - l) sets S that contain its l
+nonzero positions, each taking f_(lam_k) at those and f_0 at the other
+i - l.  _monomials walks the partitions into at most n parts drawn from
+f's nonzero exponents j >= 1, carrying the product of f_j over each
+one's parts; a product that vanishes drops out with every partition that
+extends it.  diagonal_rep, the rep of f(X_1)...f(X_n) = s_n, is the
+slice i = n.
 
 All four kernels run on raw payloads with their native + - *
 operators (ZZ ints, QQ Fractions, the Poly payloads of a tower), with no
@@ -101,11 +111,15 @@ matrices._berkowitz states too:
     and each image of a rep mod m as it is formed.
   * The int scalar k of an expansion multiplies a payload directly; only
     Poly payloads take ring._from_int(k), a choice made once per call.
-  * sym_ops_reps and diagonal_rep reduce each coefficient of a step
-    before dropping the zeros.  All outputs are canonical and nonzero.
+  * sym_ops_reps and diagonal_rep reduce each product of f_j, each
+    power of f_0, each scale C(n - l, i - l) * f_0^(i - l) and each
+    coefficient as it is formed, and drop the zeros.  All outputs are
+    canonical and nonzero.
 
-The four kernels are what grows the process-global tables and cache,
-so each refuses an arity above errors.ARITY_BOUND before any work.
+decompose_rep and evaluate_reps grow the process-global tables and
+cache, and the reps of sym_ops_reps and diagonal_rep grow with the
+arity too, so each of the four refuses an arity above
+errors.ARITY_BOUND before any work.
 """
 
 from __future__ import annotations
@@ -124,9 +138,10 @@ Partition = tuple  # descending ints, fixed length = number of variables
 class _Table:
     """The partitions of one degree into at most n parts whose largest
     part is at most cap, in ascending lex order, with their positions,
-    their e-exponent tuples and the sizes of their orbits."""
+    their e-exponent tuples, the sizes of their orbits and, once read,
+    their expansions (the _ELEM_CACHE entries themselves, None before)."""
 
-    __slots__ = ("cap", "parts", "index", "mus", "orbits")
+    __slots__ = ("cap", "parts", "index", "mus", "orbits", "expansions")
 
     def __init__(self):
         self.cap = -1
@@ -134,6 +149,7 @@ class _Table:
         self.index: dict[Partition, int] = {}
         self.mus: list[tuple[int, ...]] = []
         self.orbits: list[int] = []
+        self.expansions: list[dict[int, int] | None] = []
 
 
 # (n, degree) -> _Table; a table only ever grows, so an index, once
@@ -169,6 +185,7 @@ def _table(n: int, d: int, cap: int) -> _Table:
             table.mus.append(tuple(a - b for a, b in zip(lam, lam[1:] + (0,))))
             runs = (len(list(run)) for _, run in groupby(lam))
             table.orbits.append(factorial(n) // prod(map(factorial, runs)))
+            table.expansions.append(None)
         table.cap = cap
     return table
 
@@ -243,11 +260,14 @@ def _modulus(ring) -> int:
 
 def _expansion(n: int, table: _Table, j: int) -> dict[int, int]:
     """The expansion of e^mu for the j-th partition lam of table, mu its
-    e-exponents, checked to lead with 1 at j."""
-    mu = table.mus[j]
-    expansion = elem_monomial(n, mu)
+    e-exponents, checked on every read to lead with 1 at j."""
+    expansion = table.expansions[j]
+    if expansion is None:
+        expansion = table.expansions[j] = elem_monomial(n, table.mus[j])
     if expansion.get(j) != 1:
-        raise InvariantViolationError(f"e-monomial {mu} does not lead with {table.parts[j]}")
+        raise InvariantViolationError(
+            f"e-monomial {table.mus[j]} does not lead with {table.parts[j]}"
+        )
     return expansion
 
 
@@ -334,68 +354,73 @@ def evaluate_reps(reps, n: int, ring, images) -> list:
     return out
 
 
-def _times_f(partial: dict, rep: dict, fterms) -> None:
-    """Add rep * f(X_k) into partial, keyed (partition, X_k-degree),
-    skipping the keys whose X_k-degree exceeds the partition's last part."""
-    for lam, c in rep.items():
-        top = lam[-1] if lam else fterms[-1][0]
-        for j, a in fterms:
-            if j > top:
-                break
-            key = (lam, j)
-            got = partial.get(key)
-            partial[key] = c * a if got is None else got + c * a
-
-
-def _fold(partial: dict, m: int, zero) -> dict[Partition, object]:
-    """The compressed rep read off partial, reduced mod m when m > 0."""
-    rep = {}
-    for (lam, e), c in partial.items():
-        if m:
-            c %= m
-        if c != zero:
-            rep[lam + (e,)] = c
-    return rep
-
-
-def _nonzero_terms(fpayloads, ring) -> list[tuple[int, object]]:
-    zero = ring._from_int(0)
-    return [(j, a) for j, a in enumerate(fpayloads) if a != zero]
-
-
-def _extend(prev_reps: dict[int, dict], k: int, fterms, ring) -> dict[int, dict]:
-    """One variable-adjoining step of the signed-coefficient recursion."""
+def _monomials(fpayloads, n: int, ring) -> list[list]:
+    """The partitions into at most n parts drawn from f's nonzero
+    exponents j >= 1, by number of parts l: levels[l] lists (parts, top,
+    p) for the l nonzero parts, descending, the number top of f's terms
+    the next part may be drawn from, and p the product of f_j over the
+    parts, reduced mod m.  A product that vanishes is dropped together
+    with every partition that extends it, whose product is a multiple
+    of it."""
     m = _modulus(ring)
     zero = ring._from_int(0)
-    cur: dict[int, dict] = {0: {(0,) * k: ring._from_int(1)}}
-    for i in range(1, k + 1):
-        partial = {(lam, 0): c for lam, c in prev_reps.get(i, {}).items()}
-        if fterms:
-            _times_f(partial, prev_reps.get(i - 1, {}), fterms)
-        cur[i] = _fold(partial, m, zero)
-    return cur
+    fterms = [(j, a) for j, a in enumerate(fpayloads) if j and a != zero]
+    levels = [[((), len(fterms), ring._from_int(1))]]
+    for _ in range(n):
+        grown = []
+        for parts, top, p in levels[-1]:
+            for k, (j, a) in enumerate(fterms[:top]):
+                q = p * a
+                if m:
+                    q %= m
+                if q != zero:
+                    grown.append((parts + (j,), k + 1, q))
+        levels.append(grown)
+    return levels
+
+
+def _sym_reps(fpayloads, n: int, ring, first: int) -> list[dict[Partition, object]]:
+    """Compressed reps of e_i(f(X_1), ..., f(X_n)) for i = first..n: the
+    closed form C(n - l, i - l) * f_0^(i - l) * p at each partition of
+    _monomials, padded with zeros to n parts."""
+    m = _modulus(ring)
+    embed = ring._from_int if isinstance(ring, PolyRing) else None
+    zero, one = ring._from_int(0), ring._from_int(1)
+    f0 = fpayloads[0] if fpayloads else zero
+    powers = [one]  # powers[k] = f_0^k
+    for _ in range(n):
+        v = powers[-1] * f0
+        powers.append(v % m if m else v)
+    reps: list[dict] = [{} for _ in range(first, n + 1)]
+    for l, level in enumerate(_monomials(fpayloads, n, ring)):
+        # the nonzero scales C(n - l, i - l) * f_0^(i - l), each with the rep of its i
+        scales = []
+        for i in range(max(l, first), n + 1):
+            k = comb(n - l, i - l)
+            v = (k if embed is None else embed(k)) * powers[i - l]
+            if m:
+                v %= m
+            if v != zero:
+                scales.append((reps[i - first], v))
+        pad = (0,) * (n - l)
+        for parts, _, p in level:
+            lam = parts + pad
+            for rep, v in scales:
+                c = v * p
+                if m:
+                    c %= m
+                if c != zero:
+                    rep[lam] = c
+    return reps
 
 
 def sym_ops_reps(fpayloads, n: int, ring) -> list[dict[Partition, object]]:
     """Compressed reps of the signed coefficients of prod_i (Y - f(X_i))."""
     _check_arity(n)
-    fterms = _nonzero_terms(fpayloads, ring)
-    reps: dict[int, dict] = {0: {(): ring._from_int(1)}}
-    for k in range(1, n + 1):
-        reps = _extend(reps, k, fterms, ring)
-    return [reps[i] for i in range(1, n + 1)]
+    return _sym_reps(fpayloads, n, ring, 1)
 
 
 def diagonal_rep(fpayloads, n: int, ring) -> dict[Partition, object]:
     """Compressed rep of f(X_1) * ... * f(X_n)."""
     _check_arity(n)
-    m = _modulus(ring)
-    zero = ring._from_int(0)
-    fterms = _nonzero_terms(fpayloads, ring)
-    rep: dict[tuple, object] = {(): ring._from_int(1)}
-    for _ in range(n):
-        partial: dict[tuple, object] = {}
-        if fterms:
-            _times_f(partial, rep, fterms)
-        rep = _fold(partial, m, zero)
-    return rep
+    return _sym_reps(fpayloads, n, ring, n)[0]

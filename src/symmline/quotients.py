@@ -299,18 +299,24 @@ def _addition_images(sym: SymRing) -> list[SymPoly1]:
     ]
 
 
+def _downstairs(ring: Ring, arity: int) -> SymRing:
+    """The symmetric ring of arity n-1 the addition map lands in, for an
+    arity n >= 1."""
+    if arity < 1:
+        raise ValueError("arity must be >= 1")
+    return SymRing(ring, arity - 1)
+
+
 def addition_map(s: SymElem) -> SymPoly1:
     """Apply the addition homomorphism to an arity-n symmetric element;
     the result has symmetric coefficients of arity n-1."""
-    if s.arity < 1:
-        raise ValueError("arity must be >= 1")
-    sym = SymRing(s.ring, s.arity - 1)
+    sym = _downstairs(s.ring, s.arity)
     return _substitute((s,), _addition_images(sym), sym)
 
 
 def apply_addition(t: SymPoly1) -> SymPoly1:
     """Extend the addition map X-linearly to polynomials in the outer X."""
-    sym = SymRing(t.ring.base, t.arity - 1)
+    sym = _downstairs(t.ring.base, t.arity)
     return _substitute(t.coeffs, _addition_images(sym), sym)
 
 
@@ -339,7 +345,10 @@ def addition_kernel_check(n: int, ring: Ring = ZZ) -> bool:
 def addition_diagonal_check(f: Poly, n: int) -> bool:
     """Whether the addition map carries the diagonal tensor of f to the
     one-variable-shorter diagonal tensor times f(X), and likewise each
-    symmetric operator to s_i' + s_(i-1)'*f(X)."""
+    symmetric operator to s_i' + s_(i-1)'*f(X).  That identity adjoins
+    one variable to the operators of n - 1 variables; the kernel
+    (_symbasis.sym_ops_reps) builds them from a closed form instead, so
+    the identity checks it independently."""
     if n < 2:
         raise ValueError("need arity >= 2")
     ring = f.ring

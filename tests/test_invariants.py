@@ -54,10 +54,32 @@ def test_selftest_passes_intact_route_under_optimize():
 
 def test_decompose_invariant_is_a_typed_error(monkeypatch):
     # an e-monomial expansion without its leading partition breaks the
-    # unit-leading-coefficient argument
+    # unit-leading-coefficient argument; fresh tables and cache, so the
+    # kernel reaches elem_monomial instead of an expansion a table holds
+    monkeypatch.setattr(_symbasis, "_TABLES", {})
+    monkeypatch.setattr(_symbasis, "_ELEM_CACHE", {})
     monkeypatch.setattr(_symbasis, "elem_monomial", lambda n, mu: {})
     with pytest.raises(InvariantViolationError):
         _symbasis.decompose_rep({(1, 0): 1}, 2, ZZ)
+
+
+def test_cached_expansion_is_checked_on_every_read(monkeypatch):
+    # the tables hand out the cached expansions themselves, so an
+    # expansion that loses its lead after it was built fails the next
+    # read by either kernel, with no expansion built anew
+    monkeypatch.setattr(_symbasis, "_TABLES", {})
+    monkeypatch.setattr(_symbasis, "_ELEM_CACHE", {})
+    rep = {(2, 1, 0): 1}  # m_(2,1) = e1*e2 - 3*e3 at n = 3
+    assert _symbasis.decompose_rep(rep, 3, ZZ) == {(1, 1, 0): 1, (0, 0, 1): -3}
+    assert _symbasis.evaluate_reps([rep], 3, ZZ, [2, 5, 7]) == [2 * 5 - 3 * 7]
+    built = len(_symbasis._ELEM_CACHE)
+    lead = _symbasis._TABLES[(3, 3)].index[(2, 1, 0)]
+    del _symbasis._ELEM_CACHE[(3, (1, 1, 0))][lead]
+    with pytest.raises(InvariantViolationError):
+        _symbasis.decompose_rep(rep, 3, ZZ)
+    with pytest.raises(InvariantViolationError):
+        _symbasis.evaluate_reps([rep], 3, ZZ, [2, 5, 7])
+    assert len(_symbasis._ELEM_CACHE) == built
 
 
 def test_orbit_weight_invariant_is_a_typed_error(monkeypatch):

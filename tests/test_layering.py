@@ -9,6 +9,12 @@ Every comparison of two routes to one answer goes through errors._agree.
 The only other raises of InvariantViolationError are structural checks
 inside one kernel, which compare no two answers: the four of _symbasis
 and the exact-division check of oracles._bareiss.
+
+The process-global mutable state is four names: the tables and the
+expansion cache of _symbasis, the ring intern table and the CLI's
+parser.  A new cache keyed by inputs would inflate warm passes and hold
+memory that no metric shows, so none may appear unseen, and no function
+is memoized by functools.
 """
 
 import ast
@@ -88,3 +94,67 @@ def test_only_agree_compares_two_answers():
         ("errors", "_agree"),
         ("oracles", "_bareiss"),
     ]
+
+
+# methods that change a dict, list or set in place
+_MUTATORS = {
+    "add", "append", "clear", "discard", "extend", "insert",
+    "pop", "popitem", "remove", "setdefault", "update",
+}
+
+
+def _global_state():
+    """(module, name) for every module-level name that a function
+    rebinds by `global` or changes in place: an item assigned or
+    deleted, an attribute assigned, or a mutating method called."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = set()
+        for node in tree.body:
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            top |= {t.id for t in targets if isinstance(t, ast.Name)}
+        functions = (
+            node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        )
+        for node in (inner for f in functions for inner in ast.walk(f)):
+            if isinstance(node, ast.Global):
+                found |= {(path.stem, name) for name in node.names}
+                continue
+            if isinstance(node, (ast.Subscript, ast.Attribute)):
+                changed = not isinstance(node.ctx, ast.Load)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                node, changed = node.func, node.func.attr in _MUTATORS
+            else:
+                continue
+            owner = node.value
+            if changed and isinstance(owner, ast.Name) and owner.id in top:
+                found.add((path.stem, owner.id))
+    return found
+
+
+def _functools_caches():
+    """(module, line) of every use of functools.cache or lru_cache."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = {a.name for a in node.names}
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = {node.attr} if node.value.id == "functools" else set()
+            else:
+                continue
+            if names & {"cache", "lru_cache"}:
+                found.append((path.stem, node.lineno))
+    return found
+
+
+def test_process_global_state_is_pinned():
+    assert _global_state() == {
+        ("_symbasis", "_TABLES"),
+        ("_symbasis", "_ELEM_CACHE"),
+        ("rings", "_INTERNED"),
+        ("cli", "_PARSER"),
+    }
+    assert _functools_caches() == []

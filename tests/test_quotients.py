@@ -301,6 +301,17 @@ def test_addition_n1_sends_e1_to_x():
     assert image == SymPoly1.x(ZZ, 0)
 
 
+def test_addition_refuses_arity_0():
+    # both entry points name the bound the input misses, before any
+    # symmetric ring of arity -1 is asked for
+    for call, arg in (
+        (addition_map, SymElem.one(ZZ, 0)),
+        (apply_addition, SymPoly1.x(ZZ, 0)),
+    ):
+        with pytest.raises(ValueError, match=r"^arity must be >= 1$"):
+            call(arg)
+
+
 def test_addition_is_ring_homomorphism():
     # 40 pairs
     run_check("addition-homomorphism", 2, seed="test_addition_is_ring_homomorphism")

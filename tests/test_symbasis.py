@@ -1,7 +1,9 @@
 """The e-monomial expansions against products of elementary polynomials,
 the indexed decomposition kernel against the lead-by-lead heap
 reduction it replaced, the evaluation kernel against decomposition
-followed by EvalMap, and the arity budget of the _symbasis kernels."""
+followed by EvalMap, the symmetric operators and the diagonal tensor
+against the brute-force product over the variables, and the arity
+budget of the _symbasis kernels."""
 
 import heapq
 import inspect
@@ -18,9 +20,10 @@ from symmline.errors import ARITY_BOUND, InvariantViolationError, OracleInfeasib
 from symmline.multipoly import MultiPoly, elementary
 from symmline.norms import EvalMap, norm, norm_symmetric
 from symmline.poly import MonicPoly, Poly, PolyRing
-from symmline.rings import GF, QQ, Zmod, ZmodRing, ZZ
+from symmline.rings import GF, QQ, RingValue, Zmod, ZmodRing, ZZ
 from symmline.sampling import random_monic, random_poly, random_value
 from symmline.symmetric import SymElem, decompose, diagonal_tensor, sym_ops_of
+from test_symmetric import product_over_variables
 
 RINGS = [ZZ, QQ, Zmod(4), Zmod(8), Zmod(12), GF(3), PolyRing(ZZ, "T")]
 
@@ -212,6 +215,40 @@ def test_evaluate_reps_matches_decomposition_then_eval_map(ring):
             got = _symbasis.evaluate_reps(reps, n, ring, images)
             assert got == [v.payload for v in want], (n, F, f)
             assert [type(v) for v in got] == [type(v.payload) for v in want]
+
+
+def _closed_form_cases(ring, rng):
+    """f of every shape the closed form treats apart: zero, a nonzero
+    constant, f_0 = 0 (only l = i survives), and over Zmod:4 the f
+    2X + 2, every product of whose parts vanishes once two are taken
+    (the pruning path)."""
+    a, b, c = (RingValue(ring, _coefficient(ring, rng)) for _ in range(3))
+    cases = [Poly(ring, []), Poly(ring, [a]), Poly(ring, [0, b, c])]
+    if ring == Zmod(4):
+        cases.append(Poly(ring, [2, 2]))
+    return cases
+
+
+@pytest.mark.parametrize("ring", EVAL_RINGS, ids=lambda r: r.name)
+def test_sym_ops_and_diagonal_match_the_product_over_the_variables(ring):
+    # the coefficient of Y^(n-i) in prod_k (Y - f(X_k)) is (-1)^i s_i, and
+    # its constant term (-1)^n f(X_1)...f(X_n); each is compared in the
+    # m-basis, at the sorted exponents, as canonical payloads
+    rng = Random(2803)
+    for n in range(1, 6):
+        for f in _closed_form_cases(ring, rng):
+            oracle = product_over_variables(f, n, ring)._payload_terms
+            fp = f._payload_coeffs
+            reps = _symbasis.sym_ops_reps(fp, n, ring)
+            for i, rep in enumerate(reps + [_symbasis.diagonal_rep(fp, n, ring)], 1):
+                i = min(i, n)
+                want = {
+                    expo[:n]: c if i % 2 == 0 else ring._neg(c)
+                    for expo, c in oracle.items()
+                    if expo[n] == n - i and expo[:n] == tuple(sorted(expo[:n])[::-1])
+                }
+                assert rep == want, (n, f, i)
+                assert [type(c) for c in rep.values()] == [type(want[k]) for k in rep]
 
 
 def test_tables_grow_by_appending(monkeypatch):
