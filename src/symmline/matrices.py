@@ -53,7 +53,7 @@ from functools import reduce
 
 from .errors import RingMismatchError
 from .poly import MonicPoly, Poly, poly_divmod
-from .rings import IntegerRing, RationalRing, Ring, RingValue, ZmodRing
+from .rings import IntegerRing, RationalRing, Ring, RingValue, ZmodRing, _check_rings
 
 
 class SquareMatrix:
@@ -102,10 +102,7 @@ class SquareMatrix:
         return RingValue(self.ring, self._payload_rows[i][j])
 
     def _check(self, other: SquareMatrix):
-        if self.ring != other.ring:
-            raise RingMismatchError(
-                f"mixed rings {self.ring.name} and {other.ring.name}"
-            )
+        _check_rings(self.ring, other.ring)
         if self.n != other.n:
             raise ValueError(f"size mismatch {self.n} vs {other.n}")
 
@@ -311,6 +308,9 @@ def companion_matrix(f: MonicPoly) -> SquareMatrix:
 
 def mult_matrix(f: Poly, modulus: MonicPoly) -> SquareMatrix:
     """Matrix of multiplication by f on A[X]/(F); column j is f*x^j mod F."""
+    # Not _check_rings: perfbench's tracer counts this != as
+    # rings.ring_eq_calls, which its norm-grid and census runs require
+    # to move, so it stays until the benchmark stops pinning that count.
     if f.ring != modulus.ring:
         raise RingMismatchError(
             f"mixed rings {f.ring.name} and {modulus.ring.name}"
@@ -370,8 +370,7 @@ def _rational_columns(rem, fc):
 
 def poly_at_matrix(f: Poly, m: SquareMatrix) -> SquareMatrix:
     """Evaluate f at a matrix argument (Horner)."""
-    if f.ring != m.ring:
-        raise RingMismatchError(f"mixed rings {f.ring.name} and {m.ring.name}")
+    _check_rings(f.ring, m.ring)
     acc = SquareMatrix.zero(m.ring, m.n)
     one = SquareMatrix.identity(m.ring, m.n)
     for c in reversed(f.coeffs):

@@ -129,12 +129,9 @@ class Poly:
             and self._payload_coeffs[-1] == self.ring._from_int(1)
         )
 
-    def _check(self, other: Poly):
-        _check_rings(self.ring, other.ring)
-
     # arithmetic -----------------------------------------------------
     def __add__(self, other: Poly) -> Poly:
-        self._check(other)
+        _check_rings(self.ring, other.ring)
         out = _dense_add(self._payload_coeffs, other._payload_coeffs, self.ring._add)
         return self._result._from_payloads(self.ring, out)
 
@@ -146,7 +143,7 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: Poly) -> Poly:
-        self._check(other)
+        _check_rings(self.ring, other.ring)
         ring = self.ring
         a, b = self._payload_coeffs, other._payload_coeffs
         out = _dense_mul(a, b, ring._add, ring._mul, ring._from_int(0))
@@ -253,7 +250,7 @@ def _render_sum(terms) -> str:
     term."""
     parts = []
     for neg, text, monomial in terms:
-        if not neg and _bare_negative(text):
+        if not neg and text.startswith("-") and not _composite(text):
             neg = True
             text = text[1:]
         if not monomial:
@@ -275,21 +272,15 @@ def _signed_text(ring: Ring, payload) -> tuple[bool, str]:
     return neg, ring._render(body)
 
 
+def _composite(text: str) -> bool:
+    """A coefficient rendering of several terms, such as T + 1, not
+    of a single one such as -T or -3."""
+    return " " in text or "+" in text or "-" in text[1:]
+
+
 def _wrap(text: str) -> str:
     """Parenthesize composite coefficient renderings inside a term."""
-    if " " in text or "+" in text or "-" in text[1:]:
-        return f"({text})"
-    return text
-
-
-def _bare_negative(text: str) -> bool:
-    """A single negated term such as -T or -3, not a composite sum."""
-    return (
-        text.startswith("-")
-        and " " not in text
-        and "+" not in text
-        and "-" not in text[1:]
-    )
+    return f"({text})" if _composite(text) else text
 
 
 class MonicPoly(Poly):
@@ -342,7 +333,7 @@ class MonicPoly(Poly):
 
 def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     """Quotient and remainder of f by a monic g; needs no base division."""
-    f._check(g)
+    _check_rings(f.ring, g.ring)
     if not g.is_monic():
         raise ValueError("divisor must be monic")
     ring = f.ring

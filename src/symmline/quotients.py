@@ -336,8 +336,6 @@ def section_map(t: SymPoly1) -> SymPoly1:
 def addition_kernel_check(n: int, ring: Ring = ZZ) -> bool:
     """Whether the generic monic polynomial of degree n dies under the
     addition map, the computation behind the kernel statement."""
-    if n < 1:
-        raise ValueError("arity must be >= 1")
     generic = sym_char_poly(Poly.gen(ring), n)
     return apply_addition(generic).is_zero
 

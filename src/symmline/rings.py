@@ -100,8 +100,7 @@ class Ring:
     # value layer ---------------------------------------------------
     def value(self, x) -> RingValue:
         if isinstance(x, RingValue):
-            if x.ring is not self:
-                raise RingMismatchError(f"value of {x.ring.name} used in {self.name}")
+            _check_rings(x.ring, self)
             return x
         if isinstance(x, int):
             return RingValue(self, self._from_int(x))
@@ -126,8 +125,9 @@ class Ring:
         return self.name
 
     # Rings are interned, so equality is object's identity test.  __ne__
-    # stays defined because perfbench's tracer counts the != ring checks
-    # by wrapping this method; inherited, they would go uncounted.
+    # stays defined because perfbench's tracer counts the != ring check
+    # of matrices.mult_matrix, the only one left, by wrapping this
+    # method; inherited, it would go uncounted.
     def __ne__(self, other):
         return self is not other
 
@@ -190,10 +190,7 @@ class RingValue:
 
     def _coerce(self, other) -> RingValue:
         if isinstance(other, RingValue):
-            if other.ring is not self.ring:
-                raise RingMismatchError(
-                    f"mixed rings {self.ring.name} and {other.ring.name}"
-                )
+            _check_rings(self.ring, other.ring)
             return other
         if isinstance(other, int):
             return self.ring.value(other)

@@ -1,5 +1,5 @@
-"""The intra-package imports of symmline form no cycle, and one
-function states the agreement rule.
+"""The intra-package imports of symmline form no cycle, one function
+states the agreement rule, and one states the ring-match rule.
 
 A cycle among the modules' imports works only in the order __init__
 happens to import them: importing another module of the cycle first
@@ -9,6 +9,12 @@ Every comparison of two routes to one answer goes through errors._agree.
 The only other raises of InvariantViolationError are structural checks
 inside one kernel, which compare no two answers: the four of _symbasis
 and the exact-division check of oracles._bareiss.
+
+Every check that two ring values, polynomials or matrices share one
+ring goes through rings._check_rings.  Two other raises of
+RingMismatchError remain: RingHom.__call__ refuses an argument that is
+not a ring value at all, and matrices.mult_matrix keeps its != because
+the benchmark's tracer counts it through Ring.__ne__.
 
 The process-global mutable state is four names: the tables and the
 expansion cache of _symbasis, the ring intern table and the CLI's
@@ -65,9 +71,9 @@ def test_intra_package_imports_have_no_cycle():
     assert not cycles, "import cycles: " + "; ".join(cycles)
 
 
-def _invariant_raises():
-    """(module, innermost enclosing function) for every raise of
-    InvariantViolationError in the package, in source order."""
+def _raises(exception):
+    """(module, innermost enclosing function) for every raise of the
+    named exception in the package, in source order."""
     found = []
 
     def visit(node, module, function):
@@ -75,7 +81,7 @@ def _invariant_raises():
             function = node.name
         if isinstance(node, ast.Raise) and node.exc is not None:
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            if isinstance(exc, ast.Name) and exc.id == "InvariantViolationError":
+            if isinstance(exc, ast.Name) and exc.id == exception:
                 found.append((module, function))
         for child in ast.iter_child_nodes(node):
             visit(child, module, function)
@@ -86,13 +92,21 @@ def _invariant_raises():
 
 
 def test_only_agree_compares_two_answers():
-    assert _invariant_raises() == [
+    assert _raises("InvariantViolationError") == [
         ("_symbasis", "_mul_elementary_int"),
         ("_symbasis", "_mul_elementary_int"),
         ("_symbasis", "elem_monomial"),
         ("_symbasis", "_expansion"),
         ("errors", "_agree"),
         ("oracles", "_bareiss"),
+    ]
+
+
+def test_only_check_rings_compares_two_rings():
+    assert _raises("RingMismatchError") == [
+        ("homs", "__call__"),
+        ("matrices", "mult_matrix"),
+        ("rings", "_check_rings"),
     ]
 
 
