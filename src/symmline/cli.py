@@ -149,10 +149,13 @@ def _cmd_resultant_check(args, ring):
     _check_arity(first.degree, "deg P")
     _check_arity(second.degree, "deg Q")
     holds, lhs, rhs = _resultant_symmetry(first, second)
+    sylvester = _agree(
+        sylvester_resultant(first, second), lhs, "Sylvester and norm resultants"
+    )
     oracle = {
         "N_P(Q)": str(lhs),
         "N_Q(P)": str(rhs),
-        "sylvester_N_P(Q)": str(sylvester_resultant(first, second)),
+        "sylvester_N_P(Q)": str(sylvester),
     }
     lines = [
         f"symmetry holds: {_bool(holds)}",

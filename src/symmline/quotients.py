@@ -31,8 +31,10 @@ is admissible exactly when it is admissible for each block.  On each
 block, R -> (X^n + R) mod H_b over deg R < deg H_b is a bijection onto
 the residues, so count_points tests the q^(deg H_b) candidates
 X^n + R of each block and multiplies the block counts by
-q^(n - deg H).  The local set at a admits exactly one monic F, (X - a)^n,
-so its count is 1.
+q^(n - deg H).  The other three kinds are closed forms, which
+count_points returns without a candidate: trivial admits all q^n monic
+F; all-nonzero admits none, as F lies in U and has norm 0; and the
+local set at a admits exactly one monic F, (X - a)^n, so its count is 1.
 
 free_quotient_oracle decides the same membership by exhaustive search
 for an inverse residue, touching neither norms nor determinants; it is
@@ -404,18 +406,19 @@ def count_points(q: int, n: int, mult_set: MultSet, workers: int = 1) -> int:
     """Number of monic degree-n polynomials over GF(q) that generate a
     free rank-n quotient of the localization at the given set.
 
-    local-at counts 1: it admits (X - a)^n alone.  Otherwise membership
-    depends only on F mod H (module docstring), H of degree D = sum of
-    deg g, 0 for trivial and all-nonzero.  For D > n every monic F is a
-    candidate.  For D <= n the set is split into _coprime_blocks, of
-    degrees D_b, and the count is q^(n-D) times the product over the
-    blocks of the admissible X^n + R, deg R < D_b: sum_b q^(D_b)
-    candidates in place of q^n.  A single block is the set itself, so
-    one generator, or generators that all share factors, test the q^D
-    candidates X^n + R, deg R < D, against mult_set.  Each candidate is
-    built by the trusted MonicPoly._from_monic_payloads: its payloads
-    (the residues, zeros, then GF(q)'s one, 1) are canonical and it
-    equals MonicPoly(Poly(ring, ...)) under ==, hash and str.
+    trivial counts q^n, all-nonzero 0 and local-at 1, in closed form
+    after the checks below.  For a generated set membership depends
+    only on F mod H (module docstring), H of degree D = sum of deg g.
+    For D > n every monic F is a candidate.  For D <= n the set is
+    split into _coprime_blocks, of degrees D_b, and the count is
+    q^(n-D) times the product over the blocks of the admissible
+    X^n + R, deg R < D_b: sum_b q^(D_b) candidates in place of q^n.
+    A single block is the set itself, so one generator, or generators
+    that all share factors, test the q^D candidates X^n + R, deg R < D,
+    against mult_set.  Each candidate is built by the trusted
+    MonicPoly._from_monic_payloads: its payloads (the residues, zeros,
+    then GF(q)'s one, 1) are canonical and it equals
+    MonicPoly(Poly(ring, ...)) under ==, hash and str.
     Generators with a unit leading coefficient and degree below n are
     decided by a determinant of their own degree; see is_free_quotient.
     workers is ignored.  CENSUS_BOUND caps q^n, not the candidates.
@@ -430,6 +433,10 @@ def count_points(q: int, n: int, mult_set: MultSet, workers: int = 1) -> int:
         raise OracleInfeasibleError(
             f"{q}^{n} polynomials exceed the census bound {CENSUS_BOUND}"
         )
+    if mult_set.kind == "trivial":
+        return q**n
+    if mult_set.kind == "all-nonzero":
+        return 0
     if mult_set.kind == "local-at":
         return 1
     total = sum(g.degree for g in mult_set.gens)

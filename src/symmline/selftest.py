@@ -425,6 +425,43 @@ def check_census_counts(rng: Random) -> str:
     return _census_sweep((2, 3), (1, 2, 3, 4))
 
 
+def check_universal_family(rng: Random) -> str:
+    """The universal family over Hilb^n is Symm^(n-1)(A[X]_U) x Spec(A[X]_U)
+    (PAPER.md), on GF(q)-points: the pairs (F, a) with F admitted and
+    F(a) = 0 are the pairs (F', a) with F' of degree n - 1 and X - a
+    both admitted, sent to F'(X - a).  Both sides count them.
+    all-nonzero is left out: it admits no F and no X - a, so both sides
+    read 0 whatever count_points returns."""
+    cases = 0
+    for q, top in ((2, 4), (3, 4), (5, 3)):
+        ring = GF(q)
+        x = Poly.gen(ring)
+        one = Poly.constant(ring, 1)
+        points = [ring.value(a) for a in range(q)]
+        for u in (
+            MultSet.trivial(ring),
+            MultSet.local_at(ring.one),
+            MultSet.generated(x),
+            MultSet.generated(x + one, x * x + x),
+            MultSet.generated(x * x + one),
+        ):
+            lines = sum(
+                is_free_quotient(MonicPoly(x - Poly.constant(ring, a)), u)
+                for a in range(q)
+            )
+            for n in range(1, top + 1):
+                roots = sum(
+                    F(a) == ring.zero
+                    for F in _all_monic(ring, n)
+                    if is_free_quotient(F, u)
+                    for a in points
+                )
+                hilb = count_points(q, n - 1, u) if n > 1 else 1
+                _check(roots == hilb * lines)
+                cases += 1
+    return f"{cases} (q, n, U): roots over admitted F = Hilb^(n-1) points x admitted lines"
+
+
 def check_symmetric_roundtrip(rng: Random) -> str:
     for _ in range(30):
         n = rng.randint(1, 4)
@@ -470,6 +507,7 @@ CHECKS = [
     ("coprimality", check_coprimality),
     ("closure-insensitivity", check_closure_insensitivity),
     ("census-counts", check_census_counts),
+    ("universal-family", check_universal_family),
     ("symmetric-roundtrip", check_symmetric_roundtrip),
     ("sym-ops-specialize", check_sym_ops_specialize),
 ]

@@ -49,7 +49,7 @@ def test_selftest_catches_broken_route_under_optimize():
 
 
 def test_selftest_passes_intact_route_under_optimize():
-    assert _run_optimized("keep") == "23"
+    assert _run_optimized("keep") == "24"
 
 
 def test_decompose_invariant_is_a_typed_error(monkeypatch):

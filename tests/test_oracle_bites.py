@@ -80,15 +80,17 @@ ROWS = [
      "sym-ops-specialize"),
     (quotients, "is_free_quotient", lambda ok, F, u: not ok,
      "criterion-oracle-agreement census-counts"),
-    (quotients, "count_points", lambda k, *args: k + 1, "coprimality census-counts"),
+    (quotients, "count_points", lambda k, *args: k + 1,
+     "coprimality census-counts universal-family"),
     (quotients, "_coprime_blocks",
      lambda blocks, u: [MultSet.generated(g) for b in blocks for g in b.gens],
      "closure-insensitivity census-counts"),
     (quotients, "_coprime_blocks", lambda blocks, u: blocks[1:],
      "coprimality closure-insensitivity census-counts"),
-    # a single detector: only census-counts sends every monic F to a
-    # local-at set, and no oracle covers local-at membership
-    (quotients, "_is_power_of_linear", lambda ok, F, a: not ok, "census-counts"),
+    # census-counts and universal-family send every monic F to a local-at
+    # set; free_quotient_oracle does not cover local-at membership
+    (quotients, "_is_power_of_linear", lambda ok, F, a: not ok,
+     "census-counts universal-family"),
     # negating the shared substitution cancels in section-identity and
     # section-partial, which compose the section with the addition map
     (quotients, "_substitute", lambda t, *args: -t,

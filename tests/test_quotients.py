@@ -521,19 +521,20 @@ def test_count_candidate_stream(monkeypatch):
         ring = GF(q)
         for n in (1, 2, 3, 4):
             trivial, gens, local, nonzero = _census_sets(ring)
-            # each block's low d coefficients decide: none for trivial and
-            # all-nonzero; the coprime generators of degree 1 and 2 are a
-            # block each once their degrees fit in n, and below that all n
-            # coefficients decide for the set as a whole; local-at tests none
+            # each block's low d coefficients decide: the coprime
+            # generators of degree 1 and 2 are a block each once their
+            # degrees fit in n, and below that all n coefficients decide
+            # for the set as a whole; trivial, local-at and all-nonzero
+            # are closed forms and test none
             if n >= 3:
                 blocks = [(MultSet.generated(g), g.degree) for g in gens.gens]
             else:
                 blocks = [(gens, n)]
             for mult_set, plan in (
-                (trivial, [(trivial, 0)]),
+                (trivial, []),
                 (gens, blocks),
                 (local, []),
-                (nonzero, [(nonzero, 0)]),
+                (nonzero, []),
             ):
                 # per block, c_0 slowest, c_(d-1) fastest, the rest zero
                 expected = [
@@ -554,6 +555,18 @@ def test_count_candidate_stream(monkeypatch):
                     u.describe() for _, u in expected
                 ]
                 assert count == _reference_count(q, n, mult_set)
+
+    # at GF(2), n = 19, the largest n the census bound admits, an
+    # enumeration would take 2^19 candidates; the closed forms take none
+    def refuse(*args):
+        raise AssertionError("the candidate path ran")
+
+    monkeypatch.setattr(quotients, "_admitted", refuse)
+    seen.clear()
+    trivial, _, local, nonzero = _census_sets(GF(2))
+    counts = [count_points(2, 19, u) for u in (trivial, nonzero, local)]
+    assert counts == [2**19, 0, 1]
+    assert seen == []
 
 
 def test_count_candidates_per_block(monkeypatch):
