@@ -35,7 +35,7 @@ from .matrices import (
     mult_matrix,
     poly_at_matrix,
 )
-from .multipoly import MultiPoly, apply_permutation, elementary, is_symmetric
+from .multipoly import MultiPoly, elementary, is_symmetric
 from .norms import (
     EvalMap,
     mult_char_poly,
@@ -90,7 +90,6 @@ __all__ = [
     "addition_kernel_check",
     "addition_map",
     "apply_addition",
-    "apply_permutation",
     "char_poly",
     "companion_matrix",
     "count_points",

@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials in X1..Xn with the permutation action.
+"""Sparse multivariate polynomials in X1..Xn and the symmetry test.
 
 Terms map exponent tuples (fixed length n) to nonzero coefficients.
 The monomial order used throughout is lexicographic with X1 > X2 > ...,
@@ -15,12 +15,15 @@ _from_payloads, which takes canonical payloads of the ring unchecked,
 apart from dropping zeros, and is for internal use only; the public
 constructors validate every exponent and coefficient.  _sparse_eval
 evaluates a map of payloads with one power table per value.  It takes
-the algebra to work in as arguments, so MultiPoly.evaluate and
-SymElem.substitute run it on payloads, and SymElem.expand,
-SymPoly1.expand and quotients._substitute (the addition and section
-maps) run it on polynomials.  MultiPoly names its arithmetic and
-evaluate in its own class body because perfbench/tracer.py spans those
-methods by reading MultiPoly.__dict__; its arity is also nvars.
+the algebra to work in as arguments: MultiPoly.evaluate and
+SymElem.substitute run it on payloads, SymElem.expand and
+SymPoly1.expand on MultiPolys, and quotients._substitute (the addition
+and section maps) once per map on flat SymElems over (e_1..e_k, X).
+is_symmetric looks each term's adjacent swap up in the term map and
+builds no permuted polynomial, so there is no permutation action here.
+MultiPoly names its arithmetic and evaluate in its own class body
+because perfbench/tracer.py spans those methods by reading
+MultiPoly.__dict__; its arity is also nvars.
 """
 
 from __future__ import annotations
@@ -209,27 +212,17 @@ def render_terms(ring: Ring, terms, varname) -> str:
     )
 
 
-def apply_permutation(perm, m: MultiPoly) -> MultiPoly:
-    """Relabel variables X_i -> X_perm(i); perm maps 0-based positions."""
-    perm = tuple(perm)
-    if sorted(perm) != list(range(m.nvars)):
-        raise ValueError(f"not a permutation of 0..{m.nvars - 1}: {perm}")
-    out = {}
-    for expo, c in m._payload_terms.items():
-        new = [0] * m.nvars
-        for i, e in enumerate(expo):
-            new[perm[i]] = e
-        out[tuple(new)] = c
-    return MultiPoly._from_payloads(m.ring, m.nvars, out)
-
-
 def is_symmetric(m: MultiPoly) -> bool:
-    """Fixed by the adjacent transpositions, which generate S_n."""
-    for i in range(m.nvars - 1):
-        perm = list(range(m.nvars))
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        if apply_permutation(perm, m) != m:
-            return False
+    """Fixed by the adjacent transpositions, which generate S_n.  A
+    transposition is a bijection on terms, so it fixes m exactly when
+    each term's swap of two unequal neighbouring exponents is a term
+    with the same payload; no permuted polynomial is built."""
+    terms = m._payload_terms
+    for expo, c in terms.items():
+        for i in range(m.nvars - 1):
+            a, b = expo[i], expo[i + 1]
+            if a != b and terms.get(expo[:i] + (b, a) + expo[i + 2:]) != c:
+                return False
     return True
 
 

@@ -46,8 +46,11 @@ symbols e_i -> e_i + e_(i-1)*X (with e_0 = 1 and e_n = 0 downstairs).
 Its section recovers e_i upstairs recursively, and its kernel contains
 the generic monic polynomial of sym_char_poly(X, n).  Both are ring
 maps given by their images of e_1, e_2, ..., extended X-linearly;
-_substitute applies such a map, and addition_map, apply_addition and
-section_map each build their images and call it once.
+_substitute applies such a map in one _sparse_eval over flat SymElems
+of arity k+1 in (e_1..e_k, X), X going to itself, and splits the value
+by the power of X.  addition_map and apply_addition write their images
+flat, and section_map builds its images by the recursion on SymPoly1
+and flattens them.
 """
 
 from __future__ import annotations
@@ -272,31 +275,43 @@ def recover_monic(theta: SquareMatrix) -> MonicPoly:
     return result
 
 
+def _flat(coeffs) -> dict:
+    """The payloads of sum_j coeffs[j] * X^j, for SymElem coeffs, with
+    the exponent of X as the last slot of each exponent tuple."""
+    return {
+        expo + (j,): c
+        for j, coeff in enumerate(coeffs)
+        for expo, c in coeff._payload_terms.items()
+    }
+
+
 def _substitute(coeffs, images, sym: SymRing) -> SymPoly1:
     """sum_j coeffs[j](e_i -> images[i-1]) * X^j over sym, for SymElem
-    coeffs and SymPoly1 images over sym: the ring map e_i -> images[i-1]
-    extended X-linearly."""
-    def lift(c):
-        return SymPoly1._from_payloads(sym, (sym._const(c),))
-
-    acc = SymPoly1._from_payloads(sym, ())
-    for j, c in enumerate(coeffs):
-        term = _sparse_eval(
-            sym.base, c._payload_terms, images, lift, operator.add, operator.mul
-        )
-        acc = acc + term.shift(j)
-    return acc
-
-
-def _addition_images(sym: SymRing) -> list[SymPoly1]:
-    """Images of e_1..e_n downstairs, over sym = SymRing(base, n-1):
-    e_i + e_(i-1)*X, with e_n = 0 there."""
+    coeffs and flat images, SymElems of arity k+1 over (e_1..e_k, X),
+    k = sym.arity: the ring map e_i -> images[i-1], X -> X, evaluated
+    once on the flat input and split by the exponent of X."""
     ring, k = sym.base, sym.arity
+    flat = SymRing(ring, k + 1)
+    x = SymElem._from_payloads(ring, k + 1, {(0,) * k + (1,): ring._from_int(1)})
+    value = _sparse_eval(
+        ring, _flat(coeffs), [*images, x], flat._const, operator.add, operator.mul
+    )
+    terms = value._payload_terms
+    parts = [{} for _ in range(max((e[-1] for e in terms), default=-1) + 1)]
+    for expo, c in terms.items():
+        parts[expo[-1]][expo[:-1]] = c
+    return SymPoly1._from_payloads(
+        sym, [SymElem._from_payloads(ring, k, part) for part in parts]
+    )
+
+
+def _addition_images(sym: SymRing) -> list[SymElem]:
+    """Images of e_1..e_n downstairs, over sym = SymRing(base, k = n-1),
+    flat over (e_1..e_k, X): e_i + e_(i-1)*X, with e_n = 0 there."""
+    ring, k = sym.base, sym.arity
+    e = [SymElem.e(i, k, ring) for i in range(k + 1)] + [sym._zero]
     return [
-        SymPoly1._from_payloads(
-            sym,
-            (SymElem.e(i, k, ring) if i <= k else sym._zero, SymElem.e(i - 1, k, ring)),
-        )
+        SymElem._from_payloads(ring, k + 1, _flat((e[i], e[i - 1])))
         for i in range(1, k + 2)
     ]
 
@@ -332,7 +347,8 @@ def section_map(t: SymPoly1) -> SymPoly1:
     for i in range(1, k + 1):
         upstairs = SymPoly1._from_payloads(sym, (SymElem.e(i, k + 1, ring),))
         images.append(upstairs - images[i - 1].shift(1))
-    return _substitute(t.coeffs, images[1:], sym)
+    flat = [SymElem._from_payloads(ring, k + 2, _flat(p.coeffs)) for p in images[1:]]
+    return _substitute(t.coeffs, flat, sym)
 
 
 def addition_kernel_check(n: int, ring: Ring = ZZ) -> bool:

@@ -1,10 +1,12 @@
+from itertools import permutations
 from math import comb
 from random import Random
 
 import pytest
 
 from symmline.errors import ARITY_BOUND, OracleInfeasibleError
-from symmline.multipoly import MultiPoly, apply_permutation, elementary, is_symmetric
+from symmline.multipoly import MultiPoly, elementary, is_symmetric
+from symmline.parsing import parse_ring
 from symmline.poly import PolyRing
 from symmline.rings import GF, QQ, Zmod, ZZ
 from symmline.sampling import random_symelem, random_value
@@ -22,6 +24,18 @@ def random_multipoly(ring, n, rng, terms=4, deg=3):
         expo = tuple(rng.randint(0, deg) for _ in range(n))
         out[expo] = random_value(ring, rng)
     return MultiPoly(ring, n, out)
+
+
+def apply_permutation(perm, m):
+    """Relabel variables X_i -> X_perm(i); perm maps 0-based positions.
+    The reference for is_symmetric, which builds no permuted polynomial."""
+    out = {}
+    for expo, c in m._payload_terms.items():
+        new = [0] * m.nvars
+        for i, e in enumerate(expo):
+            new[perm[i]] = e
+        out[tuple(new)] = c
+    return MultiPoly._from_payloads(m.ring, m.nvars, out)
 
 
 def random_permutation(n, rng):
@@ -55,15 +69,68 @@ def test_composition_law():
         )
 
 
-def test_bad_permutation():
-    with pytest.raises(ValueError):
-        apply_permutation((0, 0, 1), var(1, 3))
-
-
 def test_is_symmetric_examples():
     assert is_symmetric(var(1, 2) + var(2, 2))
     assert not is_symmetric(var(1, 2) ** 2 * var(2, 2))
     assert is_symmetric(MultiPoly.constant(ZZ, 3, 5))
+    # X1*X2: the first swap fixes it, the second does not
+    assert not is_symmetric(var(1, 3) * var(2, 3))
+
+
+def _fixed_by_adjacent_transpositions(m):
+    for i in range(m.nvars - 1):
+        perm = list(range(m.nvars))
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        if apply_permutation(perm, m) != m:
+            return False
+    return True
+
+
+def _orbit_sum(ring, n, rng):
+    """A symmetric MultiPoly, the sum of a few orbits of exponent
+    vectors with one nonzero coefficient each, and its orbits of size
+    greater than 1."""
+    orbits = {
+        tuple(sorted(set(permutations(rng.randint(0, 2) for _ in range(n)))))
+        for _ in range(rng.randint(1, 3))
+    }
+    terms = {}
+    for orbit in orbits:
+        c = ring.zero
+        while c == ring.zero:
+            c = random_value(ring, rng)
+        terms.update(dict.fromkeys(orbit, c.payload))
+    m = MultiPoly._from_payloads(ring, n, terms)
+    return m, sorted(orbit for orbit in orbits if len(orbit) > 1)
+
+
+@pytest.mark.parametrize("spec", ["ZZ", "Zmod:12", "QQ", "Poly:ZZ:T"])
+def test_is_symmetric_is_invariance_under_adjacent_transpositions(spec):
+    # symmetric inputs, and near-misses built from them: one orbit member
+    # dropped or its payload changed; orbits such as that of (1, 1, 0)
+    # have equal neighbouring exponents, which a transposition fixes
+    ring = parse_ring(spec)
+    rng = Random(f"is-symmetric:{spec}")
+    verdicts = set()
+    for n in range(1, 6):
+        for _ in range(12):
+            m, orbits = _orbit_sum(ring, n, rng)
+            cases = [(m, True)]
+            for orbit in orbits:
+                expo = rng.choice(orbit)
+                dropped = dict(m._payload_terms)
+                del dropped[expo]
+                changed = m.terms
+                changed[expo] = changed[expo] + ring.one
+                cases += [
+                    (MultiPoly._from_payloads(ring, n, dropped), False),
+                    (MultiPoly(ring, n, changed), False),
+                ]
+            for case, symmetric in cases:
+                assert is_symmetric(case) == _fixed_by_adjacent_transpositions(case)
+                assert is_symmetric(case) == symmetric
+                verdicts.add(symmetric)
+    assert verdicts == {True, False}
 
 
 def test_elementary_examples():

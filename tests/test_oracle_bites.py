@@ -14,7 +14,7 @@ from random import Random
 
 import pytest
 
-from symmline import _symbasis, matrices, norms, quotients, symmetric
+from symmline import _symbasis, matrices, multipoly, norms, quotients, symmetric
 from symmline.matrices import SquareMatrix
 from symmline.poly import MonicPoly, Poly
 from symmline.quotients import MultSet
@@ -91,6 +91,15 @@ ROWS = [
     # set; free_quotient_oracle does not cover local-at membership
     (quotients, "_is_power_of_linear", lambda ok, F, a: not ok,
      "census-counts universal-family"),
+    # one evaluation kernel behind MultiPoly.evaluate, SymElem.substitute
+    # and expand, SymPoly1.expand and the flat addition and section maps
+    (multipoly, "_sparse_eval",
+     lambda v, ring, terms, values, lift, add, mul: add(v, v) if len(terms) > 3 else v,
+     "thm24-equivalence addition-homomorphism section-identity section-partial "
+     "addition-diagonal symmetric-roundtrip sym-ops-specialize"),
+    # a single detector: decompose is the only caller, and
+    # symmetric-roundtrip the only check that decomposes
+    (multipoly, "is_symmetric", lambda ok, m: not ok, "symmetric-roundtrip"),
     # negating the shared substitution cancels in section-identity and
     # section-partial, which compose the section with the addition map
     (quotients, "_substitute", lambda t, *args: -t,

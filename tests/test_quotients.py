@@ -1,3 +1,4 @@
+import operator
 import threading
 from fractions import Fraction
 from itertools import groupby, product
@@ -5,7 +6,7 @@ from random import Random
 
 import pytest
 
-from symmline import quotients
+from symmline import multipoly, quotients
 from symmline.errors import (
     OracleInfeasibleError,
     RingMismatchError,
@@ -35,7 +36,7 @@ from symmline.selftest import (
     _coprimality_sweep,
     run_check,
 )
-from symmline.symmetric import SymElem, SymPoly1, diagonal_tensor
+from symmline.symmetric import SymElem, SymPoly1, SymRing, diagonal_tensor
 
 RUNNING = MonicPoly(Poly(ZZ, [2, -3, 1]))
 
@@ -385,6 +386,110 @@ def test_addition_and_section_specialize_at_a_split_root(spec):
         assert _at(apply_addition(u), G, a) == _at(u, H, a)
         t = _random_sympoly1(ring, k, rng)
         assert _at(section_map(t), H, a) == _at(t, G, a)
+
+
+def _reference_substitute(coeffs, images, sym):
+    """sum_j coeffs[j](e_i -> images[i-1]) * X^j, evaluated over
+    SymPoly1 images one coefficient at a time: the evaluation the flat
+    quotients._substitute replaces."""
+    def lift(c):
+        return SymPoly1._from_payloads(sym, (sym._const(c),))
+
+    acc = SymPoly1._from_payloads(sym, ())
+    for j, c in enumerate(coeffs):
+        term = multipoly._sparse_eval(
+            sym.base, c._payload_terms, images, lift, operator.add, operator.mul
+        )
+        acc = acc + term.shift(j)
+    return acc
+
+
+def _reference_addition(t):
+    """The addition map on a SymPoly1 of arity n, from the images
+    e_i + e_(i-1)*X over SymPoly1 (e_n = 0 downstairs)."""
+    ring, k = t.ring.base, t.arity - 1
+    images = [
+        SymPoly1(
+            ring, k, (SymElem.e(i, k, ring) if i <= k else 0, SymElem.e(i - 1, k, ring))
+        )
+        for i in range(1, k + 2)
+    ]
+    return _reference_substitute(t.coeffs, images, SymRing(ring, k))
+
+
+def _reference_section(t):
+    """The section on a SymPoly1 of arity k, from the images
+    p(e_i) = e_i' - p(e_(i-1))*X over SymPoly1, p(e_0) = 1."""
+    ring, k = t.ring.base, t.arity
+    images = [SymPoly1(ring, k + 1, (1,))]
+    for i in range(1, k + 1):
+        up = SymPoly1.from_symelem(SymElem.e(i, k + 1, ring))
+        images.append(up - images[-1] * SymPoly1.x(ring, k + 1))
+    return _reference_substitute(t.coeffs, images[1:], SymRing(ring, k + 1))
+
+
+@pytest.mark.parametrize("spec", ["ZZ", "Zmod:12", "GF:7", "QQ", "Poly:ZZ:T"])
+def test_flat_substitution_matches_the_evaluation_over_sympoly1(spec):
+    # arity 1 leaves k = 0 downstairs, where only the X slot is flat
+    ring = parse_ring(spec)
+    rng = Random(f"flat-substitution:{spec}")
+    for n in range(1, 6):
+        zeros = (
+            SymElem.zero(ring, n), SymPoly1.zero(ring, n), SymPoly1.zero(ring, n - 1)
+        )
+        randoms = [
+            (
+                random_symelem(ring, n, rng, max_weight=4),
+                _random_sympoly1(ring, n, rng),
+                _random_sympoly1(ring, n - 1, rng),
+            )
+            for _ in range(3)
+        ]
+        for s, u, t in [zeros, *randoms]:
+            assert addition_map(s) == _reference_addition(SymPoly1.from_symelem(s))
+            assert apply_addition(u) == _reference_addition(u)
+            assert section_map(t) == _reference_section(t)
+
+
+def test_one_evaluation_per_map_and_no_polynomial_per_symmetry_test(monkeypatch):
+    # the maps evaluate their whole input in one _sparse_eval call, and
+    # is_symmetric looks terms up without building a _SparsePoly
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    evaluate = quotients._sparse_eval
+    monkeypatch.setattr(quotients, "_sparse_eval", counted)
+    rng = Random("one-evaluation")
+    for ring in (ZZ, Zmod(12), QQ):
+        for n in (1, 3, 4):
+            u = _random_sympoly1(ring, n, rng)
+            t = SymPoly1(ring, n, [random_symelem(ring, n, rng) for _ in range(3)])
+            for call, arg in (
+                (addition_map, random_symelem(ring, n, rng)),
+                (apply_addition, u),
+                (apply_addition, t),
+                (section_map, t),
+            ):
+                calls.clear()
+                call(arg)
+                assert len(calls) == 1, call.__name__
+    x1, x2 = (multipoly.MultiPoly.variable(i, 3, ZZ) for i in (1, 2))
+    inputs = [random_symelem(ZZ, n, rng).expand() for n in (2, 3, 4)] + [x1**2 * x2]
+    built = []
+    build = multipoly._SparsePoly._from_payloads
+
+    def counted_build(cls, *args):
+        built.append(cls)
+        return build.__func__(cls, *args)
+
+    monkeypatch.setattr(
+        multipoly._SparsePoly, "_from_payloads", classmethod(counted_build)
+    )
+    assert [multipoly.is_symmetric(m) for m in inputs] == [True, True, True, False]
+    assert built == []
 
 
 def test_addition_diagonal_worked_example():
