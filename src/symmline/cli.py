@@ -44,7 +44,12 @@ from .matrices import SquareMatrix, char_poly, mult_matrix
 from .multipoly import MultiPoly
 # norm is bound here for the benchmark's tracer test, which reads cli.norm
 from .norms import _resultant_symmetry, mult_char_poly, norm, norm_checked, push_norm
-from .oracles import charpoly_cofactor, sylvester_resultant
+from .oracles import (
+    charpoly_cofactor,
+    shifted_is_power,
+    sylvester_resultant,
+    unit_norm,
+)
 from .parsing import (
     parse_multipoly,
     parse_poly,
@@ -54,7 +59,7 @@ from .parsing import (
     parse_sympoly1,
 )
 from .poly import MonicPoly, PolyRing
-from .rings import PrimeField, ZmodRing, ZZ
+from .rings import IntegerRing, PrimeField, RationalRing, ZmodRing, ZZ
 from .selftest import DEFAULT_SEED, run_selftest
 from .symmetric import decompose, sym_ops_of
 
@@ -207,19 +212,32 @@ def _cmd_membership(args, ring):
     _check_arity(modulus.degree, "deg F")
     mult_set = parse_multset(args.multset, ring)
     member = is_free_quotient(modulus, mult_set)
-    oracle = None
-    if isinstance(ring, ZmodRing) and mult_set.kind == "generated":
-        if ring.modulus ** modulus.degree <= 4096:
-            agreed = _agree(
-                free_quotient_oracle(modulus, mult_set),
-                member,
-                "membership criterion and exhaustive oracle",
-            )
-            oracle = {"exhaustive_search": agreed}
+    route = _membership_oracle(modulus, mult_set)
     lines = [f"free quotient: {_bool(member)}"]
-    if oracle is not None:
-        lines.append("exhaustive-search oracle agrees")
-    return member, oracle, lines
+    if route is None:
+        return member, None, lines
+    name, verdict = route
+    agreed = _agree(verdict, member, f"membership criterion and {name} oracle")
+    lines.append(f"{name} oracle agrees")
+    return member, {name.replace("-", "_"): agreed}, lines
+
+
+def _membership_oracle(modulus, mult_set):
+    """(name, verdict) of the independent route for this membership, or
+    None for towers, trivial and all-nonzero: exhaustive search over
+    Zmod and GF when m^deg F <= 4096; otherwise, for a generated set
+    over a scalar ring, every generator's norm a unit by its Sylvester
+    resultant; for local-at:a, F(X + a) = X^n."""
+    ring = modulus.ring
+    if mult_set.kind == "generated":
+        if isinstance(ring, ZmodRing) and ring.modulus ** modulus.degree <= 4096:
+            return "exhaustive-search", free_quotient_oracle(modulus, mult_set)
+        if isinstance(ring, (IntegerRing, RationalRing, ZmodRing)):
+            units = all(unit_norm(modulus, g) for g in mult_set.gens)
+            return "sylvester-units", units
+    if mult_set.kind == "local-at":
+        return "shifted-power", shifted_is_power(modulus, mult_set.point)
+    return None
 
 
 def _cmd_recover(args, ring):

@@ -4,7 +4,9 @@ Nothing here touches the symmetric-function machinery: determinants
 come from cofactor expansion or from Bareiss elimination on an int lift
 of the matrix, run by this module's own kernel, so results can be
 compared bit-exactly against the production determinants of
-multiplication matrices in matrices.
+multiplication matrices in matrices.  The CLI's membership oracles read
+a generator's unit norm off such a Sylvester determinant, and local-at
+membership off F expanded at X + a.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 
 from .errors import InvariantViolationError
 from .matrices import SquareMatrix, det
-from .poly import MonicPoly, Poly
+from .poly import MonicPoly, Poly, poly_mod
 from .rings import IntegerRing, RationalRing, RingValue, ZmodRing
 
 
@@ -131,3 +133,25 @@ def sylvester_resultant(big: MonicPoly, small: Poly) -> RingValue:
     syl = sylvester_matrix(big, small)
     d = bareiss_det(syl)
     return det(syl) if d is None else d
+
+
+def unit_norm(modulus: MonicPoly, g: Poly) -> bool:
+    """Whether N_F(g) is a unit, for a monic F over a scalar ring, by the
+    Sylvester resultant of F and r = g mod F: N_F(g) = N_F(r) for monic
+    F, so the matrix is at most (2n-1) x (2n-1) whatever deg g is.  A
+    constant r = c has N_F(c) = c^n."""
+    r = poly_mod(g, modulus)
+    if not r.degree:
+        return (r.coeff(0) ** modulus.degree).is_unit()
+    return sylvester_resultant(modulus, r).is_unit()
+
+
+def shifted_is_power(modulus: MonicPoly, a: RingValue) -> bool:
+    """Whether F(X + a) = X^n, expanding F at X + a by Horner's rule."""
+    ring = modulus.ring
+    x = Poly.gen(ring)
+    step = x + Poly.constant(ring, a)
+    shifted = Poly.zero(ring)
+    for c in reversed(modulus.coeffs):
+        shifted = shifted * step + Poly.constant(ring, c)
+    return shifted == x ** modulus.degree

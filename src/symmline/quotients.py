@@ -438,9 +438,19 @@ def count_points(q: int, n: int, mult_set: MultSet, workers: int = 1) -> int:
     Generators with a unit leading coefficient and degree below n are
     decided by a determinant of their own degree; see is_free_quotient.
     workers is ignored.  CENSUS_BOUND caps q^n, not the candidates.
+    A set over GF(q) already holds the interned PrimeField(q), so the
+    count runs in mult_set.ring and builds no field; any other q or set
+    ring goes through PrimeField(q), whose ValueError for a q that is
+    not a prime int comes before the RingMismatchError of a mismatch.
     """
-    ring = PrimeField(q)
-    _check_rings(mult_set.ring, ring)
+    ring = mult_set.ring
+    # the residue rings that are fields are the PrimeFields
+    if not (
+        isinstance(ring, ZmodRing) and ring.is_field
+        and isinstance(q, int) and ring.modulus == q
+    ):
+        ring = PrimeField(q)
+        _check_rings(mult_set.ring, ring)
     if n < 1:
         raise ValueError("n must be >= 1")
     # q >= 2, so q**n exceeds the bound once n passes its bit length; test

@@ -49,7 +49,8 @@ from .norms import (
     resultant_symmetry_check,
     push_norm,
 )
-from .multipoly import elementary
+from .errors import NotSymmetricError
+from .multipoly import MultiPoly, elementary
 from .oracles import sylvester_resultant
 from .poly import MonicPoly, Poly, PolyRing, poly_gcd, poly_mod
 from .rings import GF, QQ, Zmod, ZZ
@@ -425,19 +426,31 @@ def check_census_counts(rng: Random) -> str:
     return _census_sweep((2, 3), (1, 2, 3, 4))
 
 
+def _admitted_roots(ring, n: int, u: MultSet) -> tuple[int, int]:
+    """How many monic F of degree n over a finite ring are admitted for
+    u, and how many pairs (F, a), a in the ring, have F admitted and
+    F(a) = 0.  At n = 1 the count is that of the admitted lines X - a."""
+    points = [ring.value(a) for a in range(ring.modulus)]
+    admitted = [F for F in _all_monic(ring, n) if is_free_quotient(F, u)]
+    return len(admitted), sum(F(a) == ring.zero for F in admitted for a in points)
+
+
 def check_universal_family(rng: Random) -> str:
     """The universal family over Hilb^n is Symm^(n-1)(A[X]_U) x Spec(A[X]_U)
-    (PAPER.md), on GF(q)-points: the pairs (F, a) with F admitted and
+    (PAPER.md), on A-points: the pairs (F, a) with F admitted and
     F(a) = 0 are the pairs (F', a) with F' of degree n - 1 and X - a
-    both admitted, sent to F'(X - a).  Both sides count them.
-    all-nonzero is left out: it admits no F and no X - a, so both sides
-    read 0 whatever count_points returns."""
+    both admitted, sent to F'(X - a).  Both sides count them.  Over
+    GF(q) the right side reads count_points at n - 1.  all-nonzero is
+    left out: it admits no F and no X - a, so both sides read 0
+    whatever count_points returns.  Over Zmod:m, non-reduced bases
+    included (X^2 has the roots 0 and 2 over Z/4), count_points does
+    not apply and the right side enumerates too; local-at needs a field.
+    """
     cases = 0
     for q, top in ((2, 4), (3, 4), (5, 3)):
         ring = GF(q)
         x = Poly.gen(ring)
         one = Poly.constant(ring, 1)
-        points = [ring.value(a) for a in range(q)]
         for u in (
             MultSet.trivial(ring),
             MultSet.local_at(ring.one),
@@ -445,29 +458,50 @@ def check_universal_family(rng: Random) -> str:
             MultSet.generated(x + one, x * x + x),
             MultSet.generated(x * x + one),
         ):
-            lines = sum(
-                is_free_quotient(MonicPoly(x - Poly.constant(ring, a)), u)
-                for a in range(q)
-            )
+            lines = _admitted_roots(ring, 1, u)[0]
             for n in range(1, top + 1):
-                roots = sum(
-                    F(a) == ring.zero
-                    for F in _all_monic(ring, n)
-                    if is_free_quotient(F, u)
-                    for a in points
-                )
                 hilb = count_points(q, n - 1, u) if n > 1 else 1
-                _check(roots == hilb * lines)
+                _check(_admitted_roots(ring, n, u)[1] == hilb * lines)
                 cases += 1
-    return f"{cases} (q, n, U): roots over admitted F = Hilb^(n-1) points x admitted lines"
+    for m, top in ((4, 3), (6, 3), (8, 2), (9, 2), (12, 2)):
+        ring = Zmod(m)
+        x = Poly.gen(ring)
+        one = Poly.constant(ring, 1)
+        for u in (
+            MultSet.trivial(ring),
+            MultSet.generated(x),
+            MultSet.generated(x.scale(2) + one),
+            MultSet.generated(x * x + one),
+            MultSet.generated(x + one, x * x + x),
+            MultSet.generated(x * x + x + one),
+        ):
+            lines = hilb = _admitted_roots(ring, 1, u)[0]
+            for n in range(2, top + 1):
+                count, roots = _admitted_roots(ring, n, u)
+                _check(roots == hilb * lines)
+                hilb = count
+                cases += 1
+    return f"{cases} (A, n, U): roots over admitted F = Hilb^(n-1) points x admitted lines"
 
 
 def check_symmetric_roundtrip(rng: Random) -> str:
-    for _ in range(30):
+    """Each expansion decomposes back; for n >= 2 the same expansion
+    plus X1^k, k >= 1, is not symmetric, and decompose must refuse it."""
+    near_misses = 0
+    for i in range(30):
         n = rng.randint(1, 4)
         s = random_symelem(ZZ, n, rng, max_weight=6, max_terms=5)
-        _check(decompose(s.expand()) == s)
-    return "30 decompose(expand(s)) round-trips"
+        expanded = s.expand()
+        _check(decompose(expanded) == s)
+        if n >= 2:
+            near = expanded + MultiPoly.variable(1, n, ZZ) ** (1 + i % 3)
+            try:
+                decompose(near)
+            except NotSymmetricError:
+                near_misses += 1
+            else:
+                _check(False)
+    return f"30 decompose(expand(s)) round-trips, {near_misses} near misses refused"
 
 
 def check_sym_ops_specialize(rng: Random) -> str:

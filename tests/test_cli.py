@@ -97,6 +97,38 @@ def test_membership_with_oracle(capsys):
     assert payload["oracle"] == {"exhaustive_search": False}
 
 
+# (ring, F, multset, the oracle field): exhaustive search while
+# m^deg F <= 4096, Sylvester resultants for other scalar gens: sets,
+# F(X + a) = X^n for local-at; towers, trivial and all-nonzero have none
+MEMBERSHIP_ORACLES = [
+    ("ZZ", "X^2+X-1", "gens:X,-1", {"sylvester_units": True}),
+    ("ZZ", "X^2-3*X+2", "gens:X^3+1", {"sylvester_units": False}),
+    ("QQ", "X^3+1", "gens:2*X+1,X^5-7", {"sylvester_units": True}),
+    ("QQ", "X^2+1", "gens:X^2+1", {"sylvester_units": False}),
+    ("Zmod:12", "X^3+2*X+1", "gens:X+5", {"exhaustive_search": False}),
+    ("Zmod:12", "X^4+X+1", "gens:X+2", {"sylvester_units": False}),
+    ("Zmod:12", "X^4+X+1", "gens:X,5", {"sylvester_units": True}),
+    ("GF:7", "X^4+X+3", "gens:X^9+X+5", {"exhaustive_search": True}),
+    ("GF:7", "X^5+X+3", "gens:X^9+X+5,3", {"sylvester_units": True}),
+    ("GF:7", "X^2-4*X+4", "local-at:2", {"shifted_power": True}),
+    ("QQ", "X^2-2*X+1", "local-at:-1", {"shifted_power": False}),
+    ("Poly:ZZ:T", "X^2+T", "gens:X+1", None),
+    ("GF:7", "X^2+1", "trivial", None),
+    ("QQ", "X^2+1", "all-nonzero", None),
+]
+
+
+@pytest.mark.parametrize("ring, F, multset, oracle", MEMBERSHIP_ORACLES)
+def test_membership_oracle_by_ring_and_set(capsys, ring, F, multset, oracle):
+    code, payload = invoke_json(
+        capsys, "membership", "--ring", ring, "--F", F, "--multset", multset
+    )
+    assert code == 0
+    assert payload["oracle"] == oracle
+    if oracle is not None:
+        assert list(oracle.values()) == [payload["result"]]
+
+
 def test_charpoly_verb(capsys):
     code, payload = invoke_json(
         capsys, "charpoly", "--ring", "ZZ", "--F", "X^2-3*X+2", "--f", "X^2"
@@ -216,8 +248,9 @@ def _unit_bump(p):
 
 
 # (argv, namespace whose binding the verb calls, route, wrong answer made
-# from the right one); membership's oracle runs when q^deg F <= 4096 and
-# recover's when the matrix has at most 4 rows
+# from the right one, and a test id where the verb has another row);
+# membership's exhaustive oracle runs when q^deg F <= 4096, its Sylvester
+# oracle over ZZ, and recover's when the matrix has at most 4 rows
 CROSS_CHECKED = [
     (("norm", "--ring", "ZZ", "--F", "X^2-3*X+2", "--f", "X-4"),
      norms, "norm", lambda v: v + 1),
@@ -230,6 +263,8 @@ CROSS_CHECKED = [
      cli, "push_norm", lambda ab: (ab[0] + 1, ab[1])),
     (("membership", "--ring", "GF:5", "--F", "X^2+1", "--multset", "gens:X+1"),
      cli, "is_free_quotient", lambda ok: not ok),
+    (("membership", "--ring", "ZZ", "--F", "X^2+X-1", "--multset", "gens:X,-1"),
+     cli, "is_free_quotient", lambda ok: not ok, "membership-ZZ"),
     (("recover", "--ring", "ZZ", "--matrix", "1,2;3,4"),
      cli, "recover_monic", _unit_bump),
     (("resultant-check", "--ring", "ZZ", "--P", "X^2-3*X+2", "--Q", "X-4"),
@@ -239,8 +274,8 @@ CROSS_CHECKED = [
 
 @pytest.mark.parametrize(
     "argv, namespace, route, wrong",
-    CROSS_CHECKED,
-    ids=[row[0][0] for row in CROSS_CHECKED],
+    [row[:4] for row in CROSS_CHECKED],
+    ids=[row[-1] if len(row) > 4 else row[0][0] for row in CROSS_CHECKED],
 )
 def test_cross_check_disagreement_fails_closed(
     capsys, monkeypatch, argv, namespace, route, wrong

@@ -41,7 +41,8 @@ def _doubled(rep):
     return {lam: c + c for lam, c in rep.items()}
 
 
-# (module, route, perturbation of (result, *arguments), checks that fail)
+# (module, route, perturbation of (result, *arguments), checks that fail,
+# and a test id where the route has another row whose id is its name)
 ROWS = [
     (matrices, "_bareiss_int", lambda d, a: d + 1,
      "det-routes norm-multiplicativity norm-oracle sylvester-oracle "
@@ -98,8 +99,14 @@ ROWS = [
      "thm24-equivalence addition-homomorphism section-identity section-partial "
      "addition-diagonal symmetric-roundtrip sym-ops-specialize"),
     # a single detector: decompose is the only caller, and
-    # symmetric-roundtrip the only check that decomposes
+    # symmetric-roundtrip the only check that decomposes; it decomposes
+    # symmetric expansions and near misses, so it bites both ways
     (multipoly, "is_symmetric", lambda ok, m: not ok, "symmetric-roundtrip"),
+    (multipoly, "is_symmetric", lambda ok, m: True, "symmetric-roundtrip",
+     "is_symmetric-always-true"),
+    # a single detector: addition-kernel's generic polynomial is killed
+    # whatever its sign, so only the section's reduction modulo it sees one
+    (symmetric, "sym_char_poly", lambda t, f, n: -t, "section-identity"),
     # negating the shared substitution cancels in section-identity and
     # section-partial, which compose the section with the addition map
     (quotients, "_substitute", lambda t, *args: -t,
@@ -127,7 +134,9 @@ def _passes(name):
 
 
 @pytest.mark.parametrize(
-    "module, route, perturb, checks", ROWS, ids=[row[1] for row in ROWS]
+    "module, route, perturb, checks",
+    [row[:4] for row in ROWS],
+    ids=[row[-1] if len(row) > 4 else row[1] for row in ROWS],
 )
 def test_route_has_an_oracle(monkeypatch, module, route, perturb, checks):
     # fresh expansion tables and cache: a warm cache would hide a

@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from symmline import multipoly, quotients
+from symmline import multipoly, oracles, quotients
 from symmline.errors import (
     OracleInfeasibleError,
     RingMismatchError,
@@ -130,6 +130,35 @@ def test_membership_local_at_rational_point():
     assert not is_free_quotient(
         MonicPoly.from_roots(QQ, [QQ.value(Fraction(1, 3))] * 3), u
     )
+
+
+def test_membership_oracles_agree_with_the_criterion():
+    # the Sylvester unit test on g mod F, and F(X + a) = X^n, against
+    # is_free_quotient; deg g runs past deg F, and g may reduce to a
+    # constant or to zero modulo F
+    rng = Random(73)
+    for ring in (ZZ, QQ, Zmod(12), Zmod(8), GF(7)):
+        for _ in range(40):
+            modulus = random_monic(ring, rng, rng.randint(1, 4))
+            g = Poly(ring, [random_value(ring, rng, -3, 3)
+                            for _ in range(rng.randint(1, 7))])
+            g = rng.choice((g, g * modulus.poly + Poly(ring, [rng.choice((1, 2))]),
+                            modulus.poly.scale(rng.choice((1, 3)))))
+            if g.is_zero:
+                continue
+            assert oracles.unit_norm(modulus, g) == is_free_quotient(
+                modulus, MultSet.generated(g)
+            ), (ring, modulus, g)
+    for ring in (GF(2), GF(5)):
+        for a in map(ring.value, range(ring.modulus)):
+            u = MultSet.local_at(a)
+            for deg in (1, 2, 3):
+                for f in _all_monic(ring, deg):
+                    assert oracles.shifted_is_power(f, a) == is_free_quotient(f, u)
+    a = QQ.value(Fraction(1, 2))
+    for root, member in ((a, True), (QQ.value(Fraction(1, 3)), False)):
+        f = MonicPoly.from_roots(QQ, [root] * 3)
+        assert oracles.shifted_is_power(f, a) is member
 
 
 def test_membership_local_at_needs_field():
@@ -566,6 +595,14 @@ def test_count_bound(monkeypatch):
 def test_count_requires_matching_field():
     with pytest.raises(RingMismatchError):
         count_points(3, 2, MultSet.trivial(GF(5)))
+    # the set's own ring is taken only when it is GF(q) itself
+    for q, ring, message in (
+        (7, GF(5), "mixed rings GF:5 and GF:7"),
+        (5, Zmod(5), "mixed rings Zmod:5 and GF:5"),
+    ):
+        with pytest.raises(RingMismatchError) as caught:
+            count_points(q, 2, MultSet.trivial(ring))
+        assert str(caught.value) == message
 
 
 def test_coprimality_exhaustive():
@@ -666,7 +703,21 @@ def test_count_candidate_stream(monkeypatch):
     def refuse(*args):
         raise AssertionError("the candidate path ran")
 
+    # a set over GF(q) carries the field the count runs in, so no call
+    # builds one; gens:X+2,2*X^2+2*X+2 is one block, (X - 1)^2 | 2*X^2 + ...,
+    # and admits the 3^4 - 3^3 quartics with F(1) != 0
+    def no_field(q):
+        raise AssertionError("count_points built a field")
+
+    monkeypatch.setattr(quotients, "PrimeField", no_field)
+    x, two = Poly.gen(GF(3)), Poly(GF(3), [2])
+    gens = MultSet.generated(x + two, (x * x + x).scale(2) + two)
+    assert gens.describe() == "gens:X + 2,2*X^2 + 2*X + 2"
+    assert count_points(3, 4, gens) == 54
     monkeypatch.setattr(quotients, "_admitted", refuse)
+    trivial, _, local, nonzero = _census_sets(GF(3))
+    counts = [count_points(3, 7, u) for u in (trivial, nonzero, local)]
+    assert counts == [3**7, 0, 1]
     seen.clear()
     trivial, _, local, nonzero = _census_sets(GF(2))
     counts = [count_points(2, 19, u) for u in (trivial, nonzero, local)]
@@ -711,6 +762,14 @@ def test_count_candidates_per_block(monkeypatch):
 def test_count_requires_prime_q():
     with pytest.raises(ValueError):
         count_points(4, 2, MultSet.trivial(GF(2)))
+    # q must be a prime int even when it equals the set's modulus, and
+    # its ValueError comes before any ring mismatch
+    for q in (4, 3.0, True):
+        for mult_set in (MultSet.trivial(GF(3)), MultSet.trivial(GF(5))):
+            with pytest.raises(ValueError) as caught:
+                count_points(q, 7, mult_set)
+            assert not isinstance(caught.value, RingMismatchError)
+            assert "GF parameter must be prime" in str(caught.value)
 
 
 def test_count_points_n_validation():
