@@ -1,10 +1,7 @@
 """Square matrices with exact entries and their determinants.
 
-char_poly reduces the matrix to upper Hessenberg form modulo a prime
-(GF:p and Zmod:p), O(n^3) operations mod p with one inverse per column
-(Cohen, A Course in Computational Algebraic Number Theory, 2.2.4).
-Every other ring takes the Samuelson-Berkowitz iteration (O(n^4) ring
-operations, no divisions), so it is correct over rings with zero
+char_poly runs the Samuelson-Berkowitz iteration over every ring (O(n^4)
+ring operations, no divisions), so it is correct over rings with zero
 divisors such as Zmod(12) where fraction-free elimination breaks.
 det runs Bareiss's fraction-free elimination (Math. Comp. 22, 1968)
 over ZZ and over the int lift d*M of a QQ matrix below, with
@@ -158,15 +155,11 @@ class SquareMatrix:
 
 
 def char_poly(m: SquareMatrix) -> MonicPoly:
-    """det(X*I - M), monic of degree n: by Hessenberg reduction modulo a
-    prime and by the Berkowitz iteration over every other ring."""
+    """det(X*I - M), monic of degree n, by the Berkowitz iteration."""
     ring = m.ring
     a = m._payload_rows
     if isinstance(ring, ZmodRing):
-        if ring.is_domain:
-            coeffs = _hessenberg(a, ring.modulus)
-        else:
-            coeffs = _berkowitz(a, 1, modulus=ring.modulus)
+        coeffs = _berkowitz(a, 1, modulus=ring.modulus)
     elif isinstance(ring, RationalRing):
         d, lifted = _lift_rationals(a)
         coeffs = [Fraction(c, d**i) for i, c in enumerate(_berkowitz(lifted, 1))]
@@ -209,60 +202,6 @@ def _berkowitz(a, one, zero=0, modulus=0):
             rev = toeplitz[::-1]
             coeffs = [sum(map(mul, rev[k - i :], coeffs), zero) for i in range(k + 1)]
     return coeffs
-
-
-def _hessenberg(a, p):
-    """Descending coefficients of det(X*I - A) mod a prime p, for a
-    matrix a of int residues, in O(n^3) operations mod p.
-
-    The similarities row_i -= u_i*row_(k+1), col_(k+1) += u_i*col_i
-    for i > k+1 clear column k below the sub-diagonal, after a row and
-    column swap has put a nonzero entry there (a column already clear
-    needs none); they commute, so all the row steps run before one pass
-    over column k+1.  The char polys chi_j of the leading j x j blocks
-    of the Hessenberg result then follow by expanding the last column
-    (Cohen, A Course in Computational Algebraic Number Theory, 2.2.9):
-    chi_(j+1) = (X - h_jj) chi_j - sum_(i<j) h_ij h_(i+1)i...h_j(j-1) chi_i,
-    whose sum ends at the first zero sub-diagonal entry.
-    """
-    mul = operator.mul
-    n = len(a)
-    h = [list(row) for row in a]
-    for k in range(n - 2):
-        m = k + 1
-        for i in range(m, n):
-            if h[i][k]:
-                break
-        else:
-            continue
-        if i != m:
-            h[i], h[m] = h[m], h[i]
-            for row in h:
-                row[i], row[m] = row[m], row[i]
-        pivot = h[m]
-        inv = pow(pivot[k], -1, p)
-        us = [h[i][k] * inv % p for i in range(m + 1, n)]
-        if any(us):
-            # rows m.. are zero left of column k, which the step clears
-            zeros, tail = [0] * m, pivot[m:]
-            for i, u in enumerate(us, m + 1):
-                if u:
-                    h[i] = zeros + [(x - u * y) % p for x, y in zip(h[i][m:], tail)]
-            for row in h:
-                row[m] = (row[m] + sum(map(mul, us, row[m + 1 :]))) % p
-    chi = [[1]]  # ascending coefficients
-    for j in range(n):
-        prev, hjj = chi[j], h[j][j]
-        c = [x - hjj * y for x, y in zip([0, *prev], [*prev, 0])]
-        t = 1
-        for i in range(j - 1, -1, -1):
-            t = t * h[i + 1][i] % p
-            if not t:
-                break
-            u = t * h[i][j] % p
-            c[: i + 1] = [x - u * y for x, y in zip(c, chi[i])]
-        chi.append([x % p for x in c])
-    return chi[n][::-1]
 
 
 def _lift_rationals(a):

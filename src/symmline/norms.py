@@ -11,9 +11,9 @@ so they never decompose them; sym_ops_of followed by EvalMap is the
 decomposition route that selftest checks them against.
 
 norm() takes the production determinant route: O(n^3) over ZZ and QQ
-(Bareiss) and modulo a prime (Hessenberg), O(n^4) over composite Zmod
-and towers (Berkowitz); the symmetric route is exponential in n through
-the multivariate expansion and exists for fidelity to the definition.
+(Bareiss), O(n^4) over Zmod, GF and towers (Berkowitz); the symmetric
+route is exponential in n through the multivariate expansion and exists
+for fidelity to the definition.
 norm_checked() runs both and insists they agree.
 
 Both symmetric routes reduce f mod F before the symmetric expansion.

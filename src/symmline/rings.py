@@ -317,7 +317,9 @@ class ZmodRing(Ring):
     def __new__(cls, modulus: int):
         if not isinstance(modulus, int) or modulus < 2:
             raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
-        return _intern(cls, (modulus,), modulus=modulus, is_domain=is_prime(modulus))
+        # PrimeField has tested its modulus and is a domain by class
+        is_domain = cls.is_domain or is_prime(modulus)
+        return _intern(cls, (modulus,), modulus=modulus, is_domain=is_domain)
 
     def _add(self, a, b):
         return (a + b) % self.modulus

@@ -51,7 +51,7 @@ from .norms import (
 )
 from .errors import NotSymmetricError
 from .multipoly import MultiPoly, elementary
-from .oracles import sylvester_resultant
+from .oracles import bareiss_det, sylvester_resultant
 from .poly import MonicPoly, Poly, PolyRing, poly_gcd, poly_mod
 from .rings import GF, QQ, Zmod, ZZ
 from .sampling import (
@@ -101,10 +101,10 @@ def check_ring_axioms(rng: Random) -> str:
 
 
 def check_thm24_equivalence(rng: Random) -> str:
-    # GF:7 reaches char_poly's Hessenberg kernel and QQ mult_matrix's
-    # int lift; the symmetric route shares neither.  The decomposition
-    # route, EvalMap on the e-basis operators, checks mult_char_poly's
-    # evaluation of their monomial form.
+    # Zmod:12 and GF:7 reach char_poly's Berkowitz kernel mod m and QQ
+    # mult_matrix's int lift; the symmetric route shares neither.  The
+    # decomposition route, EvalMap on the e-basis operators, checks
+    # mult_char_poly's evaluation of their monomial form.
     ranges = ((ZZ, 5, 6), (Zmod(12), 5, 6), (GF(7), 4, 4), (QQ, 4, 4))
     for ring, deg_modulus, deg_f in ranges:
         for _ in range(40):
@@ -126,7 +126,15 @@ def check_det_routes(rng: Random) -> str:
                     for _ in range(n)]
             m = SquareMatrix(ring, rows)
             _check(det(m) == (-1) ** n * char_poly(m).coeff(0))
-    return "30 matrices over ZZ and QQ: Bareiss det = Berkowitz constant term"
+    for ring in (Zmod(12), GF(7)):
+        for _ in range(10):
+            n = rng.randint(1, 8)
+            m = SquareMatrix(ring, [[random_value(ring, rng) for _ in range(n)]
+                                    for _ in range(n)])
+            _check(det(m) == bareiss_det(m))
+    return ("30 matrices over ZZ and QQ: Bareiss det = Berkowitz constant "
+            "term; 20 over Zmod:12 and GF:7 at n <= 8: Berkowitz det mod m "
+            "= int-lift Bareiss oracle")
 
 
 def check_norm_multiplicativity(rng: Random) -> str:

@@ -341,69 +341,43 @@ def test_det_routes(monkeypatch):
             assert len(calls) == expected, (ring, n)
 
 
-def _random_residues(rng, p, n, density):
-    return [
-        [rng.randrange(p) if rng.random() < density else 0 for _ in range(n)]
-        for _ in range(n)
-    ]
-
-
-def test_hessenberg_matches_berkowitz_mod_primes():
-    # sparse matrices make zero sub-diagonal pivots (a row and column
-    # swap), all-zero columns below the sub-diagonal, and zero
-    # sub-diagonal entries that end the recurrence's sum early
-    rng = Random(35)
-    for ring in (GF(2), GF(3), GF(5), Zmod(7), GF(10007)):
-        p = ring.modulus
-        for n in range(1, 11):
-            for density in (0.15, 0.4, 1.0):
-                for _ in range(20):
-                    a = _random_residues(rng, p, n, density)
-                    expected = matrices._berkowitz(a, 1, modulus=p)
-                    assert matrices._hessenberg(a, p) == expected, (p, a)
-
-
-def test_hessenberg_pivot_cases():
+def test_char_poly_structured_matrices_mod_p():
+    # zeros on and below the sub-diagonal, a nilpotent corner, triangular
+    # and zero matrices, reduced mod small and large primes, where
+    # entries such as 2, 3 and 7 vanish
     cases = [
-        # h[1][0] = 0 but h[2][0] != 0: rows and columns 1, 2 swap
         [[1, 2, 3], [0, 4, 5], [5, 0, 1]],
         [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]],
-        # column 0 already clear below the sub-diagonal
         [[1, 2, 3], [4, 5, 6], [0, 7, 8]],
-        # column 0 all zero below the diagonal
         [[1, 2, 3], [0, 5, 6], [0, 7, 8]],
-        # upper triangular: every sub-diagonal entry is zero
         [[1, 2, 3, 4], [0, 5, 6, 7], [0, 0, 8, 9], [0, 0, 0, 1]],
         [[0] * 5 for _ in range(5)],
     ]
     for rows in cases:
         for ring in (GF(2), GF(3), Zmod(7), GF(10007)):
-            p = ring.modulus
-            a = [[x % p for x in row] for row in rows]
-            assert matrices._hessenberg(a, p) == matrices._berkowitz(a, 1, modulus=p)
             m = mat(ring, rows)
             assert char_poly(m) == charpoly_cofactor(m), (ring, rows)
 
 
 def test_char_poly_routes(monkeypatch):
-    # a prime modulus takes the Hessenberg kernel; composite Zmod, ZZ,
-    # QQ and towers take Berkowitz
+    # every ring takes Berkowitz once: prime and composite Zmod reduce
+    # mod m inside it, while ZZ, QQ's int lift and towers pass no modulus
     calls = []
-    hessenberg = matrices._hessenberg
+    berkowitz = matrices._berkowitz
 
-    def counting(a, p):
-        calls.append(p)
-        return hessenberg(a, p)
+    def counting(a, one, zero=0, modulus=0):
+        calls.append(modulus)
+        return berkowitz(a, one, zero, modulus)
 
-    monkeypatch.setattr(matrices, "_hessenberg", counting)
+    monkeypatch.setattr(matrices, "_berkowitz", counting)
     rng = Random(36)
     for ring, expected in (
-        (GF(7), 1), (Zmod(7), 1), (Zmod(12), 0), (ZZ, 0), (QQ, 0),
+        (GF(7), 7), (Zmod(7), 7), (Zmod(12), 12), (ZZ, 0), (QQ, 0),
         (PolyRing(ZZ, "T"), 0),
     ):
         calls.clear()
         char_poly(_random_matrix(ring, rng, 3))
-        assert len(calls) == expected, ring
+        assert calls == [expected], ring
 
 
 def _qq(rng):

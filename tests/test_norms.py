@@ -155,8 +155,8 @@ def test_sylvester_oracle_runs_its_own_kernel_over_composite_moduli(monkeypatch)
 
 
 def test_sylvester_oracle_runs_without_the_production_bareiss_kernel(monkeypatch):
-    # the production det runs Bareiss on an int lift over ZZ and QQ,
-    # Berkowitz over composite Zmod and Hessenberg reduction over GF;
+    # the production det runs Bareiss on an int lift over ZZ and QQ and
+    # Berkowitz mod m over Zmod and GF;
     # the oracle runs its own Bareiss kernel on an int lift of the
     # matrix, so refusing every production kernel leaves its answers,
     # on the Sylvester and on the multiplication matrix, unchanged
@@ -172,7 +172,7 @@ def test_sylvester_oracle_runs_without_the_production_bareiss_kernel(monkeypatch
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle called a production kernel")
 
-    for name in ("_bareiss_int", "_berkowitz", "_hessenberg"):
+    for name in ("_bareiss_int", "_berkowitz"):
         monkeypatch.setattr(matrices, name, refuse)
     monkeypatch.setattr(oracles, "det", refuse)
     for modulus, f, expected in cases:

@@ -50,10 +50,8 @@ ROWS = [
     (matrices, "_berkowitz", _plus_one_last,
      "thm24-equivalence det-routes norm-multiplicativity norm-oracle "
      "split-root-oracle norm-constant-term push-norm "
-     "criterion-oracle-agreement recover-similarity companion-roundtrip"),
-    (matrices, "_hessenberg", lambda c, a, p: _plus_one_last(c, a, 1, modulus=p),
-     "thm24-equivalence split-root-oracle push-norm criterion-oracle-agreement "
-     "recover-similarity companion-roundtrip coprimality census-counts"),
+     "criterion-oracle-agreement recover-similarity companion-roundtrip "
+     "coprimality closure-insensitivity census-counts universal-family"),
     (matrices, "_rational_columns", _plus_one_corner,
      "thm24-equivalence norm-multiplicativity"),
     (matrices, "mult_matrix",

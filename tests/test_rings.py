@@ -126,6 +126,27 @@ def test_is_prime():
     assert not is_prime(2**32 + 1)
 
 
+def test_prime_field_tests_its_modulus_once(monkeypatch):
+    # PrimeField checks primality and is a domain by class, so the
+    # ZmodRing constructor does not test the modulus again
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(rings, "is_prime", counting)
+    field = GF(1000003)
+    assert calls == [1000003]
+    assert field.is_domain and field.is_field
+    calls.clear()
+    assert Zmod(1000003).is_domain and not Zmod(1000004).is_domain
+    assert calls == [1000003, 1000004]
+    for bad in (4, 3.0, True):
+        with pytest.raises(ValueError):
+            GF(bad)
+
+
 def test_value_powers_and_hash():
     v = Zmod(12).value(5)
     assert v**0 == Zmod(12).one

@@ -105,17 +105,26 @@ def test_mult_char_poly_matches_sympy_resultant():
 
 def test_char_poly_matches_sympy_charpoly():
     rng = Random(93)
-    for ring in RINGS:
-        for n in (1, 2, 3, 4):
-            m = SquareMatrix(
-                ring, [[random_value(ring, rng) for _ in range(n)] for _ in range(n)]
-            )
-            rows = [[to_sympy(m.entry(i, j)) for j in range(n)] for i in range(n)]
-            expected = sympy.Matrix(rows).charpoly(Y).all_coeffs()[::-1]
-            ours = char_poly(m).poly.coeffs
-            assert len(ours) == len(expected)
-            for a, b in zip(ours, expected):
-                assert agree(ring, a, b), (ring, m)
+    cases = [(ring, n, 1.0) for ring in RINGS for n in (1, 2, 3, 4)]
+    # Berkowitz mod p at larger n, p <= n included, sparse and dense
+    cases += [
+        (ring, n, density)
+        for ring in (GF(2), GF(3), GF(10007))
+        for n in (6, 10, 16)
+        for density in (0.2, 1.0)
+    ]
+    for ring, n, density in cases:
+        m = SquareMatrix(ring, [
+            [random_value(ring, rng) if rng.random() < density else ring.zero
+             for _ in range(n)]
+            for _ in range(n)
+        ])
+        rows = [[to_sympy(m.entry(i, j)) for j in range(n)] for i in range(n)]
+        expected = sympy.Matrix(rows).charpoly(Y).all_coeffs()[::-1]
+        ours = char_poly(m).poly.coeffs
+        assert len(ours) == len(expected)
+        for a, b in zip(ours, expected):
+            assert agree(ring, a, b), (ring, m)
 
 
 def test_poly_gcd_matches_sympy_gcd():
